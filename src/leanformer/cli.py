@@ -19,7 +19,6 @@ from .model import (
     PRESETS,
     grad_check,
     init_params,
-    iter_params,
     param_count,
     param_count_enumerated,
     synth_copy_batch,
@@ -131,10 +130,7 @@ def cmd_compress(args) -> int:
         quantized = compression.quantize_params(params)
         modelfile.save_quantized_model(args.out, cfg, quantized)
         restored = compression.dequantize_params(params, quantized)
-        max_err = max(
-            float(abs(orig - new).max())
-            for (_, orig), (_, new) in zip(iter_params(params), iter_params(restored))
-        )
+        max_err = float(abs(params.theta - restored.theta).max())
         before = param_count_enumerated(params)
         report = compression.CompressionReport(
             pass_name="quantize",

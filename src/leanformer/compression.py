@@ -9,18 +9,18 @@ one symmetric scale per tensor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import (
-    LayerParams,
     ModelConfig,
     ParamSet,
-    _LAYER_PAIRS,
     _freeze,
     iter_params,
     param_count_enumerated,
+    param_layout,
 )
 from .numerics import Matrix
 
@@ -78,9 +78,7 @@ class CompressionReport:
 
 
 def _sparsity(p: ParamSet) -> float:
-    total = param_count_enumerated(p)
-    zero = sum(int(np.count_nonzero(arr == 0.0)) for _, arr in iter_params(p))
-    return zero / total if total else 0.0
+    return int(np.count_nonzero(p.theta == 0.0)) / p.theta.size
 
 
 def reduce_config(cfg: ModelConfig, factor: int = 2) -> ModelConfig:
@@ -119,29 +117,9 @@ def prune_magnitude(p: ParamSet, threshold: float) -> tuple[ParamSet, Compressio
         raise ValueError(f"prune_magnitude: threshold must be >= 0, got {threshold}")
 
     before = param_count_enumerated(p)
-    max_err = 0.0
-
-    def prune_arr(arr: np.ndarray) -> np.ndarray:
-        nonlocal max_err
-        mask = np.abs(arr) < threshold
-        if mask.any():
-            max_err = max(max_err, float(np.max(np.abs(arr[mask]))))
-        out = arr.copy()
-        out[mask] = 0.0
-        return out
-
-    layers = []
-    for lay in p.layers:
-        nl = LayerParams(
-            wq=prune_arr(lay.wq), wk=prune_arr(lay.wk), wv=prune_arr(lay.wv),
-            wo=prune_arr(lay.wo), w1=prune_arr(lay.w1), w2=prune_arr(lay.w2),
-        )
-        for _, bname in _LAYER_PAIRS:
-            b = getattr(lay, bname)
-            if b is not None:
-                setattr(nl, bname, prune_arr(b))
-        layers.append(nl)
-    pruned = ParamSet(tok_emb=prune_arr(p.tok_emb), pos_emb=prune_arr(p.pos_emb), layers=layers)
+    mask = np.abs(p.theta) < threshold
+    max_err = float(np.max(np.abs(p.theta[mask]))) if mask.any() else 0.0
+    pruned = p.with_theta(_freeze(np.where(mask, 0.0, p.theta)))
 
     report = CompressionReport(
         pass_name="prune-magnitude",
@@ -152,7 +130,7 @@ def prune_magnitude(p: ParamSet, threshold: float) -> tuple[ParamSet, Compressio
         sparsity=_sparsity(pruned),
         max_error=max_err,
     )
-    return _freeze(pruned), report
+    return pruned, report
 
 
 def head_importance(p: ParamSet, cfg: ModelConfig, layer: int) -> list[float]:
@@ -188,21 +166,15 @@ def prune_heads(
 
     before = param_count_enumerated(p)
     dh = cfg.head_width
-    lay = p.layers[layer]
-    col_idx = np.concatenate([np.arange(h * dh, (h + 1) * dh) for h in kept])
-
-    nl = LayerParams(
-        wq=lay.wq[:, col_idx].copy(), wk=lay.wk[:, col_idx].copy(),
-        wv=lay.wv[:, col_idx].copy(), wo=lay.wo[col_idx, :].copy(),
-        w1=lay.w1.copy(), w2=lay.w2.copy(),
-    )
-    for _, bname in _LAYER_PAIRS:
-        b = getattr(lay, bname)
-        if b is not None:
-            sliced = b[col_idx].copy() if bname in ("bq", "bk", "bv") else b.copy()
-            setattr(nl, bname, sliced)
-    layers = [nl if i == layer else lp for i, lp in enumerate(p.layers)]
-    pruned = ParamSet(tok_emb=p.tok_emb, pos_emb=p.pos_emb, layers=layers)
+    dropped = np.repeat([h not in kept for h in range(heads)], dh)
+    mask = p.with_theta(np.ones(p.theta.size, dtype=bool))
+    lay = mask.layers[layer]
+    for w in (lay.wq, lay.wk, lay.wv):
+        w[:, dropped] = False
+    lay.wo[dropped, :] = False
+    for bias in (lay.bq, lay.bk, lay.bv):
+        if bias is not None:
+            bias[dropped] = False
 
     counts = [cfg.heads_in_layer(i) for i in range(cfg.n_layers)]
     counts[layer] = len(kept)
@@ -213,6 +185,7 @@ def prune_heads(
         new_cfg = replace(cfg, n_heads=counts[0], head_dim=head_dim, layer_heads=None)
     else:
         new_cfg = replace(cfg, head_dim=dh, layer_heads=tuple(counts))
+    pruned = ParamSet(_freeze(p.theta[mask.theta]), param_layout(new_cfg))
 
     after = param_count_enumerated(pruned)
     report = CompressionReport(
@@ -224,7 +197,7 @@ def prune_heads(
         sparsity=_sparsity(pruned),
         max_error=0.0,
     )
-    return _freeze(pruned), new_cfg, report
+    return pruned, new_cfg, report
 
 
 def prune_layers(
@@ -238,8 +211,9 @@ def prune_layers(
         raise ValueError(f"prune_layers: layer indices {kept} outside [0, {cfg.n_layers})")
 
     before = param_count_enumerated(p)
-    pruned = ParamSet(tok_emb=p.tok_emb, pos_emb=p.pos_emb,
-                      layers=[p.layers[i] for i in kept])
+    mask = p.with_theta(np.zeros(p.theta.size, dtype=bool))
+    for name, arr in iter_params(mask):
+        arr[...] = not name.startswith("layers.") or int(name.split(".")[1]) in kept
     if cfg.layer_heads is not None:
         remaining = tuple(cfg.layer_heads[i] for i in kept)
         if remaining and all(c == remaining[0] for c in remaining):
@@ -250,6 +224,7 @@ def prune_layers(
                               layer_heads=remaining if remaining else None)
     else:
         new_cfg = replace(cfg, n_layers=len(kept))
+    pruned = ParamSet(_freeze(p.theta[mask.theta]), param_layout(new_cfg))
 
     after = param_count_enumerated(pruned)
     report = CompressionReport(
@@ -261,7 +236,7 @@ def prune_layers(
         sparsity=_sparsity(pruned),
         max_error=0.0,
     )
-    return _freeze(pruned), new_cfg, report
+    return pruned, new_cfg, report
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -312,27 +287,10 @@ def quantize_params(p: ParamSet) -> list[tuple[str, QuantizedTensor]]:
 
 def dequantize_params(p: ParamSet, quantized: list[tuple[str, QuantizedTensor]]) -> ParamSet:
     """Rebuild float64 params shaped like `p` from quantized tensors."""
-    by_name = dict(quantized)
-    expected = [name for name, _ in iter_params(p)]
-    if list(by_name) != expected:
-        raise ValueError("dequantize_params: tensor names do not match the canonical order")
-
-    def restore(name: str, like: np.ndarray) -> np.ndarray:
-        return dequantize(by_name[name]).reshape(like.shape)
-
-    layers = []
-    for i, lay in enumerate(p.layers):
-        nl = LayerParams(wq=None, wk=None, wv=None, wo=None, w1=None, w2=None)  # type: ignore[arg-type]
-        for wname, bname in _LAYER_PAIRS:
-            setattr(nl, wname, restore(f"layers.{i}.{wname}", getattr(lay, wname)))
-            if getattr(lay, bname) is not None:
-                setattr(nl, bname, restore(f"layers.{i}.{bname}", getattr(lay, bname)))
-        layers.append(nl)
-    return _freeze(ParamSet(
-        tok_emb=restore("tok_emb", p.tok_emb),
-        pos_emb=restore("pos_emb", p.pos_emb),
-        layers=layers,
-    ))
+    if [(name, qt.values.size) for name, qt in quantized] != [
+            (name, math.prod(shape)) for name, shape in p.layout]:
+        raise ValueError("dequantize_params: tensors do not match the canonical layout")
+    return p.with_theta(_freeze(np.concatenate([dequantize(qt).ravel() for _, qt in quantized])))
 
 
 def quantized_memory_bytes(p: ParamSet) -> int:
@@ -340,9 +298,4 @@ def quantized_memory_bytes(p: ParamSet) -> int:
 
     One byte per parameter plus eight bytes per tensor for its scale.
     """
-    tensors = 0
-    params = 0
-    for _, arr in iter_params(p):
-        tensors += 1
-        params += arr.size
-    return params + 8 * tensors
+    return p.theta.size + 8 * len(p.layout)

@@ -11,7 +11,7 @@ parameter count the profiler reproduces byte-for-byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -96,7 +96,7 @@ PRESETS: dict[str, ModelConfig] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerParams:
     wq: Matrix
     wk: Matrix
@@ -112,34 +112,75 @@ class LayerParams:
     b2: np.ndarray | None = None
 
 
-@dataclass
-class ParamSet:
-    """Named parameter arrays of one model instance.
+Layout = tuple[tuple[str, tuple[int, ...]], ...]
+
+
+def param_layout(cfg: ModelConfig) -> Layout:
+    """(name, shape) of every parameter in canonical order, from the config alone.
 
     Canonical order (used by serialization, enumeration and the gradient
     checker): tok_emb, pos_emb, then per layer wq, wk, wv, wo, w1, w2 with
-    each bias immediately after its weight.
+    each bias immediately after its weight when biases are enabled.
+    """
+    d, f = cfg.d_model, cfg.d_ff
+    out = [("tok_emb", (cfg.vocab_size, d)), ("pos_emb", (cfg.max_seq_len, d))]
+    for i in range(cfg.n_layers):
+        w = cfg.attn_width(i)
+        for suffix, shape in (("q", (d, w)), ("k", (d, w)), ("v", (d, w)),
+                              ("o", (w, d)), ("1", (d, f)), ("2", (f, d))):
+            out.append((f"layers.{i}.w{suffix}", shape))
+            if cfg.use_bias:
+                # a bias adds to its weight's output columns
+                out.append((f"layers.{i}.b{suffix}", shape[1:]))
+    return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class ParamSet:
+    """Every parameter of one model instance in one flat vector `theta`.
+
+    `theta` holds the arrays of `layout` back to back, row-major.
+    `tok_emb`, `pos_emb` and each layer's weights and biases are views into
+    it, so they share its writeability: the package freezes every theta it
+    hands out, while gradients (and bool keep-masks laid out the same way)
+    are written through their views.
     """
 
-    tok_emb: Matrix
-    pos_emb: Matrix
-    layers: list[LayerParams]
+    theta: np.ndarray
+    layout: Layout
+    tok_emb: Matrix = field(init=False, repr=False)
+    pos_emb: Matrix = field(init=False, repr=False)
+    layers: list[LayerParams] = field(init=False, repr=False)
+    named: tuple[tuple[str, np.ndarray], ...] = field(init=False, repr=False)
 
+    def __post_init__(self):
+        theta = np.ascontiguousarray(self.theta)
+        size = sum(math.prod(shape) for _, shape in self.layout)
+        if theta.shape != (size,):
+            raise ValueError(f"ParamSet: theta has shape {theta.shape}, layout needs ({size},)")
+        named, pos = [], 0
+        for name, shape in self.layout:
+            n = math.prod(shape)
+            named.append((name, theta[pos: pos + n].reshape(shape)))
+            pos += n
+        per_layer: dict[int, dict[str, np.ndarray]] = {}
+        for name, view in named[2:]:
+            _, i, field_name = name.split(".")
+            per_layer.setdefault(int(i), {})[field_name] = view
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "named", tuple(named))
+        object.__setattr__(self, "tok_emb", named[0][1])
+        object.__setattr__(self, "pos_emb", named[1][1])
+        object.__setattr__(self, "layers", [LayerParams(**kw) for kw in per_layer.values()])
 
-_LAYER_PAIRS = (("wq", "bq"), ("wk", "bk"), ("wv", "bv"),
-                ("wo", "bo"), ("w1", "b1"), ("w2", "b2"))
+    def with_theta(self, theta: np.ndarray) -> ParamSet:
+        """The same layout over another vector."""
+        return ParamSet(theta, self.layout)
 
 
 def iter_params(p: ParamSet) -> Iterator[tuple[str, np.ndarray]]:
-    """Yield (name, array) in canonical order, biases only when present."""
-    yield "tok_emb", p.tok_emb
-    yield "pos_emb", p.pos_emb
-    for i, lay in enumerate(p.layers):
-        for wname, bname in _LAYER_PAIRS:
-            yield f"layers.{i}.{wname}", getattr(lay, wname)
-            bias = getattr(lay, bname)
-            if bias is not None:
-                yield f"layers.{i}.{bname}", bias
+    """Yield (name, view) in canonical order, biases only when present."""
+    yield from p.named
 
 
 def param_count_enumerated(p: ParamSet) -> int:
@@ -163,40 +204,19 @@ def param_count(cfg: ModelConfig) -> int:
     return n
 
 
-def _freeze(p: ParamSet) -> ParamSet:
+def _freeze(theta: np.ndarray) -> np.ndarray:
     # parameters are immutable by contract; make accidental writes loud
-    for _, arr in iter_params(p):
-        arr.flags.writeable = False
-    return p
+    theta.flags.writeable = False
+    return theta
 
 
 def _init_uniform(cfg: ModelConfig, seed: int, lo: float, hi: float) -> ParamSet:
-    state = RngState(seed)
-
-    def draw(rows: int, cols: int) -> Matrix:
-        nonlocal state
-        m, state = rng_uniform_array(state, (rows, cols), lo, hi)
-        return m
-
-    d, f = cfg.d_model, cfg.d_ff
-    tok = draw(cfg.vocab_size, d)
-    pos = draw(cfg.max_seq_len, d)
-    layers = []
-    for layer in range(cfg.n_layers):
-        w = cfg.attn_width(layer)
-        lp = LayerParams(
-            wq=draw(d, w), wk=draw(d, w), wv=draw(d, w),
-            wo=draw(w, d), w1=draw(d, f), w2=draw(f, d),
-        )
-        if cfg.use_bias:
-            lp.bq = np.zeros(w)
-            lp.bk = np.zeros(w)
-            lp.bv = np.zeros(w)
-            lp.bo = np.zeros(d)
-            lp.b1 = np.zeros(f)
-            lp.b2 = np.zeros(d)
-        layers.append(lp)
-    return _freeze(ParamSet(tok_emb=tok, pos_emb=pos, layers=layers))
+    layout = param_layout(cfg)
+    is_weight = np.concatenate([np.full(math.prod(shape), len(shape) == 2) for _, shape in layout])
+    draws, _ = rng_uniform_array(RngState(seed), (int(is_weight.sum()),), lo, hi)
+    theta = np.zeros(is_weight.size)
+    theta[is_weight] = draws
+    return ParamSet(_freeze(theta), layout)
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ParamSet:
@@ -326,12 +346,14 @@ def model_forward(
 
     Returns one n x vocab logit matrix and one ForwardTrace per sequence.
     Layers compose as x <- ffn(attention(x)) with no residual paths; the
-    logits are x against the transposed token embedding.
+    logits are x against the transposed token embedding. Every sequence's
+    logits are row slices of one buffer, allocated once the whole batch
+    has passed `embed`'s checks, so a batch costs one large allocation
+    however earlier work left the heap.
     """
     if len(batch) == 0:
         raise ValueError("model_forward: batch must be non-empty")
-    logits_list = []
-    traces = []
+    passes = []
     for tokens in batch:
         x0 = embed(p, tokens)
         x = x0
@@ -340,7 +362,14 @@ def model_forward(
             y, attn_trace = attention_forward(p, layer, x, cfg.heads_in_layer(layer))
             hidden, x = _ffn(p, layer, y)
             layer_traces.append(LayerTrace(attn=attn_trace, ffn_hidden=hidden, ffn_out=x))
-        logits = matmul(x, p.tok_emb.T)
+        passes.append((x0, layer_traces, x))
+    buffer = np.empty((sum(x.shape[0] for _, _, x in passes), p.tok_emb.shape[0]))
+    row = 0
+    logits_list = []
+    traces = []
+    for x0, layer_traces, x in passes:
+        logits = matmul(x, p.tok_emb.T, out=buffer[row: row + x.shape[0]])
+        row += x.shape[0]
         logits_list.append(logits)
         traces.append(ForwardTrace(embedded=x0, layers=layer_traces, logits=logits))
     return logits_list, traces
@@ -377,21 +406,6 @@ def batch_loss(
     return total / positions
 
 
-def _zero_grads(p: ParamSet) -> ParamSet:
-    layers = []
-    for lay in p.layers:
-        g = LayerParams(
-            wq=np.zeros_like(lay.wq), wk=np.zeros_like(lay.wk), wv=np.zeros_like(lay.wv),
-            wo=np.zeros_like(lay.wo), w1=np.zeros_like(lay.w1), w2=np.zeros_like(lay.w2),
-        )
-        for _, bname in _LAYER_PAIRS:
-            b = getattr(lay, bname)
-            if b is not None:
-                setattr(g, bname, np.zeros_like(b))
-        layers.append(g)
-    return ParamSet(tok_emb=np.zeros_like(p.tok_emb), pos_emb=np.zeros_like(p.pos_emb), layers=layers)
-
-
 def loss_and_grads(
     p: ParamSet,
     cfg: ModelConfig,
@@ -408,7 +422,7 @@ def loss_and_grads(
         raise ValueError(f"loss_and_grads: {len(batch)} sequences but {len(targets)} target rows")
     logits_list, traces = model_forward(p, cfg, batch)
     total_positions = sum(lg.shape[0] for lg in logits_list)
-    grads = _zero_grads(p)
+    grads = p.with_theta(np.zeros_like(p.theta))
 
     total_loss = 0.0
     for logits, trace, tokens, tgt in zip(logits_list, traces, batch, targets):
@@ -426,7 +440,7 @@ def loss_and_grads(
 
         # logits = x_final @ tok_emb^T  (tied output)
         x_final = trace.layers[-1].ffn_out if trace.layers else trace.embedded
-        grads.tok_emb += dlogits.T @ x_final
+        grads.tok_emb[...] += dlogits.T @ x_final
         dx = dlogits @ p.tok_emb
 
         for layer in reversed(range(cfg.n_layers)):
@@ -439,13 +453,13 @@ def loss_and_grads(
             hidden = lt.ffn_hidden
             y = lt.attn.out
             dhidden = dx @ lay.w2.T
-            g.w2 += hidden.T @ dx
+            g.w2[...] += hidden.T @ dx
             if g.b2 is not None:
-                g.b2 += dx.sum(axis=0)
+                g.b2[...] += dx.sum(axis=0)
             dz = dhidden * (hidden > 0)
-            g.w1 += y.T @ dz
+            g.w1[...] += y.T @ dz
             if g.b1 is not None:
-                g.b1 += dz.sum(axis=0)
+                g.b1[...] += dz.sum(axis=0)
             dy = dz @ lay.w1.T
 
             # attention output projection: y = concat(heads) @ Wo + bo
@@ -456,9 +470,9 @@ def loss_and_grads(
 
             head_outs = [lt.attn.weights[h] @ lt.attn.v[:, h * dh:(h + 1) * dh] for h in range(heads)]
             concat = np.hstack(head_outs)
-            g.wo += concat.T @ dy
+            g.wo[...] += concat.T @ dy
             if g.bo is not None:
-                g.bo += dy.sum(axis=0)
+                g.bo[...] += dy.sum(axis=0)
             dconcat = dy @ lay.wo.T
 
             dq = np.zeros_like(lt.attn.q)
@@ -475,13 +489,13 @@ def loss_and_grads(
                 dq[:, cols] = dscores @ lt.attn.k[:, cols] * s
                 dk[:, cols] = dscores.T @ lt.attn.q[:, cols] * s
 
-            g.wq += x_in.T @ dq
-            g.wk += x_in.T @ dk
-            g.wv += x_in.T @ dv
+            g.wq[...] += x_in.T @ dq
+            g.wk[...] += x_in.T @ dk
+            g.wv[...] += x_in.T @ dv
             if g.bq is not None:
-                g.bq += dq.sum(axis=0)
-                g.bk += dk.sum(axis=0)
-                g.bv += dv.sum(axis=0)
+                g.bq[...] += dq.sum(axis=0)
+                g.bk[...] += dk.sum(axis=0)
+                g.bv[...] += dv.sum(axis=0)
             dx = dq @ lay.wq.T + dk @ lay.wk.T + dv @ lay.wv.T
 
         # embedding lookup: rows of tok_emb and the first n rows of pos_emb
@@ -506,23 +520,7 @@ def train_step(
     if lr == 0:
         return p, loss
 
-    new_layers = []
-    for lay, g in zip(p.layers, grads.layers):
-        nl = LayerParams(
-            wq=lay.wq - lr * g.wq, wk=lay.wk - lr * g.wk, wv=lay.wv - lr * g.wv,
-            wo=lay.wo - lr * g.wo, w1=lay.w1 - lr * g.w1, w2=lay.w2 - lr * g.w2,
-        )
-        for _, bname in _LAYER_PAIRS:
-            b = getattr(lay, bname)
-            if b is not None:
-                setattr(nl, bname, b - lr * getattr(g, bname))
-        new_layers.append(nl)
-    new_p = ParamSet(
-        tok_emb=p.tok_emb - lr * grads.tok_emb,
-        pos_emb=p.pos_emb - lr * grads.pos_emb,
-        layers=new_layers,
-    )
-    return _freeze(new_p), loss
+    return p.with_theta(_freeze(p.theta - lr * grads.theta)), loss
 
 
 def synth_copy_batch(
@@ -539,33 +537,6 @@ def synth_copy_batch(
     # but clip anyway so the contract cannot drift
     np.clip(inputs, 0, vocab_size - 1, out=inputs)
     return inputs, inputs.copy()
-
-
-def _flatten_params(p: ParamSet) -> np.ndarray:
-    return np.concatenate([arr.ravel() for _, arr in iter_params(p)])
-
-
-def _with_flat_params(template: ParamSet, flat: np.ndarray) -> ParamSet:
-    """Rebuild a ParamSet shaped like `template` from a flat vector."""
-    pos = 0
-
-    def take(arr: np.ndarray) -> np.ndarray:
-        nonlocal pos
-        out = flat[pos: pos + arr.size].reshape(arr.shape).copy()
-        pos += arr.size
-        return out
-
-    tok = take(template.tok_emb)
-    pos_emb = take(template.pos_emb)
-    layers = []
-    for lay in template.layers:
-        nl = LayerParams(wq=None, wk=None, wv=None, wo=None, w1=None, w2=None)  # type: ignore[arg-type]
-        for wname, bname in _LAYER_PAIRS:
-            setattr(nl, wname, take(getattr(lay, wname)))
-            if getattr(lay, bname) is not None:
-                setattr(nl, bname, take(getattr(lay, bname)))
-        layers.append(nl)
-    return ParamSet(tok_emb=tok, pos_emb=pos_emb, layers=layers)
 
 
 def grad_check(cfg: ModelConfig, seed: int, eps: float) -> float:
@@ -592,16 +563,17 @@ def grad_check(cfg: ModelConfig, seed: int, eps: float) -> float:
     batch, targets = synth_copy_batch(seed, 2, min(cfg.max_seq_len, 4), cfg.vocab_size)
 
     _, grads = loss_and_grads(p, cfg, batch, targets)
-    analytic = _flatten_params(grads)
-    theta = _flatten_params(p)
+    analytic = grads.theta
+    theta = p.theta
+    bumped = p.with_theta(theta.copy())
 
     worst = 0.0
     for i in range(theta.size):
-        bumped = theta.copy()
-        bumped[i] = theta[i] + eps
-        hi = batch_loss(_with_flat_params(p, bumped), cfg, batch, targets)
-        bumped[i] = theta[i] - eps
-        lo = batch_loss(_with_flat_params(p, bumped), cfg, batch, targets)
+        bumped.theta[i] = theta[i] + eps
+        hi = batch_loss(bumped, cfg, batch, targets)
+        bumped.theta[i] = theta[i] - eps
+        lo = batch_loss(bumped, cfg, batch, targets)
+        bumped.theta[i] = theta[i]
         numeric = (hi - lo) / (2 * eps)
         denom = max(abs(analytic[i]), abs(numeric), 1e-8)
         worst = max(worst, abs(analytic[i] - numeric) / denom)

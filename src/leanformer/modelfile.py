@@ -7,6 +7,7 @@ Layout (all integers little-endian):
   [v2 only] element-type tag: u32 length + UTF-8 bytes (currently "int8")
   config  u32 length + UTF-8 JSON of the model configuration
   payload v1: every parameter as float64, canonical order, row-major
+          (exactly the bytes of ParamSet.theta)
           v2: per tensor one float64 scale, then its int8 values
 
 Round-trips are bit-exact; loaders reject trailing or missing bytes.
@@ -15,13 +16,14 @@ Round-trips are bit-exact; loaders reject trailing or missing bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .compression import QuantizedTensor
-from .model import LayerParams, ModelConfig, ParamSet, _LAYER_PAIRS, _freeze, iter_params
+from .model import ModelConfig, ParamSet, _freeze, param_count, param_layout
 
 MAGIC = b"RETF"
 VERSION_FLOAT64 = 1
@@ -90,12 +92,16 @@ class _Reader:
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:
+        """Claim the next n bytes; returns their offset in the blob."""
         if self.pos + n > len(self.blob):
             raise ValueError(f"{self.path}: truncated model file")
-        out = self.blob[self.pos: self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        start = self.skip(n)
+        return self.blob[start: start + n]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -105,40 +111,10 @@ class _Reader:
             raise ValueError(f"{self.path}: {len(self.blob) - self.pos} trailing bytes")
 
 
-def _shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Array shapes in canonical order, derived from the config alone."""
-    d, f = cfg.d_model, cfg.d_ff
-    out = [("tok_emb", (cfg.vocab_size, d)), ("pos_emb", (cfg.max_seq_len, d))]
-    for i in range(cfg.n_layers):
-        w = cfg.attn_width(i)
-        weights = {"wq": (d, w), "wk": (d, w), "wv": (d, w),
-                   "wo": (w, d), "w1": (d, f), "w2": (f, d)}
-        biases = {"bq": (w,), "bk": (w,), "bv": (w,), "bo": (d,), "b1": (f,), "b2": (d,)}
-        for wname, bname in _LAYER_PAIRS:
-            out.append((f"layers.{i}.{wname}", weights[wname]))
-            if cfg.use_bias:
-                out.append((f"layers.{i}.{bname}", biases[bname]))
-    return out
-
-
-def _params_from_arrays(cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> ParamSet:
-    layers = []
-    for i in range(cfg.n_layers):
-        lay = LayerParams(wq=None, wk=None, wv=None, wo=None, w1=None, w2=None)  # type: ignore[arg-type]
-        for wname, bname in _LAYER_PAIRS:
-            setattr(lay, wname, arrays[f"layers.{i}.{wname}"])
-            if cfg.use_bias:
-                setattr(lay, bname, arrays[f"layers.{i}.{bname}"])
-        layers.append(lay)
-    return _freeze(ParamSet(tok_emb=arrays["tok_emb"], pos_emb=arrays["pos_emb"], layers=layers))
-
-
 def save_model(path: str | Path, cfg: ModelConfig, p: ParamSet) -> None:
     """Write a version-1 (float64) model file."""
-    chunks = [MAGIC, struct.pack("<I", VERSION_FLOAT64), _config_block(cfg)]
-    for _, arr in iter_params(p):
-        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    header = MAGIC + struct.pack("<I", VERSION_FLOAT64) + _config_block(cfg)
+    Path(path).write_bytes(header + p.theta.astype("<f8", copy=False).tobytes())
 
 
 def save_quantized_model(
@@ -181,12 +157,10 @@ def load_model(path: str | Path) -> tuple[ModelConfig, ParamSet]:
         raise ValueError(
             f"{path}: version {version} holds int8 data; expected a float64 (version 1) file"
         )
-    arrays = {}
-    for name, shape in _shapes(cfg):
-        n = int(np.prod(shape))
-        arrays[name] = np.frombuffer(r.take(8 * n), dtype="<f8").astype(np.float64).reshape(shape)
+    n = param_count(cfg)
+    theta = np.frombuffer(r.blob, dtype="<f8", count=n, offset=r.skip(8 * n)).astype(np.float64)
     r.done()
-    return cfg, _params_from_arrays(cfg, arrays)
+    return cfg, ParamSet(_freeze(theta), param_layout(cfg))
 
 
 def load_quantized_model(
@@ -199,9 +173,9 @@ def load_quantized_model(
             f"{path}: version {version} holds float64 data; expected an int8 (version 2) file"
         )
     tensors = []
-    for name, shape in _shapes(cfg):
+    for name, shape in param_layout(cfg):
         scale = struct.unpack("<d", r.take(8))[0]
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         # bias vectors are stored (and quantized) as 1 x n tensors
         qshape = shape if len(shape) == 2 else (1, n)
         values = np.frombuffer(r.take(n), dtype="|i1").reshape(qshape).copy()

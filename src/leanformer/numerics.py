@@ -50,17 +50,18 @@ def identity(n: int) -> Matrix:
     return np.eye(n, dtype=np.float64)
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
+def matmul(a: Matrix, b: Matrix, out: Matrix | None = None) -> Matrix:
     """Matrix product with an explicit shape check.
 
     Accumulation happens in float64; on a given platform the result is
-    deterministic for identical inputs.
+    deterministic for identical inputs. `out`, when given, receives the
+    product in place and is returned.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(
             f"matmul: incompatible shapes {tuple(a.shape)} x {tuple(b.shape)}"
         )
-    return a @ b
+    return np.matmul(a, b, out=out)
 
 
 def softmax_rows(m: Matrix) -> Matrix:

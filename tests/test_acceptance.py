@@ -34,7 +34,6 @@ from leanformer.model import (
 from leanformer.modelfile import load_model, save_model
 from leanformer.numerics import RngState, rng_uniform_array, softmax_rows
 from leanformer.profiler import config_search, memory_bytes, time_forward
-from leanformer.model import _with_flat_params, _flatten_params
 
 
 @contextmanager
@@ -135,9 +134,8 @@ def test_criterion_6_attention_softmax_invariants():
 
         cfg = PRESETS["tiny"]
         p = init_params(cfg, 3)
-        flat = _flatten_params(p)
-        q = _with_flat_params(p, flat)
-        q.layers[0].wq = np.zeros_like(q.layers[0].wq)
+        q = p.with_theta(p.theta.copy())
+        q.layers[0].wq[...] = 0.0
         x, _ = rng_uniform_array(RngState(7), (4, cfg.d_model), -1.0, 1.0)
         _, trace = attention_forward(q, 0, x, cfg.n_heads)
         for w in trace.weights:

@@ -27,7 +27,6 @@ from leanformer.model import (
     param_count_enumerated,
     synth_copy_batch,
 )
-from leanformer.model import _flatten_params, _with_flat_params
 from leanformer.numerics import RngState, rng_uniform_array
 
 
@@ -74,9 +73,9 @@ class TestPruneMagnitude:
         cfg = ModelConfig(2, 2, 1, 1, 1, 0)
         p = init_params(cfg, 0)
         flat = np.array([0.1, -0.5, 0.2, 0.9])
-        p = _with_flat_params(p, flat)
+        p = p.with_theta(flat)
         pruned, report = prune_magnitude(p, 0.3)
-        assert np.array_equal(_flatten_params(pruned), [0.0, -0.5, 0.0, 0.9])
+        assert np.array_equal(pruned.theta, [0.0, -0.5, 0.0, 0.9])
         assert report.sparsity == 0.5
         assert report.max_error == pytest.approx(0.2)
 
@@ -107,7 +106,8 @@ class TestHeadImportance:
         p = init_params(cfg, 2)
         wo = p.layers[0].wo.copy()
         wo[2 * 2:3 * 2, :] = 0.0  # head 2 of 4, head width 2
-        p.layers[0].wo = wo
+        p = p.with_theta(p.theta.copy())
+        p.layers[0].wo[...] = wo
         scores = head_importance(p, cfg, 0)
         assert scores[2] == 0.0
         assert all(s > 0 for i, s in enumerate(scores) if i != 2)
@@ -116,7 +116,8 @@ class TestHeadImportance:
         cfg = ModelConfig(10, 4, 8, 4, 16, 1)
         p = init_params(cfg, 2)
         block = random_matrix(2, 8, seed=8)
-        p.layers[0].wo = np.vstack([block] * 4)
+        p = p.with_theta(p.theta.copy())
+        p.layers[0].wo[...] = np.vstack([block] * 4)
         scores = head_importance(p, cfg, 0)
         assert all(s == scores[0] for s in scores)
 
@@ -126,7 +127,8 @@ class TestHeadImportance:
         wo = np.zeros((4, 4))
         for h, norm in enumerate([1.0, 2.0, 3.0, 4.0]):
             wo[h, h] = norm  # head width 1: each block is one row
-        p.layers[0].wo = wo
+        p = p.with_theta(p.theta.copy())
+        p.layers[0].wo[...] = wo
         assert head_importance(p, cfg, 0) == [1.0, 2.0, 3.0, 4.0]
 
     def test_bad_layer_rejected(self):
@@ -174,7 +176,8 @@ class TestPruneHeads:
         dh = cfg.d_model // cfg.n_heads
         wo = p.layers[0].wo.copy()
         wo[3 * dh:4 * dh, :] = 0.0
-        p.layers[0].wo = wo
+        p = p.with_theta(p.theta.copy())
+        p.layers[0].wo[...] = wo
         pruned, new_cfg, _ = prune_heads(p, cfg, 0, {0, 1, 2})
         batch, _ = synth_copy_batch(5, 3, 6, cfg.vocab_size)
         before, _ = model_forward(p, cfg, list(batch))
@@ -238,6 +241,40 @@ class TestPruneLayers:
         p = init_params(cfg, 0)
         with pytest.raises(ValueError, match="outside"):
             prune_layers(p, cfg, [0, 1])
+
+
+class TestStructuralPruningWithBiases:
+    CFG = ModelConfig(11, 5, 8, 4, 12, 2, use_bias=True)  # head width 2
+
+    def params(self):
+        theta, _ = rng_uniform_array(RngState(4), (param_count(self.CFG),), -1.0, 1.0)
+        return init_params(self.CFG, 0).with_theta(theta)
+
+    def test_prune_heads_equals_hand_sliced_arrays(self):
+        p = self.params()
+        pruned, new_cfg, _ = prune_heads(p, self.CFG, 1, {0, 2})
+        cols = [0, 1, 4, 5]
+        a, b = p.layers[1], pruned.layers[1]
+        for w, bias in (("wq", "bq"), ("wk", "bk"), ("wv", "bv")):
+            assert np.array_equal(getattr(b, w), getattr(a, w)[:, cols])
+            assert np.array_equal(getattr(b, bias), getattr(a, bias)[cols])
+        assert np.array_equal(b.wo, a.wo[cols, :])
+        for name in ("bo", "w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(b, name), getattr(a, name))
+        for name, arr in iter_params(p):
+            if not name.startswith("layers.1."):
+                assert np.array_equal(dict(iter_params(pruned))[name], arr)
+        assert param_count(new_cfg) == param_count_enumerated(pruned)
+
+    def test_prune_layers_equals_kept_layer_arrays(self):
+        p = self.params()
+        pruned, new_cfg, _ = prune_layers(p, self.CFG, [1])
+        kept = dict(iter_params(pruned))
+        assert list(kept) == [name for name, _ in iter_params(p) if not name.startswith("layers.1.")]
+        for name, arr in iter_params(p):
+            if not name.startswith("layers.0."):
+                assert np.array_equal(kept[name.replace("layers.1.", "layers.0.")], arr)
+        assert new_cfg.n_layers == 1
 
 
 class TestQuantize:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,8 @@ from leanformer.model import (
     synth_copy_batch,
     train_step,
 )
-from leanformer.model import LayerParams, ParamSet, _flatten_params, _with_flat_params
+from leanformer.model import LayerParams, ParamSet
+from leanformer.numerics import RngState, matmul, rng_uniform_array
 
 import reference
 
@@ -31,8 +33,7 @@ TINY = ModelConfig(vocab_size=11, max_seq_len=4, d_model=4, n_heads=2, d_ff=8, n
 
 
 def writable_copy(p: ParamSet) -> ParamSet:
-    flat = _flatten_params(p)
-    return _with_flat_params(p, flat)
+    return p.with_theta(p.theta.copy())
 
 
 def with_zeroed(p: ParamSet, names: set[str]) -> ParamSet:
@@ -238,10 +239,45 @@ class TestForward:
         # recorded from the first run verified against the slow reference
         assert checksum == pytest.approx(6.787563234587767e-06, rel=1e-9)
 
+    def test_ragged_batch_bit_equal_to_per_sequence_path(self):
+        cfg = ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True)
+        theta, _ = rng_uniform_array(RngState(9), (param_count(cfg),), -0.5, 0.5)
+        p = init_params(cfg, 0).with_theta(theta)
+        batch = [[1, 2, 3, 4, 5, 6], [7], [0, 12, 3]]
+        logits, _ = model_forward(p, cfg, batch)
+        for tokens, got in zip(batch, logits):
+            x = embed(p, tokens)
+            for layer in range(cfg.n_layers):
+                x, _ = attention_forward(p, layer, x, cfg.heads_in_layer(layer))
+                x = ffn_forward(p, layer, x)
+            want = matmul(x, p.tok_emb.T)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_empty_batch_rejected(self):
         p = init_params(TINY, 0)
         with pytest.raises(ValueError, match="non-empty"):
             model_forward(p, TINY, [])
+
+
+class TestParamSet:
+    def test_wrong_sized_theta_rejected(self):
+        p = init_params(TINY, 0)
+        with pytest.raises(ValueError, match="theta"):
+            p.with_theta(np.zeros(p.theta.size + 1))
+
+    def test_views_are_read_only_windows_into_theta(self):
+        p = init_params(TINY, 0)
+        for _, arr in iter_params(p):
+            assert not arr.flags.writeable and np.shares_memory(arr, p.theta)
+        with pytest.raises(ValueError, match="read-only"):
+            p.layers[0].wo[0, 0] = 1.0
+
+    def test_views_cannot_be_rebound(self):
+        p = init_params(TINY, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.layers[0].wo = np.zeros_like(p.layers[0].wo)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.tok_emb = np.zeros_like(p.tok_emb)
 
 
 class TestParamCount:
@@ -373,16 +409,16 @@ class TestGradCheck:
         p = _init_uniform(cfg, 11, -0.25, 0.25)
         batch, targets = synth_copy_batch(11, 2, 3, cfg.vocab_size)
         _, grads = loss_and_grads(p, cfg, list(batch), list(targets))
-        theta = _flatten_params(p)
-        analytic = _flatten_params(grads)
+        theta = p.theta
+        analytic = grads.theta
         eps = 1e-5
         worst = 0.0
         for i in range(theta.size):
             b = theta.copy()
             b[i] = theta[i] + eps
-            hi = batch_loss(_with_flat_params(p, b), cfg, list(batch), list(targets))
+            hi = batch_loss(p.with_theta(b), cfg, list(batch), list(targets))
             b[i] = theta[i] - eps
-            lo = batch_loss(_with_flat_params(p, b), cfg, list(batch), list(targets))
+            lo = batch_loss(p.with_theta(b), cfg, list(batch), list(targets))
             worst = max(worst, abs(analytic[i] - (hi - lo) / (2 * eps)))
         assert worst < 1e-8
 
