@@ -375,18 +375,66 @@ def model_forward(
     return logits_list, traces
 
 
+def _target_ids(
+    who: str, targets: Sequence[Sequence[int]], lengths: Sequence[int], vocab: int
+) -> np.ndarray:
+    """Every sequence's target ids back to back, checked against its length and the vocabulary."""
+    if len(targets) != len(lengths):
+        raise ValueError(f"{who}: {len(lengths)} sequences but {len(targets)} target rows")
+    rows = [np.asarray(t, dtype=np.int64) for t in targets]
+    for ids, n in zip(rows, lengths):
+        if ids.ndim != 1 or ids.size != n:
+            raise ValueError(f"{who}: {ids.size} targets for {n} positions")
+    ids = np.concatenate(rows)
+    bad = (ids < 0) | (ids >= vocab)
+    if bad.any():
+        raise ValueError(f"{who}: target id {int(ids[np.argmax(bad)])} outside [0, {vocab})")
+    return ids
+
+
+def _fused_cross_entropy(z: Matrix, ids: np.ndarray, grad: bool) -> float:
+    """Mean cross-entropy of the rows of `z` against `ids`, worked out in `z` itself.
+
+    One max, one exp and one row sum: a row's loss is
+    log(rowsum) - shifted[target]. With `grad`, `z` is then left holding
+    (softmax(z) - onehot(ids)) / rows, the gradient of the mean loss;
+    otherwise it holds the unnormalised exponentials.
+    """
+    rows = np.arange(ids.size)
+    z -= z.max(axis=1, keepdims=True)
+    picked = z[rows, ids]
+    np.exp(z, out=z)
+    rowsum = z.sum(axis=1)
+    loss = float(np.sum(np.log(rowsum) - picked)) / ids.size
+    if grad:
+        z *= (1.0 / (rowsum * ids.size))[:, None]
+        z[rows, ids] -= 1.0 / ids.size
+    return loss
+
+
+def _logit_buffer(who: str, logits_list: Sequence[Matrix]) -> Matrix:
+    """The one C-contiguous (sum of lengths, vocab) array that `logits_list` slices in order.
+
+    `model_forward` lays the logits out that way, and the loss works on the
+    buffer in place, so logits laid out any other way are refused, not copied.
+    """
+    buffer = logits_list[0].base
+    starts = np.cumsum([0] + [lg.shape[0] for lg in logits_list])
+    ok = (isinstance(buffer, np.ndarray) and buffer.dtype == np.float64
+          and buffer.flags.c_contiguous and buffer.flags.writeable
+          and buffer.shape == (starts[-1], logits_list[0].shape[1])
+          and all(lg.base is buffer and lg.shape[1:] == buffer.shape[1:]
+                  and lg.ctypes.data == buffer.ctypes.data + int(row) * buffer.strides[0]
+                  for lg, row in zip(logits_list, starts)))
+    if not ok:
+        raise ValueError(f"{who}: logits are not consecutive row slices of one C-contiguous buffer")
+    return buffer
+
+
 def cross_entropy(logits: Matrix, targets: Sequence[int]) -> float:
     """Mean negative log-likelihood of the targets, one per logit row."""
-    ids = np.asarray(targets, dtype=np.int64)
-    if ids.ndim != 1 or ids.size != logits.shape[0]:
-        raise ValueError(f"cross_entropy: {ids.size} targets for {logits.shape[0]} positions")
-    vocab = logits.shape[1]
-    if np.any((ids < 0) | (ids >= vocab)):
-        bad = int(ids[np.argmax((ids < 0) | (ids >= vocab))])
-        raise ValueError(f"cross_entropy: target id {bad} outside [0, {vocab})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.mean(log_z - shifted[np.arange(ids.size), ids]))
+    ids = _target_ids("cross_entropy", [targets], [logits.shape[0]], logits.shape[1])
+    return _fused_cross_entropy(np.array(logits, dtype=np.float64), ids, grad=False)
 
 
 def batch_loss(
@@ -397,13 +445,24 @@ def batch_loss(
 ) -> float:
     """Mean cross-entropy over every position in the batch (no gradients)."""
     logits_list, _ = model_forward(p, cfg, batch)
-    total = 0.0
-    positions = 0
-    for logits, tgt in zip(logits_list, targets):
-        n = logits.shape[0]
-        total += cross_entropy(logits, tgt) * n
-        positions += n
-    return total / positions
+    lengths = [lg.shape[0] for lg in logits_list]
+    ids = _target_ids("batch_loss", targets, lengths, p.tok_emb.shape[0])
+    return _fused_cross_entropy(_logit_buffer("batch_loss", logits_list), ids, grad=False)
+
+
+def _heads_view(m: Matrix, rows: np.ndarray, heads: int) -> np.ndarray:
+    """The rows of `m` that `rows` indexes, one row of `rows` per sequence, per head.
+
+    `m` is (positions, heads * dh) and `rows` is (sequences, n); the result
+    is (sequences, heads, n, dh).
+    """
+    return m[rows.ravel()].reshape(*rows.shape, heads, -1).transpose(0, 2, 1, 3)
+
+
+def _heads_merge(t: np.ndarray) -> Matrix:
+    """Inverse of `_heads_view`: (sequences, heads, n, dh) to (sequences * n, heads * dh)."""
+    b, h, n, dh = t.shape
+    return t.transpose(0, 2, 1, 3).reshape(b * n, h * dh)
 
 
 def loss_and_grads(
@@ -417,93 +476,97 @@ def loss_and_grads(
     The loss is the mean cross-entropy over every position in the batch;
     gradients carry the same averaging. The tied output projection sends
     gradient into tok_emb from both the logit matmul and the lookup.
+
+    The backward runs on the whole batch at once: the cross-entropy works
+    in place on `model_forward`'s logit buffer, which then becomes the
+    logit gradient and is released before the layers; every weight
+    gradient is one product over all positions; attention is differentiated
+    per sequence length, as (sequences, heads, n, head width) stacks.
     """
-    if len(batch) != len(targets):
-        raise ValueError(f"loss_and_grads: {len(batch)} sequences but {len(targets)} target rows")
     logits_list, traces = model_forward(p, cfg, batch)
-    total_positions = sum(lg.shape[0] for lg in logits_list)
+    lengths = np.array([lg.shape[0] for lg in logits_list])
+    ids = _target_ids("loss_and_grads", targets, lengths, p.tok_emb.shape[0])
+    # the logits until the fused cross-entropy turns them into their gradient
+    dlogits = _logit_buffer("loss_and_grads", logits_list)
+    del logits_list
+    loss = _fused_cross_entropy(dlogits, ids, grad=True)
+
+    # logits = x_final @ tok_emb^T  (tied output); grads start at zero, so
+    # the product is written straight into tok_emb's gradient
     grads = p.with_theta(np.zeros_like(p.theta))
+    x_final = np.concatenate([t.layers[-1].ffn_out if t.layers else t.embedded for t in traces])
+    np.matmul(dlogits.T, x_final, out=grads.tok_emb)
+    dx = dlogits @ p.tok_emb
+    # the last references to the logit buffer: freeing it here keeps it out
+    # of the layer backward's peak memory
+    del dlogits
+    for t in traces:
+        t.logits = None
 
-    total_loss = 0.0
-    for logits, trace, tokens, tgt in zip(logits_list, traces, batch, targets):
-        ids = np.asarray(tgt, dtype=np.int64)
-        n = logits.shape[0]
-        if ids.size != n:
-            raise ValueError(f"loss_and_grads: {ids.size} targets for {n} positions")
-        total_loss += cross_entropy(logits, ids) * n
+    # each length's positions in the concatenated rows, one row per sequence
+    starts = np.cumsum(lengths) - lengths
+    groups = [(starts[lengths == n][:, None] + np.arange(n), np.flatnonzero(lengths == n))
+              for n in np.unique(lengths)]
 
-        # d loss / d logits for the global position mean
-        probs = softmax_rows(logits)
-        dlogits = probs.copy()
-        dlogits[np.arange(n), ids] -= 1.0
-        dlogits /= total_positions
+    for layer in reversed(range(cfg.n_layers)):
+        lay = p.layers[layer]
+        g = grads.layers[layer]
+        lts = [t.layers[layer] for t in traces]
+        x_in = np.concatenate([t.layers[layer - 1].ffn_out if layer else t.embedded for t in traces])
 
-        # logits = x_final @ tok_emb^T  (tied output)
-        x_final = trace.layers[-1].ffn_out if trace.layers else trace.embedded
-        grads.tok_emb[...] += dlogits.T @ x_final
-        dx = dlogits @ p.tok_emb
+        # feed-forward: out = relu(y W1 + b1) W2 + b2
+        hidden = np.concatenate([lt.ffn_hidden for lt in lts])
+        y = np.concatenate([lt.attn.out for lt in lts])
+        np.matmul(hidden.T, dx, out=g.w2)
+        if g.b2 is not None:
+            g.b2[...] = dx.sum(axis=0)
+        dz = (dx @ lay.w2.T) * (hidden > 0)
+        np.matmul(y.T, dz, out=g.w1)
+        if g.b1 is not None:
+            g.b1[...] = dz.sum(axis=0)
+        dy = dz @ lay.w1.T
 
-        for layer in reversed(range(cfg.n_layers)):
-            lay = p.layers[layer]
-            g = grads.layers[layer]
-            lt = trace.layers[layer]
-            x_in = trace.layers[layer - 1].ffn_out if layer > 0 else trace.embedded
+        # attention: y = concat(heads) @ Wo + bo, each head softmax(q k^T s) v
+        heads = cfg.heads_in_layer(layer)
+        s = 1.0 / math.sqrt(lay.wq.shape[1] // heads)
+        q, k, v = (np.concatenate([getattr(lt.attn, name) for lt in lts]) for name in "qkv")
+        stacks = []
+        concat = np.empty_like(v)
+        for rows, members in groups:
+            a = np.array([lts[i].attn.weights for i in members])
+            vh = _heads_view(v, rows, heads)
+            concat[rows.ravel()] = _heads_merge(a @ vh)
+            stacks.append((rows, a, vh))
+        np.matmul(concat.T, dy, out=g.wo)
+        if g.bo is not None:
+            g.bo[...] = dy.sum(axis=0)
+        dconcat = dy @ lay.wo.T
 
-            # feed-forward: out = relu(y W1 + b1) W2 + b2
-            hidden = lt.ffn_hidden
-            y = lt.attn.out
-            dhidden = dx @ lay.w2.T
-            g.w2[...] += hidden.T @ dx
-            if g.b2 is not None:
-                g.b2[...] += dx.sum(axis=0)
-            dz = dhidden * (hidden > 0)
-            g.w1[...] += y.T @ dz
-            if g.b1 is not None:
-                g.b1[...] += dz.sum(axis=0)
-            dy = dz @ lay.w1.T
+        dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+        for rows, a, vh in stacks:
+            d_out = _heads_view(dconcat, rows, heads)
+            da = d_out @ vh.transpose(0, 1, 3, 2)
+            # softmax rows: dS = A * (dA - rowsum(dA * A))
+            dscores = a * (da - (da * a).sum(axis=-1, keepdims=True))
+            flat = rows.ravel()
+            dv[flat] = _heads_merge(a.transpose(0, 1, 3, 2) @ d_out)
+            dq[flat] = _heads_merge(dscores @ _heads_view(k, rows, heads) * s)
+            dk[flat] = _heads_merge(
+                dscores.transpose(0, 1, 3, 2) @ _heads_view(q, rows, heads) * s)
 
-            # attention output projection: y = concat(heads) @ Wo + bo
-            heads = cfg.heads_in_layer(layer)
-            width = lay.wq.shape[1]
-            dh = width // heads
-            s = 1.0 / math.sqrt(dh)
+        np.matmul(x_in.T, dq, out=g.wq)
+        np.matmul(x_in.T, dk, out=g.wk)
+        np.matmul(x_in.T, dv, out=g.wv)
+        if g.bq is not None:
+            g.bq[...] = dq.sum(axis=0)
+            g.bk[...] = dk.sum(axis=0)
+            g.bv[...] = dv.sum(axis=0)
+        dx = dq @ lay.wq.T + dk @ lay.wk.T + dv @ lay.wv.T
 
-            head_outs = [lt.attn.weights[h] @ lt.attn.v[:, h * dh:(h + 1) * dh] for h in range(heads)]
-            concat = np.hstack(head_outs)
-            g.wo[...] += concat.T @ dy
-            if g.bo is not None:
-                g.bo[...] += dy.sum(axis=0)
-            dconcat = dy @ lay.wo.T
-
-            dq = np.zeros_like(lt.attn.q)
-            dk = np.zeros_like(lt.attn.k)
-            dv = np.zeros_like(lt.attn.v)
-            for h in range(heads):
-                cols = slice(h * dh, (h + 1) * dh)
-                a = lt.attn.weights[h]
-                d_out_h = dconcat[:, cols]
-                da = d_out_h @ lt.attn.v[:, cols].T
-                dv[:, cols] = a.T @ d_out_h
-                # softmax rows: dS = A * (dA - rowsum(dA * A))
-                dscores = a * (da - (da * a).sum(axis=1, keepdims=True))
-                dq[:, cols] = dscores @ lt.attn.k[:, cols] * s
-                dk[:, cols] = dscores.T @ lt.attn.q[:, cols] * s
-
-            g.wq[...] += x_in.T @ dq
-            g.wk[...] += x_in.T @ dk
-            g.wv[...] += x_in.T @ dv
-            if g.bq is not None:
-                g.bq[...] += dq.sum(axis=0)
-                g.bk[...] += dk.sum(axis=0)
-                g.bv[...] += dv.sum(axis=0)
-            dx = dq @ lay.wq.T + dk @ lay.wk.T + dv @ lay.wv.T
-
-        # embedding lookup: rows of tok_emb and the first n rows of pos_emb
-        ids_in = np.asarray(tokens, dtype=np.int64)
-        np.add.at(grads.tok_emb, ids_in, dx)
-        grads.pos_emb[: dx.shape[0]] += dx
-
-    return total_loss / total_positions, grads
+    # embedding lookup: a row of tok_emb per token id, of pos_emb per position
+    np.add.at(grads.tok_emb, np.concatenate([np.asarray(t, dtype=np.int64) for t in batch]), dx)
+    np.add.at(grads.pos_emb, np.arange(ids.size) - np.repeat(starts, lengths), dx)
+    return loss, grads
 
 
 def train_step(
@@ -513,10 +576,19 @@ def train_step(
     targets: Sequence[Sequence[int]],
     lr: float,
 ) -> tuple[ParamSet, float]:
-    """One plain gradient-descent step; returns the new params and pre-update loss."""
+    """One plain gradient-descent step; returns the new params and pre-update loss.
+
+    Raises ValueError when the loss or any gradient is not finite, naming
+    the first parameter whose gradient is not, before anything is updated.
+    """
     if lr < 0:
         raise ValueError(f"train_step: learning rate must be >= 0, got {lr}")
     loss, grads = loss_and_grads(p, cfg, batch, targets)
+    if not math.isfinite(loss):
+        raise ValueError(f"train_step: loss is {loss}, not finite")
+    if not np.isfinite(grads.theta).all():
+        name = next(name for name, g in grads.named if not np.isfinite(g).all())
+        raise ValueError(f"train_step: gradient of {name} is not finite")
     if lr == 0:
         return p, loss
 

@@ -61,8 +61,12 @@ def add_bias(m, bias):
     return [[v + bias[j] for j, v in enumerate(row)] for row in m]
 
 
-def attention(x, wq, wk, wv, wo, heads, bq=None, bk=None, bv=None, bo=None):
-    """Single-loop multi-head attention over nested lists."""
+def attention(x, wq, wk, wv, wo, heads, bq=None, bk=None, bv=None, bo=None, record=None):
+    """Single-loop multi-head attention over nested lists.
+
+    `record`, when given, receives q, k, v, the per-head weights and the
+    concatenated head outputs for the backward oracle.
+    """
     q = matmul(x, wq)
     k = matmul(x, wk)
     v = matmul(x, wv)
@@ -72,6 +76,7 @@ def attention(x, wq, wk, wv, wo, heads, bq=None, bk=None, bv=None, bo=None):
     dh = width // heads
     n = len(x)
     concat = [[0.0] * width for _ in range(n)]
+    weights = []
     for h in range(heads):
         lo = h * dh
         qh = [row[lo:lo + dh] for row in q]
@@ -80,21 +85,25 @@ def attention(x, wq, wk, wv, wo, heads, bq=None, bk=None, bv=None, bo=None):
         scores = matmul(qh, transpose(kh))
         scale = 1.0 / math.sqrt(dh)
         scores = [[s * scale for s in row] for row in scores]
-        weights = [softmax_row(row) for row in scores]
-        out_h = matmul(weights, vh)
+        weights.append([softmax_row(row) for row in scores])
+        out_h = matmul(weights[-1], vh)
         for i in range(n):
             for j in range(dh):
                 concat[i][lo + j] = out_h[i][j]
     out = matmul(concat, wo)
     if bo is not None:
         out = add_bias(out, bo)
+    if record is not None:
+        record.update(q=q, k=k, v=v, weights=weights, concat=concat)
     return out
 
 
-def ffn(x, w1, w2, b1=None, b2=None):
+def ffn(x, w1, w2, b1=None, b2=None, record=None):
     z = matmul(x, w1)
     if b1 is not None:
         z = add_bias(z, b1)
+    if record is not None:
+        record["z"] = z
     out = matmul(relu(z), w2)
     if b2 is not None:
         out = add_bias(out, b2)
@@ -132,3 +141,132 @@ def cross_entropy(logits, targets):
         log_z = peak + math.log(sum(math.exp(v - peak) for v in row))
         total += log_z - row[t]
     return total / len(targets)
+
+
+def _zeros(rows, cols):
+    return [[0.0] * cols for _ in range(rows)]
+
+
+def _accumulate(into, m):
+    for i, row in enumerate(m):
+        for j, v in enumerate(row):
+            into[i][j] += v
+
+
+def _accumulate_colsum(into, m):
+    for row in m:
+        for j, v in enumerate(row):
+            into[j] += v
+
+
+def _columns(m, lo, hi):
+    return [row[lo:hi] for row in m]
+
+
+def _as_list(a):
+    return None if a is None else a.tolist()
+
+
+def _layer_forward(x, lay, heads):
+    """One layer over nested lists, keeping what the backward needs."""
+    rec = {"x": x, "dh": len(lay.wq[0]) // heads}
+    rec["y"] = attention(x, lay.wq.tolist(), lay.wk.tolist(), lay.wv.tolist(), lay.wo.tolist(),
+                         heads, bq=_as_list(lay.bq), bk=_as_list(lay.bk), bv=_as_list(lay.bv),
+                         bo=_as_list(lay.bo), record=rec)
+    rec["out"] = ffn(rec["y"], lay.w1.tolist(), lay.w2.tolist(), b1=_as_list(lay.b1),
+                     b2=_as_list(lay.b2), record=rec)
+    return rec
+
+
+def _layer_backward(rec, lay, g, dout):
+    """Reverse one layer: add its parameter gradients into `g`, return d(input)."""
+    bias = lay.bq is not None
+    # out = relu(z) W2 + b2
+    _accumulate(g["w2"], matmul(transpose(relu(rec["z"])), dout))
+    dz = matmul(dout, transpose(lay.w2.tolist()))
+    dz = [[d if zv > 0 else 0.0 for d, zv in zip(drow, zrow)] for drow, zrow in zip(dz, rec["z"])]
+    # z = y W1 + b1
+    _accumulate(g["w1"], matmul(transpose(rec["y"]), dz))
+    dy = matmul(dz, transpose(lay.w1.tolist()))
+    # y = concat Wo + bo
+    _accumulate(g["wo"], matmul(transpose(rec["concat"]), dy))
+    dconcat = matmul(dy, transpose(lay.wo.tolist()))
+    n, width = len(rec["q"]), len(rec["q"][0])
+    dq, dk, dv = _zeros(n, width), _zeros(n, width), _zeros(n, width)
+    dh = rec["dh"]
+    scale = 1.0 / math.sqrt(dh)
+    for h, a in enumerate(rec["weights"]):
+        lo = h * dh
+        d_out = _columns(dconcat, lo, lo + dh)
+        da = matmul(d_out, transpose(_columns(rec["v"], lo, lo + dh)))
+        dv_h = matmul(transpose(a), d_out)
+        # a row of softmax: dS_ij = A_ij (dA_ij - sum_k dA_ik A_ik); S = q k^T * scale
+        ds = []
+        for arow, darow in zip(a, da):
+            inner = sum(x * y for x, y in zip(arow, darow))
+            ds.append([av * (dav - inner) * scale for av, dav in zip(arow, darow)])
+        dq_h = matmul(ds, _columns(rec["k"], lo, lo + dh))
+        dk_h = matmul(transpose(ds), _columns(rec["q"], lo, lo + dh))
+        for i in range(n):
+            for j in range(dh):
+                dq[i][lo + j] = dq_h[i][j]
+                dk[i][lo + j] = dk_h[i][j]
+                dv[i][lo + j] = dv_h[i][j]
+    if bias:
+        for name, d in (("b2", dout), ("b1", dz), ("bo", dy), ("bq", dq), ("bk", dk), ("bv", dv)):
+            _accumulate_colsum(g[name], d)
+    dx = _zeros(n, len(rec["x"][0]))
+    for name, d in (("wq", dq), ("wk", dk), ("wv", dv)):
+        _accumulate(g[name], matmul(transpose(rec["x"]), d))
+        _accumulate(dx, matmul(d, transpose(getattr(lay, name).tolist())))
+    return dx
+
+
+def loss_and_grads(params, cfg, batch, targets):
+    """Mean cross-entropy over every position of `batch`, and its gradient.
+
+    Hand-written reverse mode over nested lists, one sequence at a time,
+    for any number of layers, with or without biases. Returns the loss and
+    a dict from canonical parameter name to a nested-list gradient.
+    """
+    tok_emb, pos_emb = params.tok_emb.tolist(), params.pos_emb.tolist()
+    total = sum(len(t) for t in targets)
+    g = {"tok_emb": _zeros(len(tok_emb), len(tok_emb[0])),
+         "pos_emb": _zeros(len(pos_emb), len(pos_emb[0]))}
+    layer_grads = []
+    for layer, lay in enumerate(params.layers):
+        lg = {}
+        for name in ("wq", "wk", "wv", "wo", "w1", "w2", "bq", "bk", "bv", "bo", "b1", "b2"):
+            arr = getattr(lay, name)
+            if arr is not None:
+                lg[name] = _zeros(*arr.shape) if arr.ndim == 2 else [0.0] * arr.shape[0]
+                g[f"layers.{layer}.{name}"] = lg[name]
+        layer_grads.append(lg)
+
+    loss = 0.0
+    for tokens, tgt in zip(batch, targets):
+        tokens = [int(t) for t in tokens]
+        x = [[tok_emb[t][j] + pos_emb[i][j] for j in range(len(tok_emb[0]))]
+             for i, t in enumerate(tokens)]
+        records = []
+        for layer, lay in enumerate(params.layers):
+            rec = _layer_forward(x, lay, cfg.heads_in_layer(layer))
+            records.append(rec)
+            x = rec["out"]
+        logits = matmul(x, transpose(tok_emb))
+        loss += cross_entropy(logits, [int(t) for t in tgt]) * len(tokens) / total
+
+        dlogits = []
+        for row, t in zip(logits, tgt):
+            probs = softmax_row(row)
+            probs[int(t)] -= 1.0
+            dlogits.append([pv / total for pv in probs])
+        _accumulate(g["tok_emb"], matmul(transpose(dlogits), x))
+        dx = matmul(dlogits, tok_emb)
+        for layer in reversed(range(len(records))):
+            dx = _layer_backward(records[layer], params.layers[layer], layer_grads[layer], dx)
+        for i, t in enumerate(tokens):
+            for j, d in enumerate(dx[i]):
+                g["tok_emb"][t][j] += d
+                g["pos_emb"][i][j] += d
+    return loss, g
