@@ -2,7 +2,10 @@
 
 Exit codes follow one contract everywhere: 0 success, 1 a checked
 condition failed (training did not improve, search found nothing,
-gradient check too loose), 2 usage or input errors.
+gradient check too loose), 2 usage or input errors. The library validates
+its inputs; any ValueError or OSError it raises (a bad flag value, an
+unreadable or unwritable path, a malformed model or config file) ends as
+one `error:` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -14,13 +17,11 @@ from pathlib import Path
 
 from . import compression, modelfile, profiler
 from .model import (
-    GRAD_CHECK_MAX_PARAMS,
     ModelConfig,
     PRESETS,
     grad_check,
     init_params,
     param_count,
-    param_count_enumerated,
     synth_copy_batch,
     train_step,
 )
@@ -30,39 +31,26 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-class InputError(Exception):
-    """Bad flag values or unreadable/invalid input files (exit 2)."""
-
-
 def _load_config(spec: str) -> ModelConfig:
     """Resolve a --config value: preset name or path to a JSON document."""
     if spec in PRESETS:
         return PRESETS[spec]
     path = Path(spec)
     if not path.exists():
-        raise InputError(
+        raise ValueError(
             f"config '{spec}' is neither a preset ({', '.join(sorted(PRESETS))}) "
             f"nor an existing file"
         )
-    try:
-        doc = json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{spec}: not valid JSON: {exc}") from exc
-    try:
-        # user-facing config documents carry exactly the documented keys
-        return modelfile.config_from_json_dict(doc, allow_pruned=False)
-    except ValueError as exc:
-        raise InputError(f"{spec}: {exc}") from exc
+    # user-facing config documents carry exactly the documented keys
+    return modelfile.parse_config(path.read_bytes(), spec, allow_pruned=False)
 
 
-def _load_float_model(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"model file '{path}' does not exist")
+def _int_list(text: str, flag: str) -> list[int]:
+    """Parse a comma-separated list of integers such as '0,1,3'."""
     try:
-        return modelfile.load_model(p)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma-separated list of integers, got {text!r}") from None
 
 
 def cmd_init(args) -> int:
@@ -96,10 +84,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.lr < 0:
-        raise InputError(f"--lr must be >= 0, got {args.lr}")
     if args.iters < 1:
-        raise InputError(f"--iters must be >= 1, got {args.iters}")
+        raise ValueError(f"--iters must be >= 1, got {args.iters}")
     cfg = _load_config(args.config)
     seq_len = min(cfg.max_seq_len, args.seq)
     params = init_params(cfg, args.seed)
@@ -118,20 +104,15 @@ def cmd_train(args) -> int:
     return EXIT_CHECK_FAILED
 
 
-def _print_report(report: compression.CompressionReport) -> None:
-    for line in report.lines():
-        print(line)
-
-
 def cmd_compress(args) -> int:
-    cfg, params = _load_float_model(args.model)
+    cfg, params = modelfile.load_model(args.model)
 
     if args.pass_name == "quantize":
         quantized = compression.quantize_params(params)
         modelfile.save_quantized_model(args.out, cfg, quantized)
         restored = compression.dequantize_params(params, quantized)
         max_err = float(abs(params.theta - restored.theta).max())
-        before = param_count_enumerated(params)
+        before = params.theta.size
         report = compression.CompressionReport(
             pass_name="quantize",
             params_before=before, params_after=before,
@@ -140,44 +121,24 @@ def cmd_compress(args) -> int:
             sparsity=float(sum(int((qt.values == 0).sum()) for _, qt in quantized)) / before,
             max_error=max_err,
         )
-        _print_report(report)
-        print(f"wrote {args.out}")
-        return EXIT_OK
-
-    if args.pass_name == "prune-magnitude":
-        if args.threshold < 0:
-            raise InputError(f"--threshold must be >= 0, got {args.threshold}")
-        pruned, report = compression.prune_magnitude(params, args.threshold)
-        modelfile.save_model(args.out, cfg, pruned)
-    elif args.pass_name == "prune-heads":
-        try:
-            keep = {int(tok) for tok in args.keep.split(",") if tok.strip() != ""}
-        except ValueError as exc:
-            raise InputError(f"--keep must be a comma-separated list of head indices") from exc
-        try:
+    else:
+        if args.pass_name == "prune-magnitude":
+            pruned, report = compression.prune_magnitude(params, args.threshold)
+        elif args.pass_name == "prune-heads":
+            keep = set(_int_list(args.keep, "--keep"))
             pruned, cfg, report = compression.prune_heads(params, cfg, args.layer, keep)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        modelfile.save_model(args.out, cfg, pruned)
-    else:  # prune-layers
-        try:
-            kept = [int(tok) for tok in args.keep_layers.split(",") if tok.strip() != ""]
-        except ValueError as exc:
-            raise InputError("--keep-layers must be a comma-separated list of layer indices") from exc
-        try:
+        else:  # prune-layers
+            kept = _int_list(args.keep_layers, "--keep-layers")
             pruned, cfg, report = compression.prune_layers(params, cfg, kept)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
         modelfile.save_model(args.out, cfg, pruned)
 
-    _print_report(report)
+    for line in report.lines():
+        print(line)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
-    if args.target_base < 1 or args.target_variant < 1:
-        raise InputError("targets must be positive integers")
     bounds = profiler.SearchBounds(
         seq_len=args.seq_len,
         max_layers=args.max_layers,
@@ -195,15 +156,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.eps <= 0:
-        raise InputError(f"--eps must be > 0, got {args.eps}")
-    cfg = _load_config(args.config)
-    if param_count(cfg) > GRAD_CHECK_MAX_PARAMS:
-        raise InputError(
-            f"config has {param_count(cfg)} parameters, more than "
-            f"{GRAD_CHECK_MAX_PARAMS}; pick a smaller config (e.g. the 'tiny' preset)"
-        )
-    err = grad_check(cfg, args.seed, args.eps)
+    err = grad_check(_load_config(args.config), args.seed, args.eps)
     print(f"max relative error: {err:.3e}")
     return EXIT_OK if err < 1e-4 else EXIT_CHECK_FAILED
 
@@ -291,10 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,7 +19,6 @@ from .model import (
     ParamSet,
     _freeze,
     iter_params,
-    param_count_enumerated,
     param_layout,
 )
 from .numerics import Matrix
@@ -33,16 +32,10 @@ class QuantizedTensor:
     gets scale 1.0 by convention.
     """
 
-    rows: int
-    cols: int
-    values: np.ndarray  # int8, shape (rows, cols)
+    values: np.ndarray  # int8, 2-D (a bias is one row)
     scale: float
 
     def __post_init__(self):
-        if self.values.shape != (self.rows, self.cols):
-            raise ValueError(
-                f"QuantizedTensor: values shape {self.values.shape} != ({self.rows}, {self.cols})"
-            )
         if self.values.dtype != np.int8:
             raise ValueError(f"QuantizedTensor: dtype must be int8, got {self.values.dtype}")
         if np.any(self.values < -127):
@@ -77,8 +70,18 @@ class CompressionReport:
         ]
 
 
-def _sparsity(p: ParamSet) -> float:
-    return int(np.count_nonzero(p.theta == 0.0)) / p.theta.size
+def _report(pass_name: str, before: ParamSet, after: ParamSet,
+            max_error: float = 0.0) -> CompressionReport:
+    """The report of a pass that maps float64 `before` to float64 `after`."""
+    return CompressionReport(
+        pass_name=pass_name,
+        params_before=before.theta.size,
+        params_after=after.theta.size,
+        bytes_before=8 * before.theta.size,
+        bytes_after=8 * after.theta.size,
+        sparsity=int(np.count_nonzero(after.theta == 0.0)) / after.theta.size,
+        max_error=max_error,
+    )
 
 
 def reduce_config(cfg: ModelConfig, factor: int = 2) -> ModelConfig:
@@ -116,21 +119,10 @@ def prune_magnitude(p: ParamSet, threshold: float) -> tuple[ParamSet, Compressio
     if threshold < 0:
         raise ValueError(f"prune_magnitude: threshold must be >= 0, got {threshold}")
 
-    before = param_count_enumerated(p)
     mask = np.abs(p.theta) < threshold
     max_err = float(np.max(np.abs(p.theta[mask]))) if mask.any() else 0.0
     pruned = p.with_theta(_freeze(np.where(mask, 0.0, p.theta)))
-
-    report = CompressionReport(
-        pass_name="prune-magnitude",
-        params_before=before,
-        params_after=before,
-        bytes_before=8 * before,
-        bytes_after=8 * before,
-        sparsity=_sparsity(pruned),
-        max_error=max_err,
-    )
-    return pruned, report
+    return pruned, _report("prune-magnitude", p, pruned, max_err)
 
 
 def head_importance(p: ParamSet, cfg: ModelConfig, layer: int) -> list[float]:
@@ -164,7 +156,6 @@ def prune_heads(
     if kept[0] < 0 or kept[-1] >= heads:
         raise ValueError(f"prune_heads: head indices {kept} outside [0, {heads})")
 
-    before = param_count_enumerated(p)
     dh = cfg.head_width
     dropped = np.repeat([h not in kept for h in range(heads)], dh)
     mask = p.with_theta(np.ones(p.theta.size, dtype=bool))
@@ -186,18 +177,7 @@ def prune_heads(
     else:
         new_cfg = replace(cfg, head_dim=dh, layer_heads=tuple(counts))
     pruned = ParamSet(_freeze(p.theta[mask.theta]), param_layout(new_cfg))
-
-    after = param_count_enumerated(pruned)
-    report = CompressionReport(
-        pass_name="prune-heads",
-        params_before=before,
-        params_after=after,
-        bytes_before=8 * before,
-        bytes_after=8 * after,
-        sparsity=_sparsity(pruned),
-        max_error=0.0,
-    )
-    return pruned, new_cfg, report
+    return pruned, new_cfg, _report("prune-heads", p, pruned)
 
 
 def prune_layers(
@@ -210,7 +190,6 @@ def prune_layers(
     if kept and (kept[0] < 0 or kept[-1] >= cfg.n_layers):
         raise ValueError(f"prune_layers: layer indices {kept} outside [0, {cfg.n_layers})")
 
-    before = param_count_enumerated(p)
     mask = p.with_theta(np.zeros(p.theta.size, dtype=bool))
     for name, arr in iter_params(mask):
         arr[...] = not name.startswith("layers.") or int(name.split(".")[1]) in kept
@@ -225,33 +204,20 @@ def prune_layers(
     else:
         new_cfg = replace(cfg, n_layers=len(kept))
     pruned = ParamSet(_freeze(p.theta[mask.theta]), param_layout(new_cfg))
-
-    after = param_count_enumerated(pruned)
-    report = CompressionReport(
-        pass_name="prune-layers",
-        params_before=before,
-        params_after=after,
-        bytes_before=8 * before,
-        bytes_after=8 * after,
-        sparsity=_sparsity(pruned),
-        max_error=0.0,
-    )
-    return pruned, new_cfg, report
+    return pruned, new_cfg, _report("prune-layers", p, pruned)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-def quantize_tensor(m: Matrix, bits: int = 8) -> QuantizedTensor:
+def quantize_tensor(m: Matrix) -> QuantizedTensor:
     """Symmetric per-tensor int8 quantization.
 
     scale = max|m| / 127 (1.0 for an all-zero tensor); values are rounded
     half away from zero and clamped to [-127, 127], which bounds every
     element's reconstruction error by scale/2.
     """
-    if bits != 8:
-        raise ValueError(f"quantize_tensor: only 8-bit quantization is supported, got {bits}")
     a = np.asarray(m, dtype=np.float64)
     if a.ndim == 1:
         a = a.reshape(1, -1)
@@ -260,7 +226,7 @@ def quantize_tensor(m: Matrix, bits: int = 8) -> QuantizedTensor:
 
     peak = float(np.max(np.abs(a))) if a.size else 0.0
     if peak == 0.0:
-        return QuantizedTensor(a.shape[0], a.shape[1], np.zeros(a.shape, np.int8), 1.0)
+        return QuantizedTensor(np.zeros(a.shape, np.int8), 1.0)
 
     scale = peak / 127.0
     # Stabilize so quantizing our own dequantized output reproduces the
@@ -273,7 +239,7 @@ def quantize_tensor(m: Matrix, bits: int = 8) -> QuantizedTensor:
         scale = again
 
     q = np.clip(_round_half_away(a / scale), -127, 127).astype(np.int8)
-    return QuantizedTensor(a.shape[0], a.shape[1], q, scale)
+    return QuantizedTensor(q, scale)
 
 
 def dequantize(q: QuantizedTensor) -> Matrix:

@@ -81,6 +81,18 @@ def config_from_json_dict(doc: dict, *, allow_pruned: bool = True) -> ModelConfi
         raise ValueError(f"config: {exc}") from exc
 
 
+def parse_config(raw: bytes, source: str | Path, *, allow_pruned: bool = True) -> ModelConfig:
+    """Decode UTF-8 config JSON read from `source`; every failure is a ValueError naming it."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
+        raise ValueError(f"{source}: config is not valid JSON: {exc}") from exc
+    try:
+        return config_from_json_dict(doc, allow_pruned=allow_pruned)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
+
+
 def _config_block(cfg: ModelConfig) -> bytes:
     raw = json.dumps(config_to_json_dict(cfg), sort_keys=True).encode("utf-8")
     return struct.pack("<I", len(raw)) + raw
@@ -142,12 +154,7 @@ def read_header(path: str | Path) -> tuple[int, ModelConfig, _Reader]:
         tag = r.take(r.u32()).decode("utf-8")
         if tag != _INT8_TAG:
             raise ValueError(f"{path}: unsupported element type '{tag}'")
-    try:
-        doc = json.loads(r.take(r.u32()).decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: corrupt config block: {exc}") from exc
-    cfg = config_from_json_dict(doc)
-    return version, cfg, r
+    return version, parse_config(r.take(r.u32()), path), r
 
 
 def load_model(path: str | Path) -> tuple[ModelConfig, ParamSet]:
@@ -179,6 +186,6 @@ def load_quantized_model(
         # bias vectors are stored (and quantized) as 1 x n tensors
         qshape = shape if len(shape) == 2 else (1, n)
         values = np.frombuffer(r.take(n), dtype="|i1").reshape(qshape).copy()
-        tensors.append((name, QuantizedTensor(qshape[0], qshape[1], values, scale)))
+        tensors.append((name, QuantizedTensor(values, scale)))
     r.done()
     return cfg, tensors

@@ -1,12 +1,17 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import leanformer
 from leanformer.cli import main
 from leanformer.model import PRESETS, param_count
-from leanformer.modelfile import load_model, load_quantized_model
+from leanformer.modelfile import MAGIC, VERSION_FLOAT64, load_model, load_quantized_model
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -16,6 +21,16 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc), "utf-8")
     return path
+
+
+def assert_input_error(capsys, code, path):
+    """Exit 2 with exactly one `error:` line on stderr that names `path`."""
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert "Traceback" not in err
+    return err
 
 
 class TestInit:
@@ -59,6 +74,10 @@ class TestInit:
         assert code == 2
         assert "n_heads" in capsys.readouterr().err
 
+    def test_directory_as_config_exit_2(self, tmp_path, capsys):
+        code = main(["init", "--config", str(tmp_path), "--out", str(tmp_path / "m.retf")])
+        assert_input_error(capsys, code, tmp_path)
+
 
 class TestCompare:
     def test_paper_presets_table_and_json(self, tmp_path, capsys):
@@ -87,6 +106,11 @@ class TestCompare:
                      "--reps", "2", "--warmup", "0"])
         assert code == 2
         assert "max_seq_len" in capsys.readouterr().err
+
+    def test_unwritable_json_path_exit_2(self, tmp_path, capsys):
+        code = main(["compare", "--baseline", "tiny", "--variant", "tiny", "--seq", "4",
+                     "--batch", "2", "--reps", "1", "--warmup", "0", "--json", str(tmp_path)])
+        assert_input_error(capsys, code, tmp_path)
 
     def test_json_deterministic_outside_timing(self, tmp_path, capsys):
         docs = []
@@ -198,6 +222,26 @@ class TestCompress:
                      "--out", str(tmp_path / "x.retf"), "--layer", "0", "--keep", "a,b"])
         assert code == 2
 
+    def test_directory_as_model_exit_2(self, tmp_path, capsys):
+        code = main(["compress", "quantize", "--model", str(tmp_path),
+                     "--out", str(tmp_path / "q.retf")])
+        assert_input_error(capsys, code, tmp_path)
+
+    @pytest.mark.parametrize("pass_args", [["quantize"],
+                                           ["prune-magnitude", "--threshold", "0"]])
+    def test_out_in_missing_directory_exit_2(self, tmp_path, model_path, capsys, pass_args):
+        out = tmp_path / "nodir" / "x.retf"
+        code = main(["compress", pass_args[0], "--model", str(model_path),
+                     "--out", str(out), *pass_args[1:]])
+        assert_input_error(capsys, code, out)
+
+    def test_negative_threshold_exit_2(self, tmp_path, model_path, capsys):
+        code = main(["compress", "prune-magnitude", "--model", str(model_path),
+                     "--out", str(tmp_path / "x.retf"), "--threshold", "-1"])
+        assert code == 2
+        assert "threshold must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.retf").exists()
+
 
 class TestSearch:
     def test_paper_targets_found(self, capsys):
@@ -226,6 +270,10 @@ class TestSearch:
             main(["search", "--target-base", "lots", "--target-variant", "67072"])
         assert exc.value.code == 2
 
+    def test_zero_target_exit_2(self, capsys):
+        assert main(["search", "--target-base", "0", "--target-variant", "67072"]) == 2
+        assert "targets must be positive" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_tiny_preset_passes(self, capsys):
@@ -252,3 +300,41 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+UNDECODABLE_JSON = pytest.mark.parametrize(
+    "raw", [b"[" * 100_000 + b"]" * 100_000, b'{"vocab_size": \xff}'],
+    ids=["nested-100000-deep", "not-utf8"])
+
+
+class TestUndecodableConfigJson:
+    """Config JSON that does not decode, in a --config file or a RETF header."""
+
+    @UNDECODABLE_JSON
+    def test_config_file_exit_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(raw)
+        code = main(["init", "--config", str(path), "--out", str(tmp_path / "m.retf")])
+        assert "not valid JSON" in assert_input_error(capsys, code, path)
+
+    @UNDECODABLE_JSON
+    def test_model_config_block_exit_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "m.retf"
+        path.write_bytes(MAGIC + struct.pack("<II", VERSION_FLOAT64, len(raw)) + raw)
+        code = main(["compress", "quantize", "--model", str(path),
+                     "--out", str(tmp_path / "q.retf")])
+        assert "not valid JSON" in assert_input_error(capsys, code, path)
+
+
+def test_process_exits_2_without_traceback(tmp_path):
+    # an exception that escapes main() exits 1 with a traceback, which only
+    # a separate interpreter shows
+    env = dict(os.environ, PYTHONPATH=str(Path(leanformer.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "leanformer.cli", "compress", "quantize",
+         "--model", str(tmp_path), "--out", str(tmp_path / "q.retf")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and str(tmp_path) in proc.stderr
+    assert "Traceback" not in proc.stderr
