@@ -40,8 +40,8 @@ class QuantizedTensor:
             raise ValueError(f"QuantizedTensor: dtype must be int8, got {self.values.dtype}")
         if np.any(self.values < -127):
             raise ValueError("QuantizedTensor: -128 is outside the symmetric range")
-        if not self.scale > 0:
-            raise ValueError(f"QuantizedTensor: scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"QuantizedTensor: scale must be positive and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,20 @@ def head_importance(p: ParamSet, cfg: ModelConfig, layer: int) -> list[float]:
     return [float(np.linalg.norm(wo[h * dh:(h + 1) * dh, :])) for h in range(heads)]
 
 
+def _with_heads(cfg: ModelConfig, counts: list[int]) -> ModelConfig:
+    """`cfg` with `counts[i]` heads in layer i, folded into `n_heads` when all are equal.
+
+    `head_dim` is pinned whenever `d_model // n_heads` would not give the head width back.
+    """
+    dh = cfg.head_width
+    if len(set(counts)) > 1:
+        return replace(cfg, n_layers=len(counts), head_dim=dh, layer_heads=tuple(counts))
+    n_heads = counts[0] if counts else cfg.n_heads
+    head_dim = None if n_heads * dh == cfg.d_model and cfg.head_dim is None else dh
+    return replace(cfg, n_layers=len(counts), n_heads=n_heads, head_dim=head_dim,
+                   layer_heads=None)
+
+
 def prune_heads(
     p: ParamSet, cfg: ModelConfig, layer: int, keep: set[int]
 ) -> tuple[ParamSet, ModelConfig, CompressionReport]:
@@ -169,13 +183,7 @@ def prune_heads(
 
     counts = [cfg.heads_in_layer(i) for i in range(cfg.n_layers)]
     counts[layer] = len(kept)
-    if all(c == counts[0] for c in counts):
-        # uniform again: fold into n_heads, pinning the head width explicitly
-        # because d_model // n_heads no longer recovers it
-        head_dim = None if counts[0] * dh == cfg.d_model and cfg.head_dim is None else dh
-        new_cfg = replace(cfg, n_heads=counts[0], head_dim=head_dim, layer_heads=None)
-    else:
-        new_cfg = replace(cfg, head_dim=dh, layer_heads=tuple(counts))
+    new_cfg = _with_heads(cfg, counts)
     pruned = ParamSet(_freeze(p.theta[mask.theta]), param_layout(new_cfg))
     return pruned, new_cfg, _report("prune-heads", p, pruned)
 
@@ -193,16 +201,7 @@ def prune_layers(
     mask = p.with_theta(np.zeros(p.theta.size, dtype=bool))
     for name, arr in iter_params(mask):
         arr[...] = not name.startswith("layers.") or int(name.split(".")[1]) in kept
-    if cfg.layer_heads is not None:
-        remaining = tuple(cfg.layer_heads[i] for i in kept)
-        if remaining and all(c == remaining[0] for c in remaining):
-            new_cfg = replace(cfg, n_layers=len(kept), n_heads=remaining[0],
-                              layer_heads=None)
-        else:
-            new_cfg = replace(cfg, n_layers=len(kept),
-                              layer_heads=remaining if remaining else None)
-    else:
-        new_cfg = replace(cfg, n_layers=len(kept))
+    new_cfg = _with_heads(cfg, [cfg.heads_in_layer(i) for i in kept])
     pruned = ParamSet(_freeze(p.theta[mask.theta]), param_layout(new_cfg))
     return pruned, new_cfg, _report("prune-layers", p, pruned)
 

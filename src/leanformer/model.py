@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .numerics import Matrix, RngState, matmul, relu, rng_uniform_array, softmax_rows
+from .numerics import Matrix, matmul, relu, rng_uniform_array, softmax_rows
 
 INIT_LO = -0.05
 INIT_HI = 0.05
@@ -213,7 +213,7 @@ def _freeze(theta: np.ndarray) -> np.ndarray:
 def _init_uniform(cfg: ModelConfig, seed: int, lo: float, hi: float) -> ParamSet:
     layout = param_layout(cfg)
     is_weight = np.concatenate([np.full(math.prod(shape), len(shape) == 2) for _, shape in layout])
-    draws, _ = rng_uniform_array(RngState(seed), (int(is_weight.sum()),), lo, hi)
+    draws = rng_uniform_array(seed, (int(is_weight.sum()),), lo, hi)
     theta = np.zeros(is_weight.size)
     theta[is_weight] = draws
     return ParamSet(_freeze(theta), layout)
@@ -450,13 +450,9 @@ def batch_loss(
     return _fused_cross_entropy(_logit_buffer("batch_loss", logits_list), ids, grad=False)
 
 
-def _heads_view(m: Matrix, rows: np.ndarray, heads: int) -> np.ndarray:
-    """The rows of `m` that `rows` indexes, one row of `rows` per sequence, per head.
-
-    `m` is (positions, heads * dh) and `rows` is (sequences, n); the result
-    is (sequences, heads, n, dh).
-    """
-    return m[rows.ravel()].reshape(*rows.shape, heads, -1).transpose(0, 2, 1, 3)
+def _heads_view(m: Matrix, n: int, heads: int) -> np.ndarray:
+    """(sequences * n, heads * dh) rows as a (sequences, heads, n, dh) view."""
+    return m.reshape(-1, n, heads, m.shape[1] // heads).transpose(0, 2, 1, 3)
 
 
 def _heads_merge(t: np.ndarray) -> Matrix:
@@ -477,11 +473,11 @@ def loss_and_grads(
     gradients carry the same averaging. The tied output projection sends
     gradient into tok_emb from both the logit matmul and the lookup.
 
-    The backward runs on the whole batch at once: the cross-entropy works
-    in place on `model_forward`'s logit buffer, which then becomes the
-    logit gradient and is released before the layers; every weight
-    gradient is one product over all positions; attention is differentiated
-    per sequence length, as (sequences, heads, n, head width) stacks.
+    The cross-entropy works in place on `model_forward`'s logit buffer,
+    which then becomes the logit gradient and is released before the
+    layers. The layers are differentiated once per sequence length, with
+    that length's sequences stacked as (sequences * n, ·) rows and heads as
+    (sequences, heads, n, head width) views, adding into the same gradients.
     """
     logits_list, traces = model_forward(p, cfg, batch)
     lengths = np.array([lg.shape[0] for lg in logits_list])
@@ -496,77 +492,76 @@ def loss_and_grads(
     grads = p.with_theta(np.zeros_like(p.theta))
     x_final = np.concatenate([t.layers[-1].ffn_out if t.layers else t.embedded for t in traces])
     np.matmul(dlogits.T, x_final, out=grads.tok_emb)
-    dx = dlogits @ p.tok_emb
+    dx_final = dlogits @ p.tok_emb
     # the last references to the logit buffer: freeing it here keeps it out
     # of the layer backward's peak memory
     del dlogits
     for t in traces:
         t.logits = None
 
-    # each length's positions in the concatenated rows, one row per sequence
-    starts = np.cumsum(lengths) - lengths
-    groups = [(starts[lengths == n][:, None] + np.arange(n), np.flatnonzero(lengths == n))
-              for n in np.unique(lengths)]
+    tokens = np.concatenate([np.asarray(t, dtype=np.int64) for t in batch])
+    for n in np.unique(lengths):
+        # the sequences of length n, and their positions among the batch's
+        ts = [t for t, m in zip(traces, lengths) if m == n]
+        rows = np.repeat(lengths == n, lengths)
+        dx = dx_final[rows]
+        for layer in reversed(range(cfg.n_layers)):
+            lay = p.layers[layer]
+            g = grads.layers[layer]
+            lts = [t.layers[layer] for t in ts]
+            x_in = np.concatenate([t.layers[layer - 1].ffn_out if layer else t.embedded for t in ts])
 
-    for layer in reversed(range(cfg.n_layers)):
-        lay = p.layers[layer]
-        g = grads.layers[layer]
-        lts = [t.layers[layer] for t in traces]
-        x_in = np.concatenate([t.layers[layer - 1].ffn_out if layer else t.embedded for t in traces])
+            # feed-forward: out = relu(y W1 + b1) W2 + b2
+            hidden = np.concatenate([lt.ffn_hidden for lt in lts])
+            y = np.concatenate([lt.attn.out for lt in lts])
+            g.w2[...] += hidden.T @ dx
+            if g.b2 is not None:
+                g.b2[...] += dx.sum(axis=0)
+            dz = (dx @ lay.w2.T) * (hidden > 0)
+            g.w1[...] += y.T @ dz
+            if g.b1 is not None:
+                g.b1[...] += dz.sum(axis=0)
+            dy = dz @ lay.w1.T
 
-        # feed-forward: out = relu(y W1 + b1) W2 + b2
-        hidden = np.concatenate([lt.ffn_hidden for lt in lts])
-        y = np.concatenate([lt.attn.out for lt in lts])
-        np.matmul(hidden.T, dx, out=g.w2)
-        if g.b2 is not None:
-            g.b2[...] = dx.sum(axis=0)
-        dz = (dx @ lay.w2.T) * (hidden > 0)
-        np.matmul(y.T, dz, out=g.w1)
-        if g.b1 is not None:
-            g.b1[...] = dz.sum(axis=0)
-        dy = dz @ lay.w1.T
-
-        # attention: y = concat(heads) @ Wo + bo, each head softmax(q k^T s) v
-        heads = cfg.heads_in_layer(layer)
-        s = 1.0 / math.sqrt(lay.wq.shape[1] // heads)
-        q, k, v = (np.concatenate([getattr(lt.attn, name) for lt in lts]) for name in "qkv")
-        stacks = []
-        concat = np.empty_like(v)
-        for rows, members in groups:
-            a = np.array([lts[i].attn.weights for i in members])
-            vh = _heads_view(v, rows, heads)
-            concat[rows.ravel()] = _heads_merge(a @ vh)
-            stacks.append((rows, a, vh))
-        np.matmul(concat.T, dy, out=g.wo)
-        if g.bo is not None:
-            g.bo[...] = dy.sum(axis=0)
-        dconcat = dy @ lay.wo.T
-
-        dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-        for rows, a, vh in stacks:
-            d_out = _heads_view(dconcat, rows, heads)
-            da = d_out @ vh.transpose(0, 1, 3, 2)
+            # attention: y = concat(heads) @ Wo + bo, each head softmax(q k^T s) v
+            heads = cfg.heads_in_layer(layer)
+            s = 1.0 / math.sqrt(lay.wq.shape[1] // heads)
+            q, k, v = (_heads_view(np.concatenate([getattr(lt.attn, name) for lt in lts]), n, heads)
+                       for name in "qkv")
+            a = np.array([lt.attn.weights for lt in lts])
+            g.wo[...] += _heads_merge(a @ v).T @ dy
+            if g.bo is not None:
+                g.bo[...] += dy.sum(axis=0)
+            d_out = _heads_view(dy @ lay.wo.T, n, heads)
+            da = d_out @ v.transpose(0, 1, 3, 2)
             # softmax rows: dS = A * (dA - rowsum(dA * A))
             dscores = a * (da - (da * a).sum(axis=-1, keepdims=True))
-            flat = rows.ravel()
-            dv[flat] = _heads_merge(a.transpose(0, 1, 3, 2) @ d_out)
-            dq[flat] = _heads_merge(dscores @ _heads_view(k, rows, heads) * s)
-            dk[flat] = _heads_merge(
-                dscores.transpose(0, 1, 3, 2) @ _heads_view(q, rows, heads) * s)
+            dq = _heads_merge(dscores @ k * s)
+            dk = _heads_merge(dscores.transpose(0, 1, 3, 2) @ q * s)
+            dv = _heads_merge(a.transpose(0, 1, 3, 2) @ d_out)
 
-        np.matmul(x_in.T, dq, out=g.wq)
-        np.matmul(x_in.T, dk, out=g.wk)
-        np.matmul(x_in.T, dv, out=g.wv)
-        if g.bq is not None:
-            g.bq[...] = dq.sum(axis=0)
-            g.bk[...] = dk.sum(axis=0)
-            g.bv[...] = dv.sum(axis=0)
-        dx = dq @ lay.wq.T + dk @ lay.wk.T + dv @ lay.wv.T
+            g.wq[...] += x_in.T @ dq
+            g.wk[...] += x_in.T @ dk
+            g.wv[...] += x_in.T @ dv
+            if g.bq is not None:
+                g.bq[...] += dq.sum(axis=0)
+                g.bk[...] += dk.sum(axis=0)
+                g.bv[...] += dv.sum(axis=0)
+            dx = dq @ lay.wq.T + dk @ lay.wk.T + dv @ lay.wv.T
 
-    # embedding lookup: a row of tok_emb per token id, of pos_emb per position
-    np.add.at(grads.tok_emb, np.concatenate([np.asarray(t, dtype=np.int64) for t in batch]), dx)
-    np.add.at(grads.pos_emb, np.arange(ids.size) - np.repeat(starts, lengths), dx)
+        # embedding lookup: a row of tok_emb per token id, of pos_emb per position
+        np.add.at(grads.tok_emb, tokens[rows], dx)
+        grads.pos_emb[:n] += dx.reshape(-1, n, dx.shape[1]).sum(axis=0)
     return loss, grads
+
+
+def _check_finite(p: ParamSet, what: str) -> None:
+    """Raise ValueError "<what> <name> is not finite" for the first tensor holding a NaN or an inf."""
+    # min and max propagate NaN and reach any infinity, with no temporary the size of theta
+    if math.isfinite(p.theta.min()) and math.isfinite(p.theta.max()):
+        return
+    name = next(name for name, arr in p.named if not np.isfinite(arr).all())
+    raise ValueError(f"{what} {name} is not finite")
 
 
 def train_step(
@@ -586,9 +581,7 @@ def train_step(
     loss, grads = loss_and_grads(p, cfg, batch, targets)
     if not math.isfinite(loss):
         raise ValueError(f"train_step: loss is {loss}, not finite")
-    if not np.isfinite(grads.theta).all():
-        name = next(name for name, g in grads.named if not np.isfinite(g).all())
-        raise ValueError(f"train_step: gradient of {name} is not finite")
+    _check_finite(grads, "train_step: gradient of")
     if lr == 0:
         return p, loss
 
@@ -603,7 +596,7 @@ def synth_copy_batch(
         raise ValueError("synth_copy_batch: batch_size and seq_len must be >= 1")
     if vocab_size < 2:
         raise ValueError(f"synth_copy_batch: vocab_size must be >= 2, got {vocab_size}")
-    u, _ = rng_uniform_array(RngState(seed), (batch_size, seq_len), 0.0, 1.0)
+    u = rng_uniform_array(seed, (batch_size, seq_len), 0.0, 1.0)
     inputs = np.floor(u * vocab_size).astype(np.int64)
     # floor can only hit vocab_size if u rounds to 1.0, which [0,1) excludes,
     # but clip anyway so the contract cannot drift

@@ -10,7 +10,8 @@ Layout (all integers little-endian):
           (exactly the bytes of ParamSet.theta)
           v2: per tensor one float64 scale, then its int8 values
 
-Round-trips are bit-exact; loaders reject trailing or missing bytes.
+Round-trips are bit-exact. Loaders reject trailing or missing bytes, NaN or
+infinite float64 values, and v2 scales that are not positive and finite.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .compression import QuantizedTensor
-from .model import ModelConfig, ParamSet, _freeze, param_count, param_layout
+from .model import ModelConfig, ParamSet, _check_finite, _freeze, param_count, param_layout
 
 MAGIC = b"RETF"
 VERSION_FLOAT64 = 1
@@ -167,7 +168,9 @@ def load_model(path: str | Path) -> tuple[ModelConfig, ParamSet]:
     n = param_count(cfg)
     theta = np.frombuffer(r.blob, dtype="<f8", count=n, offset=r.skip(8 * n)).astype(np.float64)
     r.done()
-    return cfg, ParamSet(_freeze(theta), param_layout(cfg))
+    p = ParamSet(_freeze(theta), param_layout(cfg))
+    _check_finite(p, f"{path}: tensor")
+    return cfg, p
 
 
 def load_quantized_model(
@@ -186,6 +189,9 @@ def load_quantized_model(
         # bias vectors are stored (and quantized) as 1 x n tensors
         qshape = shape if len(shape) == 2 else (1, n)
         values = np.frombuffer(r.take(n), dtype="|i1").reshape(qshape).copy()
-        tensors.append((name, QuantizedTensor(values, scale)))
+        try:
+            tensors.append((name, QuantizedTensor(values, scale)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: tensor {name}: {exc}") from exc
     r.done()
     return cfg, tensors

@@ -239,21 +239,22 @@ def render_comparison(cr: ComparisonReport) -> str:
     return "\n".join(lines)
 
 
+# the configuration search's fixed choices; FFN width is a multiple of d_model
+D_CHOICES = (2, 4, 8, 16, 32, 64, 128, 256, 512)
+HEAD_CHOICES = (2, 4, 8, 16)
+FF_MULTIPLIERS = (1, 2, 4)
+BIAS_OPTIONS = (False, True)
+
+
 @dataclass(frozen=True)
 class SearchBounds:
-    """Finite enumeration ranges for the configuration search."""
+    """The configuration search's settable ranges."""
 
     seq_len: int = 10
-    d_choices: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256, 512)
-    head_choices: tuple[int, ...] = (2, 4, 8, 16)
     max_layers: int = 4
-    ff_multipliers: tuple[int, ...] = (1, 2, 4)
-    bias_options: tuple[bool, ...] = (False, True)
     max_vocab_plus_seq: int = 1_000_000
 
     def __post_init__(self):
-        if not (self.d_choices and self.head_choices and self.ff_multipliers and self.bias_options):
-            raise ValueError("SearchBounds: every choice set must be non-empty")
         if self.seq_len < 1 or self.max_layers < 0 or self.max_vocab_plus_seq < 2:
             raise ValueError("SearchBounds: degenerate bounds")
 
@@ -264,24 +265,24 @@ def config_search(
     """Find every (config, half-sized config) pair hitting both parameter targets.
 
     Enumerates d, layer count, FFN multiplier, bias and head count over the
-    bounds; for each combination the embedding total V+S follows directly
+    module's choice sets and `bounds`; for each combination the embedding total V+S follows directly
     from the closed-form count, so only the divisibility and range filters
     remain. Every candidate is re-verified against param_count exactly.
     """
     if target_base < 1 or target_variant < 1:
         raise ValueError("config_search: targets must be positive")
     found = []
-    for d in bounds.d_choices:
-        for heads in bounds.head_choices:
+    for d in D_CHOICES:
+        for heads in HEAD_CHOICES:
             # reduce_config(cfg, 2) needs d, heads and f all even, heads >= 2
             if d % heads != 0 or d % 2 != 0 or heads % 2 != 0:
                 continue
             for n_layers in range(bounds.max_layers + 1):
-                for mult in bounds.ff_multipliers:
+                for mult in FF_MULTIPLIERS:
                     d_ff = mult * d
                     if d_ff % 2 != 0:
                         continue
-                    for use_bias in bounds.bias_options:
+                    for use_bias in BIAS_OPTIONS:
                         layer_part = n_layers * (4 * d * d + 2 * d * d_ff)
                         if use_bias:
                             layer_part += n_layers * (4 * d + d_ff + d)

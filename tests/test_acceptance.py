@@ -32,7 +32,7 @@ from leanformer.model import (
     train_step,
 )
 from leanformer.modelfile import load_model, save_model
-from leanformer.numerics import RngState, rng_uniform_array, softmax_rows
+from leanformer.numerics import rng_uniform_array, softmax_rows
 from leanformer.profiler import config_search, memory_bytes, time_forward
 
 
@@ -125,7 +125,7 @@ def test_criterion_5_gradient_check():
 
 def test_criterion_6_attention_softmax_invariants():
     with criterion(6, "softmax row invariants on 1,000 random rows; uniform attention at Wq=0", 5.0):
-        rows, _ = rng_uniform_array(RngState(6), (1000, 9), -10.0, 10.0)
+        rows = rng_uniform_array(6, (1000, 9), -10.0, 10.0)
         out = softmax_rows(rows)
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-12
         shifted = softmax_rows(rows + 3.5)
@@ -136,7 +136,7 @@ def test_criterion_6_attention_softmax_invariants():
         p = init_params(cfg, 3)
         q = p.with_theta(p.theta.copy())
         q.layers[0].wq[...] = 0.0
-        x, _ = rng_uniform_array(RngState(7), (4, cfg.d_model), -1.0, 1.0)
+        x = rng_uniform_array(7, (4, cfg.d_model), -1.0, 1.0)
         _, trace = attention_forward(q, 0, x, cfg.n_heads)
         for w in trace.weights:
             assert np.array_equal(w, np.full((4, 4), 0.25))
@@ -158,7 +158,7 @@ def test_criterion_7_training_sanity():
 def test_criterion_8_quantization_bound():
     with criterion(8, "dequantization error <= scale/2 and idempotent requantization, 100 tensors", 5.0):
         for k in range(100):
-            base, _ = rng_uniform_array(RngState(800 + k), (11, 13), -1.0, 1.0)
+            base = rng_uniform_array(800 + k, (11, 13), -1.0, 1.0)
             m = base * (10.0 ** ((k % 13) - 6))
             qt = quantize_tensor(m)
             deq = dequantize(qt)

@@ -10,8 +10,10 @@ import pytest
 
 import leanformer
 from leanformer.cli import main
-from leanformer.model import PRESETS, param_count
-from leanformer.modelfile import MAGIC, VERSION_FLOAT64, load_model, load_quantized_model
+from leanformer.model import PRESETS, init_params, param_count
+from leanformer.modelfile import (
+    MAGIC, VERSION_FLOAT64, load_model, load_quantized_model, save_model,
+)
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -241,6 +243,19 @@ class TestCompress:
         assert code == 2
         assert "threshold must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "x.retf").exists()
+
+
+class TestNonFiniteModelFile:
+    def test_nan_in_v1_file_exit_2(self, tmp_path, capsys):
+        cfg = PRESETS["tiny"]
+        p = init_params(cfg, 0)
+        theta = p.theta.copy()
+        theta[3] = np.nan
+        path, out = tmp_path / "nan.retf", tmp_path / "q.retf"
+        save_model(path, cfg, p.with_theta(theta))
+        code = main(["compress", "quantize", "--model", str(path), "--out", str(out)])
+        assert "tensor tok_emb is not finite" in assert_input_error(capsys, code, path)
+        assert not out.exists()
 
 
 class TestSearch:

@@ -20,6 +20,9 @@ from leanformer.compression import (
 from leanformer.model import (
     ModelConfig,
     PRESETS,
+    attention_forward,
+    embed,
+    ffn_forward,
     init_params,
     iter_params,
     model_forward,
@@ -27,11 +30,11 @@ from leanformer.model import (
     param_count_enumerated,
     synth_copy_batch,
 )
-from leanformer.numerics import RngState, rng_uniform_array
+from leanformer.numerics import rng_uniform_array
 
 
 def random_matrix(rows, cols, seed, lo=-1.0, hi=1.0):
-    m, _ = rng_uniform_array(RngState(seed), (rows, cols), lo, hi)
+    m = rng_uniform_array(seed, (rows, cols), lo, hi)
     return m
 
 
@@ -230,6 +233,18 @@ class TestPruneLayers:
         assert report.params_before - report.params_after == expected_drop
         assert param_count(new_cfg) == param_count_enumerated(pruned)
 
+    def test_uneven_heads_without_head_dim_keep_their_width(self):
+        # as a hand-written header may give it: layers of 2 and 4 heads, each
+        # d_model // n_heads = 2 wide, with no head_dim
+        cfg = ModelConfig(11, 4, 8, 4, 8, 2, layer_heads=(2, 4))
+        p = init_params(cfg, 5)
+        pruned, new_cfg, _ = prune_layers(p, cfg, [0])
+        assert (new_cfg.n_layers, new_cfg.n_heads, new_cfg.head_width) == (1, 2, 2)
+        tokens = [1, 7, 3, 10]
+        y, _ = attention_forward(p, 0, embed(p, tokens), 2)
+        logits, _ = model_forward(pruned, new_cfg, [tokens])
+        assert np.array_equal(logits[0], ffn_forward(p, 0, y) @ p.tok_emb.T)
+
     def test_unsorted_rejected(self):
         cfg = ModelConfig(9, 4, 4, 2, 8, 3)
         p = init_params(cfg, 0)
@@ -247,7 +262,7 @@ class TestStructuralPruningWithBiases:
     CFG = ModelConfig(11, 5, 8, 4, 12, 2, use_bias=True)  # head width 2
 
     def params(self):
-        theta, _ = rng_uniform_array(RngState(4), (param_count(self.CFG),), -1.0, 1.0)
+        theta = rng_uniform_array(4, (param_count(self.CFG),), -1.0, 1.0)
         return init_params(self.CFG, 0).with_theta(theta)
 
     def test_prune_heads_equals_hand_sliced_arrays(self):

@@ -25,7 +25,7 @@ from leanformer.model import (
     train_step,
 )
 from leanformer.model import LayerParams, ParamSet
-from leanformer.numerics import RngState, matmul, rng_uniform_array
+from leanformer.numerics import matmul, rng_uniform_array
 
 import reference
 
@@ -241,7 +241,7 @@ class TestForward:
 
     def test_ragged_batch_bit_equal_to_per_sequence_path(self):
         cfg = ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True)
-        theta, _ = rng_uniform_array(RngState(9), (param_count(cfg),), -0.5, 0.5)
+        theta = rng_uniform_array(9, (param_count(cfg),), -0.5, 0.5)
         p = init_params(cfg, 0).with_theta(theta)
         batch = [[1, 2, 3, 4, 5, 6], [7], [0, 12, 3]]
         logits, _ = model_forward(p, cfg, batch)

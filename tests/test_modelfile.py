@@ -216,3 +216,33 @@ class TestQuantizedModelFile:
             load_model(qpath)
         with pytest.raises(ValueError, match="float64"):
             load_quantized_model(fpath)
+
+
+class TestNonFiniteFiles:
+    CFG = ModelConfig(9, 4, 4, 2, 8, 1)
+
+    @pytest.mark.parametrize("index, value, name", [(5, np.nan, "tok_emb"),
+                                                    (37, -np.inf, "pos_emb"),
+                                                    (-1, np.inf, "layers.0.w2")])
+    def test_v1_value_named(self, tmp_path, index, value, name):
+        p = init_params(self.CFG, 0)
+        theta = p.theta.copy()
+        theta[index] = value
+        path = tmp_path / "m.retf"
+        save_model(path, self.CFG, p.with_theta(theta))
+        with pytest.raises(ValueError, match=rf"m\.retf: tensor {name} is not finite"):
+            load_model(path)
+
+    @pytest.mark.parametrize("scale", [np.inf, np.nan, 0.0, -1.0])
+    def test_v2_scale_named(self, tmp_path, scale):
+        quantized = quantize_params(init_params(self.CFG, 0))
+        path = tmp_path / "q.retf"
+        save_quantized_model(path, self.CFG, quantized)
+        blob = bytearray(path.read_bytes())
+        # pos_emb's scale follows the header and tok_emb's scale and values
+        at = (len(blob) - sum(8 + qt.values.size for _, qt in quantized)
+              + 8 + quantized[0][1].values.size)
+        blob[at: at + 8] = struct.pack("<d", scale)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"q\.retf: tensor pos_emb: .*scale must be positive and finite"):
+            load_quantized_model(path)

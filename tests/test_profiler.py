@@ -236,10 +236,6 @@ class TestConfigSearch:
     def test_impossible_targets_empty_not_error(self):
         assert config_search(3, 5) == []
 
-    def test_empty_bounds_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            SearchBounds(d_choices=())
-
     def test_search_respects_vs_cap(self):
         bounded = SearchBounds(max_vocab_plus_seq=100)
         assert all(
