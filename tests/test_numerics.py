@@ -143,6 +143,15 @@ class TestRng:
         with pytest.raises(ValueError):
             rng_uniform_array(0, (1,), 2.0, -1.0)
 
+    def test_vectorized_matches_scalar_stream(self):
+        n = 257
+        arr = rng_uniform_array(99, (n,), -0.05, 0.05)
+        scalar = [-0.05 + 0.1 * ((u >> 11) * 2.0**-53) for u in reference.splitmix64(99, n)]
+        assert np.array_equal(arr, np.array(scalar))
+        # a 2-D draw is the same stream, row-major
+        grid = rng_uniform_array(99, (1, n), -0.05, 0.05)
+        assert np.array_equal(grid.ravel(), arr)
+
     @given(st.integers(0, 2**64 - 1))
     @settings(max_examples=50, deadline=None)
     def test_stream_matches_oracle(self, seed):
