@@ -53,6 +53,15 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise ValueError(f"{flag} must be a comma-separated list of integers, got {text!r}") from None
 
 
+def _check_output(path: str) -> None:
+    """Refuse an output path that cannot be written, before any work is done for it."""
+    out = Path(path)
+    if out.is_dir():
+        raise ValueError(f"{path}: is a directory")
+    if not out.parent.is_dir():
+        raise ValueError(f"{path}: directory {out.parent} does not exist")
+
+
 def cmd_init(args) -> int:
     cfg = _load_config(args.config)
     params = init_params(cfg, args.seed)
@@ -65,6 +74,8 @@ def cmd_init(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.json:
+        _check_output(args.json)
     baseline_cfg = _load_config(args.baseline)
     variant_cfg = _load_config(args.variant)
     reports = []
@@ -89,13 +100,11 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     seq_len = min(cfg.max_seq_len, args.seq)
     params = init_params(cfg, args.seed)
-    inputs, targets = synth_copy_batch(args.seed, args.batch, seq_len, cfg.vocab_size)
-    batch = list(inputs)
-    tgts = list(targets)
+    batch, targets = synth_copy_batch(args.seed, args.batch, seq_len, cfg.vocab_size)
 
     losses = []
     for it in range(1, args.iters + 1):
-        params, loss = train_step(params, cfg, batch, tgts, args.lr)
+        params, loss = train_step(params, cfg, batch, targets, args.lr)
         losses.append(loss)
         print(f"iter {it}: loss {loss:.6f}")
     if losses[-1] < losses[0]:
@@ -105,6 +114,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_compress(args) -> int:
+    _check_output(args.out)
     cfg, params = modelfile.load_model(args.model)
 
     if args.pass_name == "quantize":

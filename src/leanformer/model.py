@@ -191,16 +191,17 @@ def param_count_enumerated(p: ParamSet) -> int:
 def param_count(cfg: ModelConfig) -> int:
     """Closed-form parameter count; must agree with enumeration exactly.
 
-    (V+S)*d for the embeddings, then per layer 4*d*w + 2*d*f where w is the
-    layer's attention width (w == d unless heads were pruned), plus
-    3*w + d + f + d bias elements when biases are enabled.
+    (V+S)*d for the embeddings, then 4*d*W + 2*d*f*L where W is the summed
+    attention width of the L layers (W == L*d unless heads were pruned),
+    plus 3*W + (d + f + d)*L bias elements when biases are enabled. No
+    term loops over layers unless `layer_heads` lists them.
     """
-    n = (cfg.vocab_size + cfg.max_seq_len) * cfg.d_model
-    for layer in range(cfg.n_layers):
-        w = cfg.attn_width(layer)
-        n += 4 * cfg.d_model * w + 2 * cfg.d_model * cfg.d_ff
-        if cfg.use_bias:
-            n += 3 * w + cfg.d_model + cfg.d_ff + cfg.d_model
+    d, f, n_layers = cfg.d_model, cfg.d_ff, cfg.n_layers
+    heads = sum(cfg.layer_heads) if cfg.layer_heads is not None else cfg.n_heads * n_layers
+    width = heads * cfg.head_width
+    n = (cfg.vocab_size + cfg.max_seq_len) * d + 4 * d * width + 2 * d * f * n_layers
+    if cfg.use_bias:
+        n += 3 * width + (d + f + d) * n_layers
     return n
 
 
@@ -339,22 +340,31 @@ def ffn_forward(p: ParamSet, layer: int, x: Matrix) -> Matrix:
     return _ffn(p, layer, x)[1]
 
 
+def _id_array(who: str, what: str, rows: Sequence) -> np.ndarray:
+    """`rows` as one int64 array; rows of mixed lengths are a ValueError naming `who`."""
+    try:
+        return np.asarray(rows, dtype=np.int64)
+    except ValueError as exc:
+        raise ValueError(f"{who}: {what} must be one (sequences, n) array: {exc}") from None
+
+
 def model_forward(
     p: ParamSet, cfg: ModelConfig, batch: Sequence[Sequence[int]]
-) -> tuple[list[Matrix], list[ForwardTrace]]:
-    """Run the full encoder over a batch of token sequences.
+) -> tuple[np.ndarray, list[ForwardTrace]]:
+    """Run the full encoder over a (sequences, n) batch of token ids.
 
-    Returns one n x vocab logit matrix and one ForwardTrace per sequence.
-    Layers compose as x <- ffn(attention(x)) with no residual paths; the
-    logits are x against the transposed token embedding. Every sequence's
-    logits are row slices of one buffer, allocated once the whole batch
-    has passed `embed`'s checks, so a batch costs one large allocation
-    however earlier work left the heap.
+    Returns the logits as one C-contiguous (sequences, n, vocab) array and
+    one ForwardTrace per sequence. Layers compose as x <- ffn(attention(x))
+    with no residual paths; the logits are x against the transposed token
+    embedding. The logit array is allocated once the whole batch has passed
+    `embed`'s checks, so a batch costs one large allocation however earlier
+    work left the heap.
     """
-    if len(batch) == 0:
-        raise ValueError("model_forward: batch must be non-empty")
+    ids = _id_array("model_forward", "batch", batch)
+    if ids.ndim != 2 or len(ids) == 0:
+        raise ValueError("model_forward: batch must be a non-empty (sequences, n) array of token ids")
     passes = []
-    for tokens in batch:
+    for tokens in ids:
         x0 = embed(p, tokens)
         x = x0
         layer_traces = []
@@ -363,29 +373,20 @@ def model_forward(
             hidden, x = _ffn(p, layer, y)
             layer_traces.append(LayerTrace(attn=attn_trace, ffn_hidden=hidden, ffn_out=x))
         passes.append((x0, layer_traces, x))
-    buffer = np.empty((sum(x.shape[0] for _, _, x in passes), p.tok_emb.shape[0]))
-    row = 0
-    logits_list = []
+    logits = np.empty((*ids.shape, p.tok_emb.shape[0]))
     traces = []
-    for x0, layer_traces, x in passes:
-        logits = matmul(x, p.tok_emb.T, out=buffer[row: row + x.shape[0]])
-        row += x.shape[0]
-        logits_list.append(logits)
-        traces.append(ForwardTrace(embedded=x0, layers=layer_traces, logits=logits))
-    return logits_list, traces
+    for out, (x0, layer_traces, x) in zip(logits, passes):
+        matmul(x, p.tok_emb.T, out=out)
+        traces.append(ForwardTrace(embedded=x0, layers=layer_traces, logits=out))
+    return logits, traces
 
 
-def _target_ids(
-    who: str, targets: Sequence[Sequence[int]], lengths: Sequence[int], vocab: int
-) -> np.ndarray:
-    """Every sequence's target ids back to back, checked against its length and the vocabulary."""
-    if len(targets) != len(lengths):
-        raise ValueError(f"{who}: {len(lengths)} sequences but {len(targets)} target rows")
-    rows = [np.asarray(t, dtype=np.int64) for t in targets]
-    for ids, n in zip(rows, lengths):
-        if ids.ndim != 1 or ids.size != n:
-            raise ValueError(f"{who}: {ids.size} targets for {n} positions")
-    ids = np.concatenate(rows)
+def _target_ids(who: str, targets: Sequence, shape: tuple[int, ...], vocab: int) -> np.ndarray:
+    """The target ids, flattened, checked against the logits' `shape` and the vocabulary."""
+    ids = _id_array(who, "targets", targets)
+    if ids.shape != shape:
+        raise ValueError(f"{who}: targets of shape {ids.shape} for positions of shape {shape}")
+    ids = ids.ravel()
     bad = (ids < 0) | (ids >= vocab)
     if bad.any():
         raise ValueError(f"{who}: target id {int(ids[np.argmax(bad)])} outside [0, {vocab})")
@@ -412,28 +413,9 @@ def _fused_cross_entropy(z: Matrix, ids: np.ndarray, grad: bool) -> float:
     return loss
 
 
-def _logit_buffer(who: str, logits_list: Sequence[Matrix]) -> Matrix:
-    """The one C-contiguous (sum of lengths, vocab) array that `logits_list` slices in order.
-
-    `model_forward` lays the logits out that way, and the loss works on the
-    buffer in place, so logits laid out any other way are refused, not copied.
-    """
-    buffer = logits_list[0].base
-    starts = np.cumsum([0] + [lg.shape[0] for lg in logits_list])
-    ok = (isinstance(buffer, np.ndarray) and buffer.dtype == np.float64
-          and buffer.flags.c_contiguous and buffer.flags.writeable
-          and buffer.shape == (starts[-1], logits_list[0].shape[1])
-          and all(lg.base is buffer and lg.shape[1:] == buffer.shape[1:]
-                  and lg.ctypes.data == buffer.ctypes.data + int(row) * buffer.strides[0]
-                  for lg, row in zip(logits_list, starts)))
-    if not ok:
-        raise ValueError(f"{who}: logits are not consecutive row slices of one C-contiguous buffer")
-    return buffer
-
-
 def cross_entropy(logits: Matrix, targets: Sequence[int]) -> float:
     """Mean negative log-likelihood of the targets, one per logit row."""
-    ids = _target_ids("cross_entropy", [targets], [logits.shape[0]], logits.shape[1])
+    ids = _target_ids("cross_entropy", targets, logits.shape[:1], logits.shape[1])
     return _fused_cross_entropy(np.array(logits, dtype=np.float64), ids, grad=False)
 
 
@@ -444,10 +426,9 @@ def batch_loss(
     targets: Sequence[Sequence[int]],
 ) -> float:
     """Mean cross-entropy over every position in the batch (no gradients)."""
-    logits_list, _ = model_forward(p, cfg, batch)
-    lengths = [lg.shape[0] for lg in logits_list]
-    ids = _target_ids("batch_loss", targets, lengths, p.tok_emb.shape[0])
-    return _fused_cross_entropy(_logit_buffer("batch_loss", logits_list), ids, grad=False)
+    logits, _ = model_forward(p, cfg, batch)
+    ids = _target_ids("batch_loss", targets, logits.shape[:2], logits.shape[2])
+    return _fused_cross_entropy(logits.reshape(ids.size, -1), ids, grad=False)
 
 
 def _heads_view(m: Matrix, n: int, heads: int) -> np.ndarray:
@@ -473,18 +454,18 @@ def loss_and_grads(
     gradients carry the same averaging. The tied output projection sends
     gradient into tok_emb from both the logit matmul and the lookup.
 
-    The cross-entropy works in place on `model_forward`'s logit buffer,
+    The cross-entropy works in place on `model_forward`'s logit array,
     which then becomes the logit gradient and is released before the
-    layers. The layers are differentiated once per sequence length, with
-    that length's sequences stacked as (sequences * n, ·) rows and heads as
-    (sequences, heads, n, head width) views, adding into the same gradients.
+    layers. Each layer is differentiated once for the whole batch, with
+    the sequences stacked as (sequences * n, ·) rows and heads as
+    (sequences, heads, n, head width) views.
     """
-    logits_list, traces = model_forward(p, cfg, batch)
-    lengths = np.array([lg.shape[0] for lg in logits_list])
-    ids = _target_ids("loss_and_grads", targets, lengths, p.tok_emb.shape[0])
+    logits, traces = model_forward(p, cfg, batch)
+    n = logits.shape[1]
+    ids = _target_ids("loss_and_grads", targets, logits.shape[:2], logits.shape[2])
     # the logits until the fused cross-entropy turns them into their gradient
-    dlogits = _logit_buffer("loss_and_grads", logits_list)
-    del logits_list
+    dlogits = logits.reshape(ids.size, -1)
+    del logits
     loss = _fused_cross_entropy(dlogits, ids, grad=True)
 
     # logits = x_final @ tok_emb^T  (tied output); grads start at zero, so
@@ -492,66 +473,60 @@ def loss_and_grads(
     grads = p.with_theta(np.zeros_like(p.theta))
     x_final = np.concatenate([t.layers[-1].ffn_out if t.layers else t.embedded for t in traces])
     np.matmul(dlogits.T, x_final, out=grads.tok_emb)
-    dx_final = dlogits @ p.tok_emb
-    # the last references to the logit buffer: freeing it here keeps it out
+    dx = dlogits @ p.tok_emb
+    # the last references to the logit array: freeing it here keeps it out
     # of the layer backward's peak memory
     del dlogits
     for t in traces:
         t.logits = None
 
-    tokens = np.concatenate([np.asarray(t, dtype=np.int64) for t in batch])
-    for n in np.unique(lengths):
-        # the sequences of length n, and their positions among the batch's
-        ts = [t for t, m in zip(traces, lengths) if m == n]
-        rows = np.repeat(lengths == n, lengths)
-        dx = dx_final[rows]
-        for layer in reversed(range(cfg.n_layers)):
-            lay = p.layers[layer]
-            g = grads.layers[layer]
-            lts = [t.layers[layer] for t in ts]
-            x_in = np.concatenate([t.layers[layer - 1].ffn_out if layer else t.embedded for t in ts])
+    for layer in reversed(range(cfg.n_layers)):
+        lay = p.layers[layer]
+        g = grads.layers[layer]
+        lts = [t.layers[layer] for t in traces]
+        x_in = np.concatenate([t.layers[layer - 1].ffn_out if layer else t.embedded for t in traces])
 
-            # feed-forward: out = relu(y W1 + b1) W2 + b2
-            hidden = np.concatenate([lt.ffn_hidden for lt in lts])
-            y = np.concatenate([lt.attn.out for lt in lts])
-            g.w2[...] += hidden.T @ dx
-            if g.b2 is not None:
-                g.b2[...] += dx.sum(axis=0)
-            dz = (dx @ lay.w2.T) * (hidden > 0)
-            g.w1[...] += y.T @ dz
-            if g.b1 is not None:
-                g.b1[...] += dz.sum(axis=0)
-            dy = dz @ lay.w1.T
+        # feed-forward: out = relu(y W1 + b1) W2 + b2
+        hidden = np.concatenate([lt.ffn_hidden for lt in lts])
+        y = np.concatenate([lt.attn.out for lt in lts])
+        g.w2[...] += hidden.T @ dx
+        if g.b2 is not None:
+            g.b2[...] += dx.sum(axis=0)
+        dz = (dx @ lay.w2.T) * (hidden > 0)
+        g.w1[...] += y.T @ dz
+        if g.b1 is not None:
+            g.b1[...] += dz.sum(axis=0)
+        dy = dz @ lay.w1.T
 
-            # attention: y = concat(heads) @ Wo + bo, each head softmax(q k^T s) v
-            heads = cfg.heads_in_layer(layer)
-            s = 1.0 / math.sqrt(lay.wq.shape[1] // heads)
-            q, k, v = (_heads_view(np.concatenate([getattr(lt.attn, name) for lt in lts]), n, heads)
-                       for name in "qkv")
-            a = np.array([lt.attn.weights for lt in lts])
-            g.wo[...] += _heads_merge(a @ v).T @ dy
-            if g.bo is not None:
-                g.bo[...] += dy.sum(axis=0)
-            d_out = _heads_view(dy @ lay.wo.T, n, heads)
-            da = d_out @ v.transpose(0, 1, 3, 2)
-            # softmax rows: dS = A * (dA - rowsum(dA * A))
-            dscores = a * (da - (da * a).sum(axis=-1, keepdims=True))
-            dq = _heads_merge(dscores @ k * s)
-            dk = _heads_merge(dscores.transpose(0, 1, 3, 2) @ q * s)
-            dv = _heads_merge(a.transpose(0, 1, 3, 2) @ d_out)
+        # attention: y = concat(heads) @ Wo + bo, each head softmax(q k^T s) v
+        heads = cfg.heads_in_layer(layer)
+        s = 1.0 / math.sqrt(lay.wq.shape[1] // heads)
+        q, k, v = (_heads_view(np.concatenate([getattr(lt.attn, name) for lt in lts]), n, heads)
+                   for name in "qkv")
+        a = np.array([lt.attn.weights for lt in lts])
+        g.wo[...] += _heads_merge(a @ v).T @ dy
+        if g.bo is not None:
+            g.bo[...] += dy.sum(axis=0)
+        d_out = _heads_view(dy @ lay.wo.T, n, heads)
+        da = d_out @ v.transpose(0, 1, 3, 2)
+        # softmax rows: dS = A * (dA - rowsum(dA * A))
+        dscores = a * (da - (da * a).sum(axis=-1, keepdims=True))
+        dq = _heads_merge(dscores @ k * s)
+        dk = _heads_merge(dscores.transpose(0, 1, 3, 2) @ q * s)
+        dv = _heads_merge(a.transpose(0, 1, 3, 2) @ d_out)
 
-            g.wq[...] += x_in.T @ dq
-            g.wk[...] += x_in.T @ dk
-            g.wv[...] += x_in.T @ dv
-            if g.bq is not None:
-                g.bq[...] += dq.sum(axis=0)
-                g.bk[...] += dk.sum(axis=0)
-                g.bv[...] += dv.sum(axis=0)
-            dx = dq @ lay.wq.T + dk @ lay.wk.T + dv @ lay.wv.T
+        g.wq[...] += x_in.T @ dq
+        g.wk[...] += x_in.T @ dk
+        g.wv[...] += x_in.T @ dv
+        if g.bq is not None:
+            g.bq[...] += dq.sum(axis=0)
+            g.bk[...] += dk.sum(axis=0)
+            g.bv[...] += dv.sum(axis=0)
+        dx = dq @ lay.wq.T + dk @ lay.wk.T + dv @ lay.wv.T
 
-        # embedding lookup: a row of tok_emb per token id, of pos_emb per position
-        np.add.at(grads.tok_emb, tokens[rows], dx)
-        grads.pos_emb[:n] += dx.reshape(-1, n, dx.shape[1]).sum(axis=0)
+    # embedding lookup: a row of tok_emb per token id, of pos_emb per position
+    np.add.at(grads.tok_emb, np.asarray(batch, dtype=np.int64).ravel(), dx)
+    grads.pos_emb[:n] += dx.reshape(-1, n, dx.shape[1]).sum(axis=0)
     return loss, grads
 
 

@@ -119,9 +119,13 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def done(self):
-        if self.pos != len(self.blob):
-            raise ValueError(f"{self.path}: {len(self.blob) - self.pos} trailing bytes")
+    def expect(self, n: int) -> None:
+        """Require exactly n bytes after the header, before anything sized from it is built."""
+        left = len(self.blob) - self.pos
+        if left < n:
+            raise ValueError(f"{self.path}: truncated model file")
+        if left > n:
+            raise ValueError(f"{self.path}: {left - n} trailing bytes")
 
 
 def save_model(path: str | Path, cfg: ModelConfig, p: ParamSet) -> None:
@@ -166,8 +170,8 @@ def load_model(path: str | Path) -> tuple[ModelConfig, ParamSet]:
             f"{path}: version {version} holds int8 data; expected a float64 (version 1) file"
         )
     n = param_count(cfg)
-    theta = np.frombuffer(r.blob, dtype="<f8", count=n, offset=r.skip(8 * n)).astype(np.float64)
-    r.done()
+    r.expect(8 * n)
+    theta = np.frombuffer(r.blob, dtype="<f8", count=n, offset=r.pos).astype(np.float64)
     p = ParamSet(_freeze(theta), param_layout(cfg))
     _check_finite(p, f"{path}: tensor")
     return cfg, p
@@ -182,6 +186,8 @@ def load_quantized_model(
         raise ValueError(
             f"{path}: version {version} holds float64 data; expected an int8 (version 2) file"
         )
+    # one float64 scale per tensor, then one byte per value
+    r.expect(8 * (2 + cfg.n_layers * (12 if cfg.use_bias else 6)) + param_count(cfg))
     tensors = []
     for name, shape in param_layout(cfg):
         scale = struct.unpack("<d", r.take(8))[0]
@@ -193,5 +199,4 @@ def load_quantized_model(
             tensors.append((name, QuantizedTensor(values, scale)))
         except ValueError as exc:
             raise ValueError(f"{path}: tensor {name}: {exc}") from exc
-    r.done()
     return cfg, tensors

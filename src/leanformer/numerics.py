@@ -9,6 +9,8 @@ bit-for-bit from a single integer seed.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # A Matrix is a 2-D, C-contiguous float64 ndarray. Kept as an alias rather
@@ -58,7 +60,8 @@ def rng_uniform_array(seed: int, shape: tuple[int, ...], lo: float, hi: float) -
     """`shape`-many SplitMix64 draws from `seed`, uniform in [lo, hi), row-major.
 
     Draw k advances the state to seed + k * GAMMA (mod 2**64), mixes it,
-    and keeps the top 53 bits of the output as a fraction in [0, 1).
+    and keeps the top 53 bits of the output as a fraction in [0, 1). Any
+    integer type seeds the stream, numpy's included.
     """
     if not lo < hi:
         raise ValueError(f"rng_uniform_array: empty interval [{lo}, {hi})")
@@ -67,7 +70,7 @@ def rng_uniform_array(seed: int, shape: tuple[int, ...], lo: float, hi: float) -
         raise ValueError(f"rng_uniform_array: empty shape {shape}")
     # all n mixer inputs are known up front; uint64 array arithmetic wraps mod 2^64
     steps = np.arange(1, n + 1, dtype=np.uint64)
-    s = np.uint64(seed & _MASK64) + np.uint64(_GAMMA) * steps
+    s = np.uint64(operator.index(seed) & _MASK64) + np.uint64(_GAMMA) * steps
     z = (s ^ (s >> np.uint64(30))) * np.uint64(_MIX_A)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
     z = z ^ (z >> np.uint64(31))

@@ -150,8 +150,7 @@ def time_forward(
         raise ValueError(f"time_forward: reps must be >= 1, got {reps}")
     if warmup < 0:
         raise ValueError(f"time_forward: warmup must be >= 0, got {warmup}")
-    inputs, _ = synth_copy_batch(_BENCH_BATCH_SEED, batch_size, seq_len, cfg.vocab_size)
-    batch = list(inputs)
+    batch, _ = synth_copy_batch(_BENCH_BATCH_SEED, batch_size, seq_len, cfg.vocab_size)
 
     for _ in range(warmup):
         model_forward(p, cfg, batch)

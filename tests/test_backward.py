@@ -1,4 +1,4 @@
-"""The batched backward: scalar oracle, ragged batches, the shared loss and the logit buffer."""
+"""The batched backward: scalar oracle, the shared loss, rectangular batches and the logit array."""
 
 import tracemalloc
 
@@ -23,9 +23,6 @@ import reference
 TINY = PRESETS["tiny"]
 BIASED_2L = ModelConfig(vocab_size=9, max_seq_len=5, d_model=6, n_heads=3, d_ff=7, n_layers=2,
                         use_bias=True)
-RAGGED_CFG = ModelConfig(vocab_size=13, max_seq_len=6, d_model=8, n_heads=2, d_ff=10, n_layers=2,
-                         use_bias=True)
-RAGGED = [[1, 2, 3], [4], [5, 6, 7, 8, 9, 10], [0, 1, 2], [3, 3], [12, 11, 10, 9, 8, 7]]
 # structurally pruned: narrower heads, and a different head count per layer
 PRUNED = ModelConfig(vocab_size=11, max_seq_len=5, d_model=8, n_heads=2, d_ff=6, n_layers=2,
                      head_dim=3, layer_heads=(2, 1))
@@ -54,8 +51,7 @@ def rel_err(got, want):
 CASES = {
     "tiny": (TINY, [[1, 2, 3, 4], [5, 6, 7, 0]]),
     "biased-2-layer": (BIASED_2L, [[1, 2, 3, 4, 5], [8, 0, 2, 2, 1], [3, 3, 3, 3, 3]]),
-    "ragged": (RAGGED_CFG, RAGGED),
-    "pruned-heads": (PRUNED, [[1, 2, 3], [4, 5, 6], [7, 8], [9, 10, 0, 1, 2]]),
+    "pruned-heads": (PRUNED, [[1, 2, 3, 4], [4, 5, 6, 7], [7, 8, 9, 10], [9, 10, 0, 1]]),
 }
 
 
@@ -74,23 +70,6 @@ class TestScalarOracle:
         assert rel_err(grads.theta, want) <= 1e-12
 
 
-class TestRaggedBatches:
-    def test_equal_the_position_weighted_sum_of_single_sequences(self):
-        # ragged batches are bucketed by length in the backward; the result
-        # must not depend on that grouping
-        p = random_params(RAGGED_CFG, 4)
-        targets = shifted_targets(RAGGED, RAGGED_CFG.vocab_size)
-        loss, grads = loss_and_grads(p, RAGGED_CFG, RAGGED, targets)
-        total = sum(len(s) for s in RAGGED)
-        want_loss, want_grad = 0.0, np.zeros_like(p.theta)
-        for seq, tgt in zip(RAGGED, targets):
-            one_loss, one_grads = loss_and_grads(p, RAGGED_CFG, [seq], [tgt])
-            want_loss += one_loss * len(seq) / total
-            want_grad += one_grads.theta * (len(seq) / total)
-        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
-        assert rel_err(grads.theta, want_grad) <= 1e-12
-
-
 class TestOneLoss:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_loss_and_grads_reports_batch_loss_exactly(self, case):
@@ -107,42 +86,21 @@ class TestOneLoss:
 
     def test_wrong_target_count_rejected(self):
         p = init_params(TINY, 0)
-        with pytest.raises(ValueError, match="2 targets for 3 positions"):
+        with pytest.raises(ValueError, match=r"targets of shape \(1, 2\) for positions of shape \(1, 3\)"):
             batch_loss(p, TINY, [[1, 2, 3]], [[1, 2]])
         with pytest.raises(ValueError, match="outside"):
             loss_and_grads(p, TINY, [[1, 2, 3]], [[1, 2, 11]])
 
 
 class TestLogitBuffer:
-    def test_ragged_logits_are_consecutive_rows_of_one_buffer(self):
-        p = init_params(RAGGED_CFG, 0)
-        logits, _ = model_forward(p, RAGGED_CFG, RAGGED)
-        buffer = logits[0].base
-        assert isinstance(buffer, np.ndarray) and buffer.flags.c_contiguous
-        assert buffer.shape == (sum(len(s) for s in RAGGED), RAGGED_CFG.vocab_size)
-        row = 0
-        for seq, lg in zip(RAGGED, logits):
-            assert lg.base is buffer
-            assert lg.ctypes.data == buffer.ctypes.data + row * buffer.strides[0]
-            assert lg.shape == (len(seq), RAGGED_CFG.vocab_size)
-            row += len(seq)
-
-    @pytest.mark.parametrize("broken", ["copied", "out of order"])
-    def test_backward_refuses_logits_laid_out_otherwise(self, monkeypatch, broken):
-        def broken_forward(p, cfg, batch):
-            logits, traces = model_forward(p, cfg, batch)
-            if broken == "copied":
-                return [lg.copy() for lg in logits], traces
-            return logits[1::-1] + logits[2:], traces
-
-        monkeypatch.setattr(model, "model_forward", broken_forward)
-        p = init_params(RAGGED_CFG, 0)
-        batch = RAGGED if broken == "copied" else [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
-        targets = shifted_targets(batch, RAGGED_CFG.vocab_size)
-        with pytest.raises(ValueError, match="consecutive row slices"):
-            loss_and_grads(p, RAGGED_CFG, batch, targets)
-        with pytest.raises(ValueError, match="consecutive row slices"):
-            batch_loss(p, RAGGED_CFG, batch, targets)
+    def test_logits_are_one_contiguous_array_the_traces_view(self):
+        p = init_params(BIASED_2L, 0)
+        batch = [[1, 2, 3], [4, 5, 6], [8, 0, 2], [3, 3, 3]]
+        logits, traces = model_forward(p, BIASED_2L, batch)
+        assert logits.shape == (4, 3, BIASED_2L.vocab_size) and logits.dtype == np.float64
+        assert logits.flags.c_contiguous
+        for row, t in zip(logits, traces):
+            assert t.logits.base is logits and np.array_equal(t.logits, row)
 
     def test_backward_releases_the_buffer_before_the_layers(self):
         # over the forward's own peak, the backward holds the gradient vector
@@ -162,6 +120,30 @@ class TestLogitBuffer:
         finally:
             tracemalloc.stop()
         assert backward_peak - forward_peak <= p.theta.nbytes + 500_000
+
+
+MIXED = [[1, 2, 3], [4, 5]]
+
+
+class TestRectangularBatches:
+    @pytest.mark.parametrize("call", [
+        lambda p, batch: model_forward(p, TINY, batch),
+        lambda p, batch: batch_loss(p, TINY, batch, batch),
+        lambda p, batch: loss_and_grads(p, TINY, batch, batch),
+        lambda p, batch: train_step(p, TINY, batch, batch, 0.1),
+    ], ids=["model_forward", "batch_loss", "loss_and_grads", "train_step"])
+    def test_mixed_length_batch_rejected(self, call):
+        with pytest.raises(ValueError, match=r"model_forward: batch must be one \(sequences, n\) array"):
+            call(init_params(TINY, 0), MIXED)
+
+    @pytest.mark.parametrize("call, who", [
+        (lambda p, targets: batch_loss(p, TINY, [[1, 2, 3], [4, 5, 6]], targets), "batch_loss"),
+        (lambda p, targets: loss_and_grads(p, TINY, [[1, 2, 3], [4, 5, 6]], targets), "loss_and_grads"),
+        (lambda p, targets: train_step(p, TINY, [[1, 2, 3], [4, 5, 6]], targets, 0.1), "loss_and_grads"),
+    ], ids=["batch_loss", "loss_and_grads", "train_step"])
+    def test_mixed_length_targets_rejected(self, call, who):
+        with pytest.raises(ValueError, match=rf"{who}: targets must be one \(sequences, n\) array"):
+            call(init_params(TINY, 0), MIXED)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import leanformer
+from leanformer import compression, modelfile, profiler
 from leanformer.cli import main
 from leanformer.model import PRESETS, init_params, param_count
 from leanformer.modelfile import (
@@ -113,6 +114,15 @@ class TestCompare:
         code = main(["compare", "--baseline", "tiny", "--variant", "tiny", "--seq", "4",
                      "--batch", "2", "--reps", "1", "--warmup", "0", "--json", str(tmp_path)])
         assert_input_error(capsys, code, tmp_path)
+
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_bad_json_path_refused_before_profiling(self, tmp_path, capsys, monkeypatch, where):
+        profiled = []
+        monkeypatch.setattr(profiler, "profile_model", lambda *a, **k: profiled.append(a))
+        out = tmp_path if where == "directory" else tmp_path / "nodir" / "c.json"
+        code = main(["compare", "--baseline", "tiny", "--variant", "tiny", "--json", str(out)])
+        assert_input_error(capsys, code, out)
+        assert profiled == []
 
     def test_json_deterministic_outside_timing(self, tmp_path, capsys):
         docs = []
@@ -236,6 +246,23 @@ class TestCompress:
         code = main(["compress", pass_args[0], "--model", str(model_path),
                      "--out", str(out), *pass_args[1:]])
         assert_input_error(capsys, code, out)
+
+    @pytest.mark.parametrize("pass_args", [["quantize"], ["prune-magnitude", "--threshold", "0"],
+                                           ["prune-heads", "--layer", "0", "--keep", "0"],
+                                           ["prune-layers", "--keep-layers", "0"]])
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_bad_out_refused_before_loading_or_compressing(
+            self, tmp_path, model_path, capsys, monkeypatch, pass_args, where):
+        calls = []
+        for module, name in ((modelfile, "load_model"), (compression, "quantize_params"),
+                             (compression, "prune_magnitude"), (compression, "prune_heads"),
+                             (compression, "prune_layers")):
+            monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+        out = tmp_path if where == "directory" else tmp_path / "nodir" / "x.retf"
+        code = main(["compress", pass_args[0], "--model", str(model_path),
+                     "--out", str(out), *pass_args[1:]])
+        assert_input_error(capsys, code, out)
+        assert calls == []
 
     def test_negative_threshold_exit_2(self, tmp_path, model_path, capsys):
         code = main(["compress", "prune-magnitude", "--model", str(model_path),

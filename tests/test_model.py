@@ -81,6 +81,11 @@ class TestInit:
             assert na == nb
             assert np.array_equal(arr_a, arr_b)
 
+    @pytest.mark.parametrize("seed", [np.int64(3), np.int32(-5), np.uint64(2**63 + 1)])
+    def test_numpy_integer_seed_draws_the_python_int_stream(self, seed):
+        assert init_params(TINY, seed).theta.tobytes() == init_params(TINY, int(seed)).theta.tobytes()
+        assert np.array_equal(synth_copy_batch(seed, 2, 3, 11)[0], synth_copy_batch(int(seed), 2, 3, 11)[0])
+
     def test_layerless_model_has_only_embeddings(self):
         cfg = ModelConfig(6, 3, 4, 2, 8, 0)
         p = init_params(cfg, seed=0)
@@ -239,11 +244,12 @@ class TestForward:
         # recorded from the first run verified against the slow reference
         assert checksum == pytest.approx(6.787563234587767e-06, rel=1e-9)
 
-    def test_ragged_batch_bit_equal_to_per_sequence_path(self):
+    @pytest.mark.parametrize("batch", [[[1, 2, 3, 4, 5, 6], [7, 0, 12, 3, 3, 1], [0, 12, 3, 5, 6, 7]],
+                                       [[7], [0]]], ids=["length-6", "length-1"])
+    def test_batch_bit_equal_to_per_sequence_path(self, batch):
         cfg = ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True)
         theta = rng_uniform_array(9, (param_count(cfg),), -0.5, 0.5)
         p = init_params(cfg, 0).with_theta(theta)
-        batch = [[1, 2, 3, 4, 5, 6], [7], [0, 12, 3]]
         logits, _ = model_forward(p, cfg, batch)
         for tokens, got in zip(batch, logits):
             x = embed(p, tokens)

@@ -1,23 +1,114 @@
-"""Size arithmetic of the model-file loaders on headers from outside the program."""
+"""The model-file loaders on bytes from outside the program: size arithmetic and mutations."""
 
 import json
 import struct
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from leanformer.modelfile import MAGIC, VERSION_FLOAT64, VERSION_INT8, load_model, load_quantized_model
+from leanformer.compression import quantize_params
+from leanformer.model import PRESETS, ModelConfig, init_params
+from leanformer.modelfile import (
+    MAGIC, VERSION_FLOAT64, VERSION_INT8, load_model, load_quantized_model, save_model,
+    save_quantized_model,
+)
+
+LOADERS = {VERSION_FLOAT64: load_model, VERSION_INT8: load_quantized_model}
 
 
-@pytest.mark.parametrize("version, loader", [(VERSION_FLOAT64, load_model),
-                                             (VERSION_INT8, load_quantized_model)])
+def header(version, doc):
+    """Magic, version, (for v2) the int8 tag and the config block: a file with no payload."""
+    config = json.dumps(doc).encode("utf-8")
+    tag = b"" if version == VERSION_FLOAT64 else struct.pack("<I", 4) + b"int8"
+    return MAGIC + struct.pack("<I", version) + tag + struct.pack("<I", len(config)) + config
+
+
+def load_peak(load, path):
+    """tracemalloc peak of one load, which may raise only ValueError."""
+    tracemalloc.start()
+    try:
+        load(path)
+    except ValueError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def peak_bound(size):
+    """A loader may hold a few copies of the file, plus a fixed few tens of kilobytes."""
+    return 4 * size + 32_000
+
+
+@pytest.mark.parametrize("version, loader", LOADERS.items())
 def test_dims_whose_product_wraps_int64_read_as_truncated(tmp_path, version, loader):
     # tok_emb is 2**32 x 2**32: its element count wraps to 0 in int64
     doc = {"vocab_size": 2**32, "max_seq_len": 1, "d_model": 2**32,
            "n_heads": 1, "d_ff": 1, "n_layers": 0}
-    config = json.dumps(doc).encode("utf-8")
-    tag = b"" if version == VERSION_FLOAT64 else struct.pack("<I", 4) + b"int8"
     path = tmp_path / "huge.retf"
-    path.write_bytes(MAGIC + struct.pack("<I", version) + tag
-                     + struct.pack("<I", len(config)) + config + bytes(64))
+    path.write_bytes(header(version, doc) + bytes(64))
     with pytest.raises(ValueError, match="truncated"):
         loader(path)
+
+
+@pytest.mark.parametrize("version, loader", LOADERS.items())
+def test_deep_header_without_payload_fails_before_layout(tmp_path, version, loader):
+    # the payload size is checked before a 100,000-layer layout is built
+    doc = {"vocab_size": 2, "max_seq_len": 1, "d_model": 1, "n_heads": 1, "d_ff": 1,
+           "n_layers": 100_000}
+    path = tmp_path / "deep.retf"
+    path.write_bytes(header(version, doc))
+    with pytest.raises(ValueError, match=r"deep\.retf: truncated model file"):
+        loader(path)
+    assert load_peak(loader, path) <= peak_bound(path.stat().st_size)
+
+
+@pytest.mark.parametrize("edit, message", [(lambda b: b[:-1], "truncated model file"),
+                                           (lambda b: b + b"xyz", "3 trailing bytes")],
+                         ids=["short", "long"])
+def test_v2_payload_size_named(tmp_path, edit, message):
+    cfg = PRESETS["tiny"]
+    path = tmp_path / "q.retf"
+    save_quantized_model(path, cfg, quantize_params(init_params(cfg, 0)))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        load_quantized_model(path)
+
+
+FUZZ_CFG = ModelConfig(vocab_size=7, max_seq_len=3, d_model=4, n_heads=2, d_ff=5, n_layers=1,
+                       use_bias=True)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    p = init_params(FUZZ_CFG, 5)
+    save_model(root / "v1.retf", FUZZ_CFG, p)
+    save_quantized_model(root / "v2.retf", FUZZ_CFG, quantize_params(p))
+    return root, {v: (root / f"v{v}.retf").read_bytes() for v in LOADERS}
+
+
+byte_edits = st.lists(st.tuples(st.integers(0, 2**16), st.binary(min_size=1, max_size=4)),
+                      max_size=4)
+
+
+@given(version=st.sampled_from(sorted(LOADERS)), writes=byte_edits, inserts=byte_edits,
+       cut=st.one_of(st.none(), st.integers(0, 1600)))
+@settings(max_examples=200, deadline=None)
+def test_mutated_files_raise_only_value_error_within_bounded_memory(
+        fuzz_files, version, writes, inserts, cut):
+    root, originals = fuzz_files
+    blob = bytearray(originals[version])
+    for at, data in writes:
+        at %= len(blob)
+        blob[at: at + len(data)] = data
+    for at, data in inserts:
+        at %= len(blob) + 1
+        blob[at:at] = data
+    path = root / "mutant.retf"
+    path.write_bytes(bytes(blob[:cut]))
+    for load in LOADERS.values():
+        assert load_peak(load, path) <= peak_bound(path.stat().st_size)
