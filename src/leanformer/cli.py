@@ -4,8 +4,9 @@ Exit codes follow one contract everywhere: 0 success, 1 a checked
 condition failed (training did not improve, search found nothing,
 gradient check too loose), 2 usage or input errors. The library validates
 its inputs; any ValueError or OSError it raises (a bad flag value, an
-unreadable or unwritable path, a malformed model or config file) ends as
-one `error:` line on stderr and exit 2.
+unreadable or unwritable path, a malformed model or config file), and the
+MemoryError of a model too large to allocate, ends as one `error:` line on
+stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -254,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

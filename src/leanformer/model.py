@@ -229,55 +229,65 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamSet:
     return _init_uniform(cfg, seed, INIT_LO, INIT_HI)
 
 
-def embed(p: ParamSet, tokens: Sequence[int]) -> Matrix:
-    """Token embedding plus learned position embedding, row per position."""
-    ids = np.asarray(tokens, dtype=np.int64)
-    if ids.ndim != 1 or ids.size < 1:
-        raise ValueError("embed: need a non-empty 1-D sequence of token ids")
-    max_len = p.pos_emb.shape[0]
-    vocab = p.tok_emb.shape[0]
-    if ids.size > max_len:
-        raise ValueError(f"embed: sequence length {ids.size} exceeds max_seq_len {max_len}")
-    bad = np.where((ids < 0) | (ids >= vocab))[0]
+def _id_array(who: str, what: str, rows: Sequence) -> np.ndarray:
+    """`rows` as one int64 array; mixed row lengths or non-integer ids are a ValueError naming `who`."""
+    try:
+        ids = np.asarray(rows)
+    except ValueError as exc:
+        raise ValueError(f"{who}: {what} must be one (sequences, n) array: {exc}") from None
+    # an empty list reads as float64; the caller's emptiness check names it
+    if ids.size and not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"{who}: {what} must hold integer ids, got dtype {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
+
+
+def embed(p: ParamSet, tokens: Sequence) -> np.ndarray:
+    """Token plus learned position embedding, row per position, of ids shaped (n,) or (sequences, n)."""
+    ids = _id_array("embed", "tokens", tokens)
+    if ids.ndim not in (1, 2) or ids.size < 1:
+        raise ValueError("embed: need a non-empty sequence or (sequences, n) array of token ids")
+    max_len, vocab, n = p.pos_emb.shape[0], p.tok_emb.shape[0], ids.shape[-1]
+    if n > max_len:
+        raise ValueError(f"embed: sequence length {n} exceeds max_seq_len {max_len}")
+    bad = np.argwhere((ids < 0) | (ids >= vocab))
     if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"embed: token id {int(ids[i])} at position {i} outside [0, {vocab})")
-    return p.tok_emb[ids] + p.pos_emb[: ids.size]
+        *seq, i = bad[0]
+        where = f"position {i}" + "".join(f" of sequence {s}" for s in seq)
+        raise ValueError(f"embed: token id {int(ids[tuple(bad[0])])} at {where} outside [0, {vocab})")
+    return p.tok_emb[ids] + p.pos_emb[:n]
 
 
 @dataclass
 class AttentionTrace:
-    q: Matrix
-    k: Matrix
-    v: Matrix
-    weights: list[Matrix]  # one n x n matrix per head
-    out: Matrix
+    q: np.ndarray
+    k: np.ndarray
+    v: np.ndarray
+    weights: Sequence[Matrix]  # one n x n matrix per head
 
 
 @dataclass
 class LayerTrace:
-    attn: AttentionTrace
-    ffn_hidden: Matrix
-    ffn_out: Matrix
+    """One layer's activations for a batch, each array led by a sequence axis."""
+
+    attn: AttentionTrace  # q, k, v (sequences, n, width); weights (sequences, heads, n, n)
+    attn_out: np.ndarray
+    ffn_hidden: np.ndarray
+    ffn_out: np.ndarray
 
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate activation of one sequence's forward pass."""
+    """Every intermediate activation of one batch's forward pass."""
 
-    embedded: Matrix
+    ids: np.ndarray  # the checked (sequences, n) token ids
+    embedded: np.ndarray  # (sequences, n, d)
     layers: list[LayerTrace]
-    logits: Matrix
 
 
 def trace_element_count(t: ForwardTrace) -> int:
-    """Total activation elements held by a trace (the memory-accounting oracle)."""
-    n = t.embedded.size + t.logits.size
-    for lt in t.layers:
-        n += lt.attn.q.size + lt.attn.k.size + lt.attn.v.size
-        n += sum(w.size for w in lt.attn.weights)
-        n += lt.attn.out.size + lt.ffn_hidden.size + lt.ffn_out.size
-    return n
+    """Activation elements held by a trace, logits aside (the memory-accounting oracle)."""
+    return t.embedded.size + sum(a.size for lt in t.layers for a in (
+        *vars(lt.attn).values(), lt.attn_out, lt.ffn_hidden, lt.ffn_out))
 
 
 def attention_forward(
@@ -318,7 +328,7 @@ def attention_forward(
     out = matmul(concat, lay.wo)
     if lay.bo is not None:
         out = out + lay.bo
-    return out, AttentionTrace(q=q, k=k, v=v, weights=weights, out=out)
+    return out, AttentionTrace(q=q, k=k, v=v, weights=weights)
 
 
 def _ffn(p: ParamSet, layer: int, x: Matrix) -> tuple[Matrix, Matrix]:
@@ -340,45 +350,41 @@ def ffn_forward(p: ParamSet, layer: int, x: Matrix) -> Matrix:
     return _ffn(p, layer, x)[1]
 
 
-def _id_array(who: str, what: str, rows: Sequence) -> np.ndarray:
-    """`rows` as one int64 array; rows of mixed lengths are a ValueError naming `who`."""
-    try:
-        return np.asarray(rows, dtype=np.int64)
-    except ValueError as exc:
-        raise ValueError(f"{who}: {what} must be one (sequences, n) array: {exc}") from None
-
-
 def model_forward(
     p: ParamSet, cfg: ModelConfig, batch: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, list[ForwardTrace]]:
+) -> tuple[np.ndarray, ForwardTrace]:
     """Run the full encoder over a (sequences, n) batch of token ids.
 
     Returns the logits as one C-contiguous (sequences, n, vocab) array and
-    one ForwardTrace per sequence. Layers compose as x <- ffn(attention(x))
+    one ForwardTrace for the batch. Layers compose as x <- ffn(attention(x))
     with no residual paths; the logits are x against the transposed token
-    embedding. The logit array is allocated once the whole batch has passed
-    `embed`'s checks, so a batch costs one large allocation however earlier
-    work left the heap.
+    embedding. The whole batch passes `embed`'s checks first. Every trace
+    array, and then the logits, is allocated once at its final shape and
+    filled one sequence at a time; the logits read the trace's last array.
     """
     ids = _id_array("model_forward", "batch", batch)
     if ids.ndim != 2 or len(ids) == 0:
         raise ValueError("model_forward: batch must be a non-empty (sequences, n) array of token ids")
-    passes = []
-    for tokens in ids:
-        x0 = embed(p, tokens)
-        x = x0
-        layer_traces = []
-        for layer in range(cfg.n_layers):
-            y, attn_trace = attention_forward(p, layer, x, cfg.heads_in_layer(layer))
+    embedded = embed(p, ids)
+    n, d = embedded.shape[1:]
+    layers = []
+    for layer in range(cfg.n_layers):
+        w, heads = cfg.attn_width(layer), cfg.heads_in_layer(layer)
+        q, k, v, weights, y, hidden, out = (np.empty((len(ids), *shape)) for shape in (
+            (n, w), (n, w), (n, w), (heads, n, n), (n, d), (n, cfg.d_ff), (n, d)))
+        layers.append(LayerTrace(AttentionTrace(q, k, v, weights), y, hidden, out))
+    for s, x in enumerate(embedded):
+        for layer, lt in enumerate(layers):
+            y, attn = attention_forward(p, layer, x, cfg.heads_in_layer(layer))
             hidden, x = _ffn(p, layer, y)
-            layer_traces.append(LayerTrace(attn=attn_trace, ffn_hidden=hidden, ffn_out=x))
-        passes.append((x0, layer_traces, x))
+            for name, a in vars(attn).items():
+                getattr(lt.attn, name)[s] = a
+            lt.attn_out[s], lt.ffn_hidden[s], lt.ffn_out[s] = y, hidden, x
+    # after the layers: each sequence's product streams all of tok_emb, evicting the layer weights
     logits = np.empty((*ids.shape, p.tok_emb.shape[0]))
-    traces = []
-    for out, (x0, layer_traces, x) in zip(logits, passes):
+    for out, x in zip(logits, layers[-1].ffn_out if layers else embedded):
         matmul(x, p.tok_emb.T, out=out)
-        traces.append(ForwardTrace(embedded=x0, layers=layer_traces, logits=out))
-    return logits, traces
+    return logits, ForwardTrace(ids=ids, embedded=embedded, layers=layers)
 
 
 def _target_ids(who: str, targets: Sequence, shape: tuple[int, ...], vocab: int) -> np.ndarray:
@@ -431,9 +437,9 @@ def batch_loss(
     return _fused_cross_entropy(logits.reshape(ids.size, -1), ids, grad=False)
 
 
-def _heads_view(m: Matrix, n: int, heads: int) -> np.ndarray:
-    """(sequences * n, heads * dh) rows as a (sequences, heads, n, dh) view."""
-    return m.reshape(-1, n, heads, m.shape[1] // heads).transpose(0, 2, 1, 3)
+def _heads_view(m: np.ndarray, n: int, heads: int) -> np.ndarray:
+    """(sequences, n, heads * dh) or its rows as a (sequences, heads, n, dh) view."""
+    return m.reshape(-1, n, heads, m.shape[-1] // heads).transpose(0, 2, 1, 3)
 
 
 def _heads_merge(t: np.ndarray) -> Matrix:
@@ -456,11 +462,11 @@ def loss_and_grads(
 
     The cross-entropy works in place on `model_forward`'s logit array,
     which then becomes the logit gradient and is released before the
-    layers. Each layer is differentiated once for the whole batch, with
-    the sequences stacked as (sequences * n, ·) rows and heads as
-    (sequences, heads, n, head width) views.
+    layers. Each layer is differentiated once for the whole batch, reading
+    the trace's (sequences, n, ·) arrays as (sequences * n, ·) rows and
+    heads as (sequences, heads, n, head width) views.
     """
-    logits, traces = model_forward(p, cfg, batch)
+    logits, trace = model_forward(p, cfg, batch)
     n = logits.shape[1]
     ids = _target_ids("loss_and_grads", targets, logits.shape[:2], logits.shape[2])
     # the logits until the fused cross-entropy turns them into their gradient
@@ -471,24 +477,19 @@ def loss_and_grads(
     # logits = x_final @ tok_emb^T  (tied output); grads start at zero, so
     # the product is written straight into tok_emb's gradient
     grads = p.with_theta(np.zeros_like(p.theta))
-    x_final = np.concatenate([t.layers[-1].ffn_out if t.layers else t.embedded for t in traces])
+    x_final = (trace.layers[-1].ffn_out if trace.layers else trace.embedded).reshape(ids.size, -1)
     np.matmul(dlogits.T, x_final, out=grads.tok_emb)
     dx = dlogits @ p.tok_emb
-    # the last references to the logit array: freeing it here keeps it out
+    # the last reference to the logit array: freeing it here keeps it out
     # of the layer backward's peak memory
     del dlogits
-    for t in traces:
-        t.logits = None
 
     for layer in reversed(range(cfg.n_layers)):
-        lay = p.layers[layer]
-        g = grads.layers[layer]
-        lts = [t.layers[layer] for t in traces]
-        x_in = np.concatenate([t.layers[layer - 1].ffn_out if layer else t.embedded for t in traces])
+        lay, g, lt = p.layers[layer], grads.layers[layer], trace.layers[layer]
+        x_in = (trace.layers[layer - 1].ffn_out if layer else trace.embedded).reshape(ids.size, -1)
 
         # feed-forward: out = relu(y W1 + b1) W2 + b2
-        hidden = np.concatenate([lt.ffn_hidden for lt in lts])
-        y = np.concatenate([lt.attn.out for lt in lts])
+        hidden, y = lt.ffn_hidden.reshape(ids.size, -1), lt.attn_out.reshape(ids.size, -1)
         g.w2[...] += hidden.T @ dx
         if g.b2 is not None:
             g.b2[...] += dx.sum(axis=0)
@@ -501,9 +502,8 @@ def loss_and_grads(
         # attention: y = concat(heads) @ Wo + bo, each head softmax(q k^T s) v
         heads = cfg.heads_in_layer(layer)
         s = 1.0 / math.sqrt(lay.wq.shape[1] // heads)
-        q, k, v = (_heads_view(np.concatenate([getattr(lt.attn, name) for lt in lts]), n, heads)
-                   for name in "qkv")
-        a = np.array([lt.attn.weights for lt in lts])
+        q, k, v = (_heads_view(m, n, heads) for m in (lt.attn.q, lt.attn.k, lt.attn.v))
+        a = lt.attn.weights
         g.wo[...] += _heads_merge(a @ v).T @ dy
         if g.bo is not None:
             g.bo[...] += dy.sum(axis=0)
@@ -525,7 +525,7 @@ def loss_and_grads(
         dx = dq @ lay.wq.T + dk @ lay.wk.T + dv @ lay.wv.T
 
     # embedding lookup: a row of tok_emb per token id, of pos_emb per position
-    np.add.at(grads.tok_emb, np.asarray(batch, dtype=np.int64).ravel(), dx)
+    np.add.at(grads.tok_emb, trace.ids.ravel(), dx)
     grads.pos_emb[:n] += dx.reshape(-1, n, dx.shape[1]).sum(axis=0)
     return loss, grads
 

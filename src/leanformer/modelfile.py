@@ -53,7 +53,7 @@ def config_from_json_dict(doc: dict, *, allow_pruned: bool = True) -> ModelConfi
     allowed = set(_CONFIG_KEYS) | ({"head_dim", "layer_heads"} if allow_pruned else set())
     unknown = sorted(set(doc) - allowed)
     if unknown:
-        raise ValueError(f"config: unknown key '{unknown[0]}'")
+        raise ValueError(f"config: unknown key {unknown[0]!r}")
     kwargs = {}
     for key in _CONFIG_KEYS:
         if key == "use_bias":

@@ -1,9 +1,9 @@
 """Resource accounting: parameter memory, activation memory, wall-clock timing.
 
 Parameter memory is exact (8 bytes per float64 element); activation memory
-is the closed-form element count of one forward trace; timing is measured
-with warmup and reported through order statistics, with the clock
-injectable so the statistics pipeline is testable without real time.
+is the closed-form element count of one forward's trace and logits; timing
+is measured with warmup and reported through order statistics, with the
+clock injectable so the statistics pipeline is testable without real time.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ def activation_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> int:
     Per sequence: the embedded input (n*d), per layer Q, K, V (3*n*w), the
     per-head attention weights (heads*n^2), the attention output (n*d),
     the FFN hidden (n*f) and output (n*d), and the logits (n*V). Matches
-    8x the element count of the ForwardTrace by construction.
+    8x the element count of the batch's ForwardTrace plus its logits by
+    construction, and a forward's measured peak sits just above it.
     """
     if batch_size < 1 or seq_len < 1:
         raise ValueError("activation_bytes: batch_size and seq_len must be >= 1")
@@ -282,10 +283,9 @@ def config_search(
                     if d_ff % 2 != 0:
                         continue
                     for use_bias in BIAS_OPTIONS:
-                        layer_part = n_layers * (4 * d * d + 2 * d * d_ff)
-                        if use_bias:
-                            layer_part += n_layers * (4 * d + d_ff + d)
-                        remainder = target_base - layer_part
+                        # the count of a one-token, one-position model, less its 2 * d embeddings
+                        layers = ModelConfig(1, 1, d, heads, d_ff, n_layers, use_bias)
+                        remainder = target_base - (param_count(layers) - 2 * d)
                         if remainder <= 0 or remainder % d != 0:
                             continue
                         total_vs = remainder // d

@@ -11,6 +11,8 @@ from leanformer.model import (
     ModelConfig,
     PRESETS,
     batch_loss,
+    cross_entropy,
+    embed,
     init_params,
     loss_and_grads,
     model_forward,
@@ -96,11 +98,9 @@ class TestLogitBuffer:
     def test_logits_are_one_contiguous_array_the_traces_view(self):
         p = init_params(BIASED_2L, 0)
         batch = [[1, 2, 3], [4, 5, 6], [8, 0, 2], [3, 3, 3]]
-        logits, traces = model_forward(p, BIASED_2L, batch)
+        logits, _ = model_forward(p, BIASED_2L, batch)
         assert logits.shape == (4, 3, BIASED_2L.vocab_size) and logits.dtype == np.float64
         assert logits.flags.c_contiguous
-        for row, t in zip(logits, traces):
-            assert t.logits.base is logits and np.array_equal(t.logits, row)
 
     def test_backward_releases_the_buffer_before_the_layers(self):
         # over the forward's own peak, the backward holds the gradient vector
@@ -146,14 +146,52 @@ class TestRectangularBatches:
             call(init_params(TINY, 0), MIXED)
 
 
+NOT_INTEGERS = {
+    "float": [[1.0, 2.0]],
+    "truncating-float": [[1.9, 3.99]],
+    "bool": np.array([[True, False]]),
+    "beyond-int64": [[1, 2**70]],
+}
+
+
+class TestIntegerIds:
+    @pytest.mark.parametrize("ids", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+    def test_non_integer_batch_refused(self, ids):
+        p = init_params(TINY, 0)
+        with pytest.raises(ValueError, match="model_forward: batch must hold integer ids"):
+            model_forward(p, TINY, ids)
+        with pytest.raises(ValueError, match="model_forward: batch must hold integer ids"):
+            train_step(p, TINY, ids, [[1, 2]], 0.1)
+        with pytest.raises(ValueError, match="embed: tokens must hold integer ids"):
+            embed(p, ids[0])
+
+    @pytest.mark.parametrize("ids", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+    def test_non_integer_targets_refused(self, ids):
+        p = init_params(TINY, 0)
+        with pytest.raises(ValueError, match="batch_loss: targets must hold integer ids"):
+            batch_loss(p, TINY, [[1, 2]], ids)
+        with pytest.raises(ValueError, match="loss_and_grads: targets must hold integer ids"):
+            loss_and_grads(p, TINY, [[1, 2]], ids)
+        with pytest.raises(ValueError, match="cross_entropy: targets must hold integer ids"):
+            cross_entropy(np.zeros((2, TINY.vocab_size)), ids[0])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+    def test_any_integer_type_reads_as_int64(self, dtype):
+        p = init_params(TINY, 0)
+        batch = [[1, 2, 3], [4, 5, 6]]
+        want = loss_and_grads(p, TINY, batch, batch)
+        got = loss_and_grads(p, TINY, np.array(batch, dtype=dtype), np.array(batch, dtype=dtype))
+        assert got[0] == want[0] and got[1].theta.tobytes() == want[1].theta.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNonFiniteTraining:
     def test_overflowing_logits_raise(self):
         p = init_params(TINY, 3)
         batch, targets = synth_copy_batch(3, 4, 4, TINY.vocab_size)
         hot = p.with_theta(p.theta * 1e60)
-        logits, traces = model_forward(hot, TINY, batch)
-        assert np.all(np.isfinite(traces[0].layers[-1].ffn_out))
+        logits, trace = model_forward(hot, TINY, batch)
+        assert np.all(np.isfinite(trace.layers[-1].ffn_out[0]))
         assert not np.all(np.isfinite(np.concatenate(logits)))
         with pytest.raises(ValueError, match="train_step: loss is nan"):
             train_step(hot, TINY, batch, targets, lr=0.1)

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import leanformer
 from leanformer import compression, modelfile, profiler
 from leanformer.cli import main
-from leanformer.model import PRESETS, init_params, param_count
+from leanformer.model import ModelConfig, PRESETS, init_params, param_count
 from leanformer.modelfile import (
     MAGIC, VERSION_FLOAT64, load_model, load_quantized_model, save_model,
 )
@@ -366,6 +368,72 @@ class TestUndecodableConfigJson:
         code = main(["compress", "quantize", "--model", str(path),
                      "--out", str(tmp_path / "q.retf")])
         assert "not valid JSON" in assert_input_error(capsys, code, path)
+
+
+class TestTooLargeToAllocate:
+    @pytest.mark.parametrize("command", ["init", "compare"])
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, command):
+        # 8e15 token-embedding elements: past the 2**48-byte address space, so
+        # the first allocation fails under any overcommit setting, touching nothing
+        path = write_config(tmp_path, vocab_size=10**15)
+        out = tmp_path / "m.retf"
+        argv = {"init": ["init", "--config", str(path), "--out", str(out)],
+                "compare": ["compare", "--baseline", str(path), "--variant", "tiny",
+                            "--reps", "1", "--warmup", "0"]}[command]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert "allocate" in err and not out.exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+VALID_DOCS = [modelfile.config_to_json_dict(cfg) for cfg in (
+    PRESETS["tiny"], ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True, head_dim=3, layer_heads=(2, 1)))]
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config document with keys dropped, added or given a value of any type."""
+    doc = dict(draw(st.sampled_from(VALID_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "add", "swap"]))
+        if op == "add":
+            doc[draw(st.sampled_from(sorted(VALID_DOCS[1])) | st.text(max_size=8))] = draw(JSON_VALUES)
+        elif doc:
+            key = draw(st.sampled_from(sorted(doc)))
+            if op == "drop":
+                del doc[key]
+            else:
+                doc[key] = draw(JSON_VALUES)
+    return doc
+
+
+class TestConfigFuzz:
+    @given(doc=JSON_VALUES | mutated_configs())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_rejected_only_by_value_error_and_the_cli_exits_2(self, tmp_path, capsys, doc):
+        raw = json.dumps(doc).encode("utf-8")
+        path = tmp_path / "cfg.json"
+        rejected = {}
+        for allow_pruned in (True, False):
+            try:
+                modelfile.parse_config(raw, path, allow_pruned=allow_pruned)
+                rejected[allow_pruned] = False
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ")
+                rejected[allow_pruned] = True
+        assert rejected[False] or not rejected[True]
+        # a config that parses may ask for a model of any size, so only
+        # rejected ones go through the CLI
+        if rejected[False]:
+            path.write_bytes(raw)
+            out = tmp_path / "m.retf"
+            assert_input_error(capsys, main(["init", "--config", str(path), "--out", str(out)]), path)
+            assert not out.exists()
 
 
 def test_process_exits_2_without_traceback(tmp_path):

@@ -25,7 +25,7 @@ from leanformer.model import (
     train_step,
 )
 from leanformer.model import LayerParams, ParamSet
-from leanformer.numerics import matmul, rng_uniform_array
+from leanformer.numerics import matmul, relu, rng_uniform_array
 
 import reference
 
@@ -218,9 +218,9 @@ class TestForward:
         cfg = ModelConfig(9, 4, 4, 2, 8, 0)
         p = init_params(cfg, seed=6)
         tokens = [2, 5, 8]
-        logits, traces = model_forward(p, cfg, [tokens])
+        logits, trace = model_forward(p, cfg, [tokens])
         assert np.array_equal(logits[0], embed(p, tokens) @ p.tok_emb.T)
-        assert traces[0].layers == []
+        assert trace.layers == []
 
     def test_deterministic_bitwise(self):
         cfg = ModelConfig(15, 6, 8, 2, 16, 2)
@@ -263,6 +263,42 @@ class TestForward:
         p = init_params(TINY, 0)
         with pytest.raises(ValueError, match="non-empty"):
             model_forward(p, TINY, [])
+
+    def test_trace_rows_are_the_stages_run_on_one_sequence(self):
+        cfg = ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True, head_dim=3, layer_heads=(2, 1))
+        p = init_params(cfg, 0).with_theta(rng_uniform_array(5, (param_count(cfg),), -0.5, 0.5))
+        batch = [[1, 2, 3, 4, 5], [7, 0, 12, 3, 3], [0, 12, 3, 5, 6]]
+        b, n, d = 3, 5, cfg.d_model
+        _, trace = model_forward(p, cfg, batch)
+        assert trace.ids.shape == (b, n) and trace.ids.tolist() == batch
+        assert trace.embedded.shape == (b, n, d)
+        for layer, lt in enumerate(trace.layers):
+            w, h = cfg.attn_width(layer), cfg.heads_in_layer(layer)
+            assert [lt.attn.q.shape, lt.attn.k.shape, lt.attn.v.shape] == [(b, n, w)] * 3
+            assert lt.attn.weights.shape == (b, h, n, n)
+            assert lt.attn_out.shape == lt.ffn_out.shape == (b, n, d)
+            assert lt.ffn_hidden.shape == (b, n, cfg.d_ff)
+        for s, tokens in enumerate(batch):
+            x = embed(p, tokens)
+            assert trace.embedded[s].tobytes() == x.tobytes()
+            for layer, lt in enumerate(trace.layers):
+                lay = p.layers[layer]
+                y, attn = attention_forward(p, layer, x, cfg.heads_in_layer(layer))
+                hidden = relu(matmul(y, lay.w1) + lay.b1)
+                x = ffn_forward(p, layer, y)
+                for name in ("q", "k", "v"):
+                    assert getattr(lt.attn, name)[s].tobytes() == getattr(attn, name).tobytes()
+                assert lt.attn.weights[s].tobytes() == np.array(attn.weights).tobytes()
+                assert lt.attn_out[s].tobytes() == y.tobytes()
+                assert lt.ffn_hidden[s].tobytes() == hidden.tobytes()
+                assert lt.ffn_out[s].tobytes() == x.tobytes()
+
+    def test_batch_embedding_names_sequence_and_position(self):
+        p = init_params(TINY, 0)
+        rows = np.array([embed(p, [1, 2]), embed(p, [3, 4])])
+        assert embed(p, [[1, 2], [3, 4]]).tobytes() == rows.tobytes()
+        with pytest.raises(ValueError, match=r"token id 11 at position 0 of sequence 1 outside"):
+            model_forward(p, TINY, [[1, 2], [11, 3]])
 
 
 class TestParamSet:

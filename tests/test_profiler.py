@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,8 +79,8 @@ class TestActivationBytes:
         cfg = PRESETS["paper-baseline"]
         p = init_params(cfg, 0)
         batch, _ = synth_copy_batch(1, 1, 10, cfg.vocab_size)
-        _, traces = model_forward(p, cfg, list(batch))
-        assert activation_bytes(cfg, 1, 10) == 8 * trace_element_count(traces[0])
+        logits, trace = model_forward(p, cfg, list(batch))
+        assert activation_bytes(cfg, 1, 10) == 8 * (trace_element_count(trace) + logits.size)
 
     @given(small_configs, st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
@@ -86,9 +88,8 @@ class TestActivationBytes:
         seq = cfg.max_seq_len
         p = init_params(cfg, 1)
         batch, _ = synth_copy_batch(2, batch_size, seq, cfg.vocab_size)
-        _, traces = model_forward(p, cfg, list(batch))
-        total = sum(trace_element_count(t) for t in traces)
-        assert activation_bytes(cfg, batch_size, seq) == 8 * total
+        logits, trace = model_forward(p, cfg, list(batch))
+        assert activation_bytes(cfg, batch_size, seq) == 8 * (trace_element_count(trace) + logits.size)
 
     def test_layerless_collapse(self):
         cfg = ModelConfig(50, 8, 4, 2, 16, 0)
@@ -101,9 +102,28 @@ class TestActivationBytes:
         p = init_params(cfg, 5)
         pruned, pcfg, _ = prune_heads(p, cfg, 0, {0, 3, 2})
         batch, _ = synth_copy_batch(6, 2, 6, cfg.vocab_size)
-        _, traces = model_forward(pruned, pcfg, list(batch))
-        total = sum(trace_element_count(t) for t in traces)
-        assert activation_bytes(pcfg, 2, 6) == 8 * total
+        logits, trace = model_forward(pruned, pcfg, list(batch))
+        assert activation_bytes(pcfg, 2, 6) == 8 * (trace_element_count(trace) + logits.size)
+
+    @pytest.mark.parametrize("cfg", [
+        PRESETS["paper-baseline"],
+        PRESETS["paper-reduced"],
+        ModelConfig(50, 10, 4, 2, 8, 64),
+        ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True),
+    ], ids=["paper-baseline", "paper-reduced", "64-layer", "biased-2-layer"])
+    def test_forward_peak_stays_near_the_accounted_bytes(self, cfg):
+        # the forward holds its trace and logits plus one sequence's
+        # temporaries, so little is measured beyond what is accounted
+        n = min(10, cfg.max_seq_len)
+        p = init_params(cfg, 1)
+        batch, _ = synth_copy_batch(1, 32, n, cfg.vocab_size)
+        tracemalloc.start()
+        try:
+            model_forward(p, cfg, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * activation_bytes(cfg, 32, n) + 64_000
 
     def test_linear_in_batch(self):
         cfg = PRESETS["paper-reduced"]
