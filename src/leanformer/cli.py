@@ -5,8 +5,8 @@ condition failed (training did not improve, search found nothing,
 gradient check too loose), 2 usage or input errors. The library validates
 its inputs; any ValueError or OSError it raises (a bad flag value, an
 unreadable or unwritable path, a malformed model or config file), and the
-MemoryError of a model too large to allocate, ends as one `error:` line on
-stderr and exit 2.
+MemoryError of a model too large to allocate, which names the config that
+asked for it, ends as one `error:` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import compression, modelfile, profiler
@@ -46,6 +47,15 @@ def _load_config(spec: str) -> ModelConfig:
     return modelfile.parse_config(path.read_bytes(), spec, allow_pruned=False)
 
 
+@contextmanager
+def _sized_by(spec: str):
+    """Prefix a MemoryError raised inside the block with the config spec that sized it."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise MemoryError(f"{spec}: {exc}") from exc
+
+
 def _int_list(text: str, flag: str) -> list[int]:
     """Parse a comma-separated list of integers such as '0,1,3'."""
     try:
@@ -65,7 +75,8 @@ def _check_output(path: str) -> None:
 
 def cmd_init(args) -> int:
     cfg = _load_config(args.config)
-    params = init_params(cfg, args.seed)
+    with _sized_by(args.config):
+        params = init_params(cfg, args.seed)
     modelfile.save_model(args.out, cfg, params)
     count = param_count(cfg)
     print(f"wrote {args.out}")
@@ -81,12 +92,14 @@ def cmd_compare(args) -> int:
     variant_cfg = _load_config(args.variant)
     reports = []
     for label, cfg in (("baseline", baseline_cfg), ("variant", variant_cfg)):
-        params = init_params(cfg, args.seed)
-        reports.append(profiler.profile_model(
-            params, cfg, label=getattr(args, label),
-            batch_size=args.batch, seq_len=args.seq,
-            reps=args.reps, warmup=args.warmup,
-        ))
+        spec = getattr(args, label)
+        with _sized_by(spec):
+            params = init_params(cfg, args.seed)
+            reports.append(profiler.profile_model(
+                params, cfg, label=spec,
+                batch_size=args.batch, seq_len=args.seq,
+                reps=args.reps, warmup=args.warmup,
+            ))
     result = profiler.compare(reports[0], reports[1])
     print(profiler.render_comparison(result))
     if args.json:
@@ -100,14 +113,14 @@ def cmd_train(args) -> int:
         raise ValueError(f"--iters must be >= 1, got {args.iters}")
     cfg = _load_config(args.config)
     seq_len = min(cfg.max_seq_len, args.seq)
-    params = init_params(cfg, args.seed)
     batch, targets = synth_copy_batch(args.seed, args.batch, seq_len, cfg.vocab_size)
-
-    losses = []
-    for it in range(1, args.iters + 1):
-        params, loss = train_step(params, cfg, batch, targets, args.lr)
-        losses.append(loss)
-        print(f"iter {it}: loss {loss:.6f}")
+    with _sized_by(args.config):
+        params = init_params(cfg, args.seed)
+        losses = []
+        for it in range(1, args.iters + 1):
+            params, loss = train_step(params, cfg, batch, targets, args.lr)
+            losses.append(loss)
+            print(f"iter {it}: loss {loss:.6f}")
     if losses[-1] < losses[0]:
         return EXIT_OK
     print("training did not reduce the loss", file=sys.stderr)

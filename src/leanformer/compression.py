@@ -38,7 +38,7 @@ class QuantizedTensor:
     def __post_init__(self):
         if self.values.dtype != np.int8:
             raise ValueError(f"QuantizedTensor: dtype must be int8, got {self.values.dtype}")
-        if np.any(self.values < -127):
+        if self.values.size and self.values.min() < -127:
             raise ValueError("QuantizedTensor: -128 is outside the symmetric range")
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"QuantizedTensor: scale must be positive and finite, got {self.scale}")
@@ -119,9 +119,17 @@ def prune_magnitude(p: ParamSet, threshold: float) -> tuple[ParamSet, Compressio
     if threshold < 0:
         raise ValueError(f"prune_magnitude: threshold must be >= 0, got {threshold}")
 
-    mask = np.abs(p.theta) < threshold
-    max_err = float(np.max(np.abs(p.theta[mask]))) if mask.any() else 0.0
-    pruned = p.with_theta(_freeze(np.where(mask, 0.0, p.theta)))
+    theta = np.asarray(p.theta, dtype=np.float64)  # native order, so its bits match mag's
+    mag = np.abs(theta)
+    mask = mag < threshold
+    # kept entries read 0, or NaN where they are NaN or infinite, which fmax skips
+    with np.errstate(invalid="ignore"):
+        max_err = float(np.fmax.reduce(np.multiply(mag, mask, out=mag), initial=0.0))
+    # in mag's buffer, mask - 1 is all ones where kept and 0 where pruned, so the
+    # AND leaves theta's own bits or +0.0 with no per-element branch
+    bits = np.subtract(mask, 1, dtype=np.uint64, out=mag.view(np.uint64))
+    np.bitwise_and(bits, theta.view(np.uint64), out=bits)
+    pruned = p.with_theta(_freeze(mag))
     return pruned, _report("prune-magnitude", p, pruned, max_err)
 
 
@@ -206,10 +214,6 @@ def prune_layers(
     return pruned, new_cfg, _report("prune-layers", p, pruned)
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
 def quantize_tensor(m: Matrix) -> QuantizedTensor:
     """Symmetric per-tensor int8 quantization.
 
@@ -223,7 +227,8 @@ def quantize_tensor(m: Matrix) -> QuantizedTensor:
     if a.ndim != 2:
         raise ValueError(f"quantize_tensor: expected a 2-D tensor, got shape {a.shape}")
 
-    peak = float(np.max(np.abs(a))) if a.size else 0.0
+    # max|a| without an |a| temporary; NaN still propagates
+    peak = float(np.maximum(a.max(), -a.min())) if a.size else 0.0
     if peak == 0.0:
         return QuantizedTensor(np.zeros(a.shape, np.int8), 1.0)
 
@@ -237,8 +242,12 @@ def quantize_tensor(m: Matrix) -> QuantizedTensor:
             break
         scale = again
 
-    q = np.clip(_round_half_away(a / scale), -127, 127).astype(np.int8)
-    return QuantizedTensor(q, scale)
+    # round half away from zero, then clamp, in one buffer
+    q = a / scale
+    q += np.copysign(0.5, q)
+    np.trunc(q, out=q)
+    np.clip(q, -127, 127, out=q)
+    return QuantizedTensor(q.astype(np.int8), scale)
 
 
 def dequantize(q: QuantizedTensor) -> Matrix:
@@ -255,7 +264,12 @@ def dequantize_params(p: ParamSet, quantized: list[tuple[str, QuantizedTensor]])
     if [(name, qt.values.size) for name, qt in quantized] != [
             (name, math.prod(shape)) for name, shape in p.layout]:
         raise ValueError("dequantize_params: tensors do not match the canonical layout")
-    return p.with_theta(_freeze(np.concatenate([dequantize(qt).ravel() for _, qt in quantized])))
+    theta, at = np.empty(p.theta.size), 0
+    for _, qt in quantized:
+        # the same products as dequantize(qt), written in place
+        np.multiply(qt.values, qt.scale, out=theta[at: at + qt.values.size].reshape(qt.values.shape))
+        at += qt.values.size
+    return p.with_theta(_freeze(theta))
 
 
 def quantized_memory_bytes(p: ParamSet) -> int:

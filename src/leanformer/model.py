@@ -205,6 +205,15 @@ def param_count(cfg: ModelConfig) -> int:
     return n
 
 
+def param_tensor_count(cfg: ModelConfig) -> int:
+    """len(param_layout(cfg)), without building the layout.
+
+    Two embeddings, then six weights per layer, each followed by its bias
+    when biases are enabled.
+    """
+    return 2 + cfg.n_layers * (12 if cfg.use_bias else 6)
+
+
 def _freeze(theta: np.ndarray) -> np.ndarray:
     # parameters are immutable by contract; make accidental writes loud
     theta.flags.writeable = False
@@ -238,6 +247,11 @@ def _id_array(who: str, what: str, rows: Sequence) -> np.ndarray:
     # an empty list reads as float64; the caller's emptiness check names it
     if ids.size and not np.issubdtype(ids.dtype, np.integer):
         raise ValueError(f"{who}: {what} must hold integer ids, got dtype {ids.dtype}")
+    if ids.dtype.kind == "u":
+        # the cast below would wrap unsigned ids of 2**63 and above to negative ones
+        over = ids[ids > np.iinfo(np.int64).max]
+        if over.size:
+            raise ValueError(f"{who}: id {int(over[0])} in {what} is outside the int64 range")
     return ids.astype(np.int64, copy=False)
 
 

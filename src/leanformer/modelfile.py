@@ -10,21 +10,31 @@ Layout (all integers little-endian):
           (exactly the bytes of ParamSet.theta)
           v2: per tensor one float64 scale, then its int8 values
 
+Files stream between disk and arrays: a save writes the header and then
+theta's (or each int8 tensor's) own buffer, and a load reads the header
+fields with reads bounded by the file's length, then reads the payload
+straight into the arrays it returns (`readinto`), so neither side holds a
+second copy of the parameters.
+
 Round-trips are bit-exact. Loaders reject trailing or missing bytes, NaN or
 infinite float64 values, and v2 scales that are not positive and finite.
+Every size the header implies is checked against the file's length before
+anything is allocated from it.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .compression import QuantizedTensor
-from .model import ModelConfig, ParamSet, _check_finite, _freeze, param_count, param_layout
+from .model import (
+    ModelConfig, ParamSet, _check_finite, _freeze, param_count, param_layout, param_tensor_count,
+)
 
 MAGIC = b"RETF"
 VERSION_FLOAT64 = 1
@@ -100,38 +110,53 @@ def _config_block(cfg: ModelConfig) -> bytes:
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path: str):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
+    """Bounded reads from an open model file, each checked against the bytes it has left.
 
-    def skip(self, n: int) -> int:
-        """Claim the next n bytes; returns their offset in the blob."""
-        if self.pos + n > len(self.blob):
+    A `with` block closes the file.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = str(path)
+        self.file = open(path, "rb")
+        self.left = os.fstat(self.file.fileno()).st_size
+
+    def __enter__(self) -> _Reader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.file.close()
+
+    def into(self, a: np.ndarray) -> np.ndarray:
+        """Fill the C-contiguous array `a` with the next `a.nbytes` bytes and return it."""
+        if a.nbytes > self.left or self.file.readinto(a.reshape(-1).view(np.uint8)) != a.nbytes:
             raise ValueError(f"{self.path}: truncated model file")
-        self.pos += n
-        return self.pos - n
+        self.left -= a.nbytes
+        return a
 
     def take(self, n: int) -> bytes:
-        start = self.skip(n)
-        return self.blob[start: start + n]
+        """The next n bytes; nothing larger than the rest of the file is read."""
+        data = self.file.read(min(n, self.left))
+        if len(data) != n:
+            raise ValueError(f"{self.path}: truncated model file")
+        self.left -= n
+        return data
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
     def expect(self, n: int) -> None:
         """Require exactly n bytes after the header, before anything sized from it is built."""
-        left = len(self.blob) - self.pos
-        if left < n:
+        if self.left < n:
             raise ValueError(f"{self.path}: truncated model file")
-        if left > n:
-            raise ValueError(f"{self.path}: {left - n} trailing bytes")
+        if self.left > n:
+            raise ValueError(f"{self.path}: {self.left - n} trailing bytes")
 
 
 def save_model(path: str | Path, cfg: ModelConfig, p: ParamSet) -> None:
-    """Write a version-1 (float64) model file."""
-    header = MAGIC + struct.pack("<I", VERSION_FLOAT64) + _config_block(cfg)
-    Path(path).write_bytes(header + p.theta.astype("<f8", copy=False).tobytes())
+    """Write a version-1 (float64) model file: the header, then theta's own buffer."""
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<I", VERSION_FLOAT64) + _config_block(cfg))
+        f.write(np.ascontiguousarray(p.theta, dtype="<f8"))
 
 
 def save_quantized_model(
@@ -139,39 +164,44 @@ def save_quantized_model(
 ) -> None:
     """Write a version-2 (int8 + scales) model file."""
     tag = _INT8_TAG.encode("utf-8")
-    chunks = [MAGIC, struct.pack("<I", VERSION_INT8),
-              struct.pack("<I", len(tag)) + tag, _config_block(cfg)]
-    for _, qt in quantized:
-        chunks.append(struct.pack("<d", qt.scale))
-        chunks.append(qt.values.astype("|i1").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<I", VERSION_INT8) + struct.pack("<I", len(tag)) + tag
+                + _config_block(cfg))
+        for _, qt in quantized:
+            f.write(struct.pack("<d", qt.scale))
+            f.write(np.ascontiguousarray(qt.values, dtype="|i1"))
 
 
 def read_header(path: str | Path) -> tuple[int, ModelConfig, _Reader]:
-    blob = Path(path).read_bytes()
-    r = _Reader(blob, str(path))
-    if r.take(4) != MAGIC:
-        raise ValueError(f"{path}: not a model file (bad magic)")
-    version = r.u32()
-    if version not in (VERSION_FLOAT64, VERSION_INT8):
-        raise ValueError(f"{path}: unsupported format version {version}")
-    if version == VERSION_INT8:
-        tag = r.take(r.u32()).decode("utf-8")
-        if tag != _INT8_TAG:
-            raise ValueError(f"{path}: unsupported element type '{tag}'")
-    return version, parse_config(r.take(r.u32()), path), r
+    """Version, config and a reader at the payload, which the caller closes."""
+    r = _Reader(path)
+    try:
+        if r.take(4) != MAGIC:
+            raise ValueError(f"{path}: not a model file (bad magic)")
+        version = r.u32()
+        if version not in (VERSION_FLOAT64, VERSION_INT8):
+            raise ValueError(f"{path}: unsupported format version {version}")
+        if version == VERSION_INT8:
+            tag = r.take(r.u32()).decode("utf-8")
+            if tag != _INT8_TAG:
+                raise ValueError(f"{path}: unsupported element type '{tag}'")
+        return version, parse_config(r.take(r.u32()), path), r
+    except BaseException:
+        r.file.close()
+        raise
 
 
 def load_model(path: str | Path) -> tuple[ModelConfig, ParamSet]:
     """Load a version-1 model file; rejects quantized files."""
     version, cfg, r = read_header(path)
-    if version != VERSION_FLOAT64:
-        raise ValueError(
-            f"{path}: version {version} holds int8 data; expected a float64 (version 1) file"
-        )
-    n = param_count(cfg)
-    r.expect(8 * n)
-    theta = np.frombuffer(r.blob, dtype="<f8", count=n, offset=r.pos).astype(np.float64)
+    with r:
+        if version != VERSION_FLOAT64:
+            raise ValueError(
+                f"{path}: version {version} holds int8 data; expected a float64 (version 1) file"
+            )
+        n = param_count(cfg)
+        r.expect(8 * n)
+        theta = r.into(np.empty(n, "<f8")).astype(np.float64, copy=False)
     p = ParamSet(_freeze(theta), param_layout(cfg))
     _check_finite(p, f"{path}: tensor")
     return cfg, p
@@ -182,21 +212,21 @@ def load_quantized_model(
 ) -> tuple[ModelConfig, list[tuple[str, QuantizedTensor]]]:
     """Load a version-2 model file as named quantized tensors."""
     version, cfg, r = read_header(path)
-    if version != VERSION_INT8:
-        raise ValueError(
-            f"{path}: version {version} holds float64 data; expected an int8 (version 2) file"
-        )
-    # one float64 scale per tensor, then one byte per value
-    r.expect(8 * (2 + cfg.n_layers * (12 if cfg.use_bias else 6)) + param_count(cfg))
-    tensors = []
-    for name, shape in param_layout(cfg):
-        scale = struct.unpack("<d", r.take(8))[0]
-        n = math.prod(shape)
-        # bias vectors are stored (and quantized) as 1 x n tensors
-        qshape = shape if len(shape) == 2 else (1, n)
-        values = np.frombuffer(r.take(n), dtype="|i1").reshape(qshape).copy()
-        try:
-            tensors.append((name, QuantizedTensor(values, scale)))
-        except ValueError as exc:
-            raise ValueError(f"{path}: tensor {name}: {exc}") from exc
+    with r:
+        if version != VERSION_INT8:
+            raise ValueError(
+                f"{path}: version {version} holds float64 data; expected an int8 (version 2) file"
+            )
+        # one float64 scale per tensor, then one byte per value; checked before
+        # the layout is built, since a header can name any number of layers
+        r.expect(8 * param_tensor_count(cfg) + param_count(cfg))
+        tensors = []
+        for name, shape in param_layout(cfg):
+            scale = struct.unpack("<d", r.take(8))[0]
+            # bias vectors are stored (and quantized) as 1 x n tensors
+            values = r.into(np.empty(shape if len(shape) == 2 else (1, *shape), np.int8))
+            try:
+                tensors.append((name, QuantizedTensor(values, scale)))
+            except ValueError as exc:
+                raise ValueError(f"{path}: tensor {name}: {exc}") from exc
     return cfg, tensors

@@ -175,6 +175,22 @@ class TestIntegerIds:
         with pytest.raises(ValueError, match="cross_entropy: targets must hold integer ids"):
             cross_entropy(np.zeros((2, TINY.vocab_size)), ids[0])
 
+    @pytest.mark.parametrize("big", [2**64 - 1, 2**63], ids=["max-uint64", "2**63"])
+    def test_unsigned_id_beyond_int64_named_as_given(self, big):
+        # a cast to int64 would wrap these to -1 and -2**63
+        p = init_params(TINY, 0)
+        ids = np.array([[1, big]], dtype=np.uint64)
+        with pytest.raises(ValueError, match=rf"model_forward: id {big} in batch is outside"):
+            model_forward(p, TINY, ids)
+        with pytest.raises(ValueError, match=rf"model_forward: id {big} in batch is outside"):
+            batch_loss(p, TINY, ids, [[1, 2]])
+        with pytest.raises(ValueError, match=rf"embed: id {big} in tokens is outside"):
+            embed(p, ids[0])
+        with pytest.raises(ValueError, match=rf"batch_loss: id {big} in targets is outside"):
+            batch_loss(p, TINY, [[1, 2]], ids)
+        with pytest.raises(ValueError, match=rf"loss_and_grads: id {big} in targets is outside"):
+            loss_and_grads(p, TINY, [[1, 2]], ids)
+
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
     def test_any_integer_type_reads_as_int64(self, dtype):
         p = init_params(TINY, 0)

@@ -371,19 +371,22 @@ class TestUndecodableConfigJson:
 
 
 class TestTooLargeToAllocate:
-    @pytest.mark.parametrize("command", ["init", "compare"])
+    @pytest.mark.parametrize("command", ["init", "compare", "compare-variant", "train"])
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, command):
         # 8e15 token-embedding elements: past the 2**48-byte address space, so
         # the first allocation fails under any overcommit setting, touching nothing
         path = write_config(tmp_path, vocab_size=10**15)
         out = tmp_path / "m.retf"
+        compare = ["compare", "--reps", "1", "--warmup", "0", "--seq", "2"]
         argv = {"init": ["init", "--config", str(path), "--out", str(out)],
-                "compare": ["compare", "--baseline", str(path), "--variant", "tiny",
-                            "--reps", "1", "--warmup", "0"]}[command]
+                "compare": compare + ["--baseline", str(path), "--variant", "tiny"],
+                "compare-variant": compare + ["--baseline", "tiny", "--variant", str(path)],
+                "train": ["train", "--config", str(path), "--iters", "1"]}[command]
         code = main(argv)
-        err = capsys.readouterr().err
-        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
-        assert "allocate" in err and not out.exists()
+        captured = capsys.readouterr()
+        err = captured.err
+        assert code == 2 and err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert "allocate" in err and not out.exists() and "loss" not in captured.out
 
 
 JSON_VALUES = st.recursive(

@@ -374,3 +374,64 @@ class TestReportInvariants:
     def test_sparsity_range_enforced(self):
         with pytest.raises(ValueError, match="sparsity"):
             CompressionReport("x", 10, 10, 80, 80, 1.5, 0.0)
+
+
+class TestSpecialValues:
+    """Bit-level results of the passes on signed zeros, non-finite values and subnormals."""
+
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 0.004, -0.004, 0.02, -0.02]
+
+    def special_params(self, fill=0.5):
+        p = init_params(PRESETS["tiny"], 0)
+        theta = np.full(p.theta.size, fill)
+        theta[:len(self.SPECIAL)] = self.SPECIAL
+        return p.with_theta(theta)
+
+    def test_threshold_zero_keeps_every_bit(self):
+        p = self.special_params()
+        pruned, report = prune_magnitude(p, 0.0)
+        assert pruned.theta.tobytes() == p.theta.tobytes()
+        assert report.max_error == 0.0 and report.sparsity == 2 / p.theta.size
+
+    def test_pruned_zeros_are_positive_and_non_finite_values_kept(self):
+        p = self.special_params()
+        pruned, report = prune_magnitude(p, 0.01)
+        want = p.theta.copy()
+        want[3:7] = 0.0  # -0.0, 0.0 and +-0.004 become +0.0
+        assert pruned.theta.tobytes() == want.tobytes()
+        assert not np.signbit(pruned.theta[3])
+        assert report.max_error == 0.004 and report.sparsity == 4 / p.theta.size
+
+    def test_infinite_threshold_zeroes_every_finite_value(self):
+        p = self.special_params(fill=-7.0)
+        pruned, report = prune_magnitude(p, np.inf)
+        want = np.zeros(p.theta.size)
+        want[:3] = self.SPECIAL[:3]
+        assert pruned.theta.tobytes() == want.tobytes()
+        assert report.max_error == 7.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_all_non_finite_prunes_nothing_and_reports_zero(self, value):
+        p = init_params(PRESETS["tiny"], 0)
+        p = p.with_theta(np.full(p.theta.size, value))
+        pruned, report = prune_magnitude(p, 1.0)
+        assert pruned.theta.tobytes() == p.theta.tobytes()
+        assert report.max_error == 0.0 and report.sparsity == 0.0
+
+    def test_quantize_signed_zeros(self):
+        for m in ([[0.0, -0.0]], [[-0.0]], [-0.0, -0.0, 0.0]):
+            qt = quantize_tensor(np.array(m))
+            assert qt.scale == 1.0 and not qt.values.any()
+        qt = quantize_tensor(np.array([[-0.0, 1.0, 0.0, -1.0]]))
+        assert qt.scale == 1.0 / 127.0 and qt.values.tolist() == [[0, 127, 0, -127]]
+
+    @pytest.mark.parametrize("m, values, scale", [
+        ([[1e-310, -5e-311, 3e-312, -0.0, 0.0, 5e-324]], [[127, -63, 4, 0, 0, 0]],
+         "0x0.000251b4d7cc6p-1022"),
+        ([[-2.2250738585072014e-308, 1e-309, -0.0]], [[-127, 6, 0]], "0x0.0204081020408p-1022"),
+        ([[1e-300, 1e-310, -5e-324]], [[127, 0, 0]], "0x1.5995267c88462p-1004"),
+    ], ids=["subnormal-peak", "smallest-normal-peak", "normal-peak"])
+    def test_quantize_subnormals(self, m, values, scale):
+        qt = quantize_tensor(np.array(m))
+        assert qt.values.tolist() == values and qt.scale.hex() == scale

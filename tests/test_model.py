@@ -21,6 +21,8 @@ from leanformer.model import (
     model_forward,
     param_count,
     param_count_enumerated,
+    param_layout,
+    param_tensor_count,
     synth_copy_batch,
     train_step,
 )
@@ -355,6 +357,15 @@ class TestParamCount:
         from leanformer.compression import reduce_config
         half = reduce_config(base, 2)
         assert param_count(half) == (vocab + seq) * (d // 2) + 3 * d * d
+
+    @given(small_configs)
+    @settings(max_examples=60, deadline=None)
+    def test_tensor_count_equals_layout_length(self, cfg):
+        assert param_tensor_count(cfg) == len(param_layout(cfg))
+
+    def test_tensor_count_of_pruned_biased_config(self):
+        cfg = ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True, head_dim=3, layer_heads=(2, 1))
+        assert param_tensor_count(cfg) == len(param_layout(cfg)) == 26
 
     @pytest.mark.parametrize("heads", [1, 2, 4, 8])
     def test_head_count_does_not_change_count(self, heads):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -246,3 +247,19 @@ class TestNonFiniteFiles:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match=r"q\.retf: tensor pos_emb: .*scale must be positive and finite"):
             load_quantized_model(path)
+
+
+class TestFileBytesPinned:
+    # sha256 prefixes of the v1 and v2 files of each paper preset at seed 0
+    PINS = {"paper-baseline": ("73833d92dfabf92f", "fcda487d323f9027"),
+            "paper-reduced": ("262fd2153af1d734", "6b91f4beb43869ba")}
+
+    @pytest.mark.parametrize("name", PINS)
+    def test_v1_and_v2_bytes(self, tmp_path, name):
+        cfg = PRESETS[name]
+        p = init_params(cfg, 0)
+        save_model(tmp_path / "f.retf", cfg, p)
+        save_quantized_model(tmp_path / "q.retf", cfg, quantize_params(p))
+        digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16]
+                        for f in ("f.retf", "q.retf"))
+        assert digests == self.PINS[name]

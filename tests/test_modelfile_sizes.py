@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leanformer.compression import quantize_params
-from leanformer.model import PRESETS, ModelConfig, init_params
+from leanformer.model import PRESETS, ModelConfig, init_params, param_count
 from leanformer.modelfile import (
     MAGIC, VERSION_FLOAT64, VERSION_INT8, load_model, load_quantized_model, save_model,
     save_quantized_model,
@@ -66,6 +66,18 @@ def test_deep_header_without_payload_fails_before_layout(tmp_path, version, load
     assert load_peak(loader, path) <= peak_bound(path.stat().st_size)
 
 
+def test_v2_values_without_scales_fail_before_layout(tmp_path):
+    # one byte per value of a 200-layer, one-wide model, but no 8-byte scales:
+    # the file holds more bytes than values, so only the exact size can refuse it
+    doc = {"vocab_size": 1, "max_seq_len": 1, "d_model": 1, "n_heads": 1, "d_ff": 1,
+           "n_layers": 200, "use_bias": True}
+    path = tmp_path / "scaleless.retf"
+    path.write_bytes(header(VERSION_INT8, doc) + bytes(2 + 12 * 200))
+    with pytest.raises(ValueError, match=r"scaleless\.retf: truncated model file"):
+        load_quantized_model(path)
+    assert load_peak(load_quantized_model, path) <= peak_bound(path.stat().st_size)
+
+
 @pytest.mark.parametrize("edit, message", [(lambda b: b[:-1], "truncated model file"),
                                            (lambda b: b + b"xyz", "3 trailing bytes")],
                          ids=["short", "long"])
@@ -112,3 +124,29 @@ def test_mutated_files_raise_only_value_error_within_bounded_memory(
     path.write_bytes(bytes(blob[:cut]))
     for load in LOADERS.values():
         assert load_peak(load, path) <= peak_bound(path.stat().st_size)
+
+
+SLACK = 64_000  # header, config, layout and ParamSet views
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("name", ["paper-baseline", "paper-reduced"])
+def test_files_stream_between_disk_and_theta(tmp_path, name):
+    # a save holds no copy of the payload, and a load holds only the one it returns
+    cfg = PRESETS[name]
+    p = init_params(cfg, 0)
+    quantized = quantize_params(p)
+    v1, v2 = tmp_path / "f.retf", tmp_path / "q.retf"
+    assert traced_peak(save_model, v1, cfg, p) <= SLACK
+    assert traced_peak(load_model, v1) <= 8 * param_count(cfg) + SLACK
+    assert traced_peak(save_quantized_model, v2, cfg, quantized) <= SLACK
+    assert traced_peak(load_quantized_model, v2) <= param_count(cfg) + SLACK
