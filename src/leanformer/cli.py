@@ -133,18 +133,8 @@ def cmd_compress(args) -> int:
 
     if args.pass_name == "quantize":
         quantized = compression.quantize_params(params)
+        report = compression.quantize_report(cfg, params, quantized)
         modelfile.save_quantized_model(args.out, cfg, quantized)
-        restored = compression.dequantize_params(params, quantized)
-        max_err = float(abs(params.theta - restored.theta).max())
-        before = params.theta.size
-        report = compression.CompressionReport(
-            pass_name="quantize",
-            params_before=before, params_after=before,
-            bytes_before=8 * before,
-            bytes_after=compression.quantized_memory_bytes(params),
-            sparsity=float(sum(int((qt.values == 0).sum()) for _, qt in quantized)) / before,
-            max_error=max_err,
-        )
     else:
         if args.pass_name == "prune-magnitude":
             pruned, report = compression.prune_magnitude(params, args.threshold)
@@ -219,32 +209,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compress", help="apply a compression pass to a saved model")
+    p.set_defaults(func=cmd_compress)
     csub = p.add_subparsers(dest="pass_name", required=True)
+    paths = argparse.ArgumentParser(add_help=False)
+    paths.add_argument("--model", required=True)
+    paths.add_argument("--out", required=True)
 
-    q = csub.add_parser("quantize", help="int8-quantize all tensors")
-    q.add_argument("--model", required=True)
-    q.add_argument("--out", required=True)
-    q.set_defaults(func=cmd_compress)
+    csub.add_parser("quantize", parents=[paths], help="int8-quantize all tensors")
 
-    pm = csub.add_parser("prune-magnitude", help="zero weights below a threshold")
-    pm.add_argument("--model", required=True)
-    pm.add_argument("--out", required=True)
-    pm.add_argument("--threshold", type=float, required=True)
-    pm.set_defaults(func=cmd_compress)
+    q = csub.add_parser("prune-magnitude", parents=[paths], help="zero weights below a threshold")
+    q.add_argument("--threshold", type=float, required=True)
 
-    ph = csub.add_parser("prune-heads", help="structurally remove attention heads")
-    ph.add_argument("--model", required=True)
-    ph.add_argument("--out", required=True)
-    ph.add_argument("--layer", type=int, required=True)
-    ph.add_argument("--keep", required=True, help="comma-separated head indices to keep")
-    ph.set_defaults(func=cmd_compress)
+    q = csub.add_parser("prune-heads", parents=[paths], help="structurally remove attention heads")
+    q.add_argument("--layer", type=int, required=True)
+    q.add_argument("--keep", required=True, help="comma-separated head indices to keep")
 
-    pl = csub.add_parser("prune-layers", help="keep only the listed layers")
-    pl.add_argument("--model", required=True)
-    pl.add_argument("--out", required=True)
-    pl.add_argument("--keep-layers", dest="keep_layers", required=True,
-                    help="comma-separated layer indices to keep")
-    pl.set_defaults(func=cmd_compress)
+    q = csub.add_parser("prune-layers", parents=[paths], help="keep only the listed layers")
+    q.add_argument("--keep-layers", dest="keep_layers", required=True,
+                   help="comma-separated layer indices to keep")
 
     p = sub.add_parser("search", help="find configs matching two parameter-count targets")
     p.add_argument("--target-base", dest="target_base", type=int, required=True)

@@ -15,11 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
-    ModelConfig,
-    ParamSet,
-    _freeze,
-    iter_params,
-    param_layout,
+    ModelConfig, ParamSet, _freeze, iter_params, param_count, param_layout, param_tensor_count,
 )
 from .numerics import Matrix
 
@@ -32,7 +28,7 @@ class QuantizedTensor:
     gets scale 1.0 by convention.
     """
 
-    values: np.ndarray  # int8, 2-D (a bias is one row)
+    values: np.ndarray  # int8, shaped like the parameter it stores
     scale: float
 
     def __post_init__(self):
@@ -116,7 +112,7 @@ def prune_magnitude(p: ParamSet, threshold: float) -> tuple[ParamSet, Compressio
     compression proxy. The largest zeroed magnitude is reported as the
     reconstruction error (strictly below the threshold by construction).
     """
-    if threshold < 0:
+    if not threshold >= 0:  # NaN too; an infinite threshold zeroes every finite weight
         raise ValueError(f"prune_magnitude: threshold must be >= 0, got {threshold}")
 
     theta = np.asarray(p.theta, dtype=np.float64)  # native order, so its bits match mag's
@@ -214,25 +210,35 @@ def prune_layers(
     return pruned, new_cfg, _report("prune-layers", p, pruned)
 
 
-def quantize_tensor(m: Matrix) -> QuantizedTensor:
-    """Symmetric per-tensor int8 quantization.
+# The smallest subnormal float64. A peak of k * _TINY with k <= 16065 (where
+# peak / 127 < 127 * _TINY) gets scale n * _TINY from the first row (top, n) with k <= top, not the
+# nearest peak / 127, which is 0 below k = 64 and elsewhere may clip the peak
+# past scale/2 or requantize to another scale. Each row's k range is whole
+# rounding cells of its n within k <= 127.5 * n, so the error stays within
+# scale/2 and the dequantized peak falls in the same row.
+_TINY = 5e-324
+_SMALL_SCALES = ((127, 1), (382, 3), (1147, 9), (3442, 27), (5143, 81), (16065, 127))
 
-    scale = max|m| / 127 (1.0 for an all-zero tensor); values are rounded
-    half away from zero and clamped to [-127, 127], which bounds every
-    element's reconstruction error by scale/2.
+
+def quantize_tensor(m: Matrix) -> QuantizedTensor:
+    """Symmetric per-tensor int8 quantization; the values keep `m`'s shape.
+
+    scale = max|m| / 127 (1.0 for an all-zero tensor, one of `_SMALL_SCALES`
+    for a peak of at most 16065 subnormal steps); values are rounded half away
+    from zero and clamped to [-127, 127], which bounds every element's
+    reconstruction error by scale/2.
     """
     a = np.asarray(m, dtype=np.float64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    if a.ndim != 2:
-        raise ValueError(f"quantize_tensor: expected a 2-D tensor, got shape {a.shape}")
-
     # max|a| without an |a| temporary; NaN still propagates
     peak = float(np.maximum(a.max(), -a.min())) if a.size else 0.0
     if peak == 0.0:
         return QuantizedTensor(np.zeros(a.shape, np.int8), 1.0)
 
     scale = peak / 127.0
+    if scale < 127 * _TINY:
+        scale = _TINY * next(n for top, n in _SMALL_SCALES if peak / _TINY <= top)
+    elif 127.0 * scale == math.inf:  # 127 * scale must dequantize the peak to a finite value
+        scale = math.nextafter(scale, 0.0)
     # Stabilize so quantizing our own dequantized output reproduces the
     # identical scale: the requantize scale is (127*scale)/127, so iterate
     # to that mapping's fixed point (in practice zero or one step).
@@ -272,9 +278,17 @@ def dequantize_params(p: ParamSet, quantized: list[tuple[str, QuantizedTensor]])
     return p.with_theta(_freeze(theta))
 
 
-def quantized_memory_bytes(p: ParamSet) -> int:
-    """Storage cost of the fully int8-quantized ParamSet.
+def quantized_memory_bytes(cfg: ModelConfig) -> int:
+    """Storage cost of the fully int8-quantized model: the v2 payload size.
 
     One byte per parameter plus eight bytes per tensor for its scale.
     """
-    return p.theta.size + 8 * len(p.layout)
+    return param_count(cfg) + 8 * param_tensor_count(cfg)
+
+
+def quantize_report(cfg: ModelConfig, p: ParamSet,
+                    quantized: list[tuple[str, QuantizedTensor]]) -> CompressionReport:
+    """The report of `quantize_params(p)`; dequantized values are 0 exactly where int8 ones are."""
+    restored = dequantize_params(p, quantized)
+    report = _report("quantize", p, restored, float(abs(p.theta - restored.theta).max()))
+    return replace(report, bytes_after=quantized_memory_bytes(cfg))

@@ -565,8 +565,8 @@ def train_step(
     Raises ValueError when the loss or any gradient is not finite, naming
     the first parameter whose gradient is not, before anything is updated.
     """
-    if lr < 0:
-        raise ValueError(f"train_step: learning rate must be >= 0, got {lr}")
+    if not 0 <= lr < math.inf:
+        raise ValueError(f"train_step: learning rate must be finite and >= 0, got {lr}")
     loss, grads = loss_and_grads(p, cfg, batch, targets)
     if not math.isfinite(loss):
         raise ValueError(f"train_step: loss is {loss}, not finite")
@@ -603,9 +603,10 @@ def grad_check(cfg: ModelConfig, seed: int, eps: float) -> float:
     the difference quotient, while much hotter draws saturate the softmax
     and bury those gradients instead. Only feasible for small configs;
     raises if the model holds more than GRAD_CHECK_MAX_PARAMS parameters.
+    Any NaN relative error (a non-finite loss or gradient) makes it NaN.
     """
-    if eps <= 0:
-        raise ValueError(f"grad_check: eps must be > 0, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"grad_check: eps must be finite and > 0, got {eps}")
     n_params = param_count(cfg)
     if n_params > GRAD_CHECK_MAX_PARAMS:
         raise ValueError(
@@ -621,7 +622,7 @@ def grad_check(cfg: ModelConfig, seed: int, eps: float) -> float:
     theta = p.theta
     bumped = p.with_theta(theta.copy())
 
-    worst = 0.0
+    errors = np.empty(theta.size)
     for i in range(theta.size):
         bumped.theta[i] = theta[i] + eps
         hi = batch_loss(bumped, cfg, batch, targets)
@@ -630,5 +631,5 @@ def grad_check(cfg: ModelConfig, seed: int, eps: float) -> float:
         bumped.theta[i] = theta[i]
         numeric = (hi - lo) / (2 * eps)
         denom = max(abs(analytic[i]), abs(numeric), 1e-8)
-        worst = max(worst, abs(analytic[i] - numeric) / denom)
-    return worst
+        errors[i] = abs(analytic[i] - numeric) / denom
+    return float(errors.max())  # unlike Python's max, keeps a NaN

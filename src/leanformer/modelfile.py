@@ -9,12 +9,14 @@ Layout (all integers little-endian):
   payload v1: every parameter as float64, canonical order, row-major
           (exactly the bytes of ParamSet.theta)
           v2: per tensor one float64 scale, then its int8 values
+          (`compression.quantized_memory_bytes(cfg)` bytes in all)
 
 Files stream between disk and arrays: a save writes the header and then
 theta's (or each int8 tensor's) own buffer, and a load reads the header
 fields with reads bounded by the file's length, then reads the payload
 straight into the arrays it returns (`readinto`), so neither side holds a
-second copy of the parameters.
+second copy of the parameters. Shapes come from the config: an int8 tensor
+loads in its parameter's shape. Both loaders open files through `_open`.
 
 Round-trips are bit-exact. Loaders reject trailing or missing bytes, NaN or
 infinite float64 values, and v2 scales that are not positive and finite.
@@ -27,19 +29,21 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .compression import QuantizedTensor
-from .model import (
-    ModelConfig, ParamSet, _check_finite, _freeze, param_count, param_layout, param_tensor_count,
-)
+from .compression import QuantizedTensor, quantized_memory_bytes
+from .model import ModelConfig, ParamSet, _check_finite, _freeze, param_count, param_layout
 
 MAGIC = b"RETF"
 VERSION_FLOAT64 = 1
 VERSION_INT8 = 2
 _INT8_TAG = "int8"
+# per version: what its payload holds, and how an error names a file of it
+_HOLDS = {VERSION_FLOAT64: ("float64", "a float64"), VERSION_INT8: ("int8", "an int8")}
 
 _CONFIG_KEYS = ("vocab_size", "max_seq_len", "d_model", "n_heads",
                 "d_ff", "n_layers", "use_bias")
@@ -172,33 +176,32 @@ def save_quantized_model(
             f.write(np.ascontiguousarray(qt.values, dtype="|i1"))
 
 
-def read_header(path: str | Path) -> tuple[int, ModelConfig, _Reader]:
-    """Version, config and a reader at the payload, which the caller closes."""
-    r = _Reader(path)
-    try:
+@contextmanager
+def _open(path: str | Path, version: int) -> Iterator[tuple[ModelConfig, _Reader]]:
+    """The config of a model file of `version`, and a reader at its payload; exiting closes it.
+
+    Checks the magic, the version, the v2 element tag, the config, then `version`, in that order.
+    """
+    with _Reader(path) as r:
         if r.take(4) != MAGIC:
             raise ValueError(f"{path}: not a model file (bad magic)")
-        version = r.u32()
-        if version not in (VERSION_FLOAT64, VERSION_INT8):
-            raise ValueError(f"{path}: unsupported format version {version}")
-        if version == VERSION_INT8:
+        found = r.u32()
+        if found not in _HOLDS:
+            raise ValueError(f"{path}: unsupported format version {found}")
+        if found == VERSION_INT8:
             tag = r.take(r.u32()).decode("utf-8")
             if tag != _INT8_TAG:
                 raise ValueError(f"{path}: unsupported element type '{tag}'")
-        return version, parse_config(r.take(r.u32()), path), r
-    except BaseException:
-        r.file.close()
-        raise
+        cfg = parse_config(r.take(r.u32()), path)
+        if found != version:
+            raise ValueError(f"{path}: version {found} holds {_HOLDS[found][0]} data; "
+                             f"expected {_HOLDS[version][1]} (version {version}) file")
+        yield cfg, r
 
 
 def load_model(path: str | Path) -> tuple[ModelConfig, ParamSet]:
     """Load a version-1 model file; rejects quantized files."""
-    version, cfg, r = read_header(path)
-    with r:
-        if version != VERSION_FLOAT64:
-            raise ValueError(
-                f"{path}: version {version} holds int8 data; expected a float64 (version 1) file"
-            )
+    with _open(path, VERSION_FLOAT64) as (cfg, r):
         n = param_count(cfg)
         r.expect(8 * n)
         theta = r.into(np.empty(n, "<f8")).astype(np.float64, copy=False)
@@ -211,20 +214,13 @@ def load_quantized_model(
     path: str | Path,
 ) -> tuple[ModelConfig, list[tuple[str, QuantizedTensor]]]:
     """Load a version-2 model file as named quantized tensors."""
-    version, cfg, r = read_header(path)
-    with r:
-        if version != VERSION_INT8:
-            raise ValueError(
-                f"{path}: version {version} holds float64 data; expected an int8 (version 2) file"
-            )
-        # one float64 scale per tensor, then one byte per value; checked before
-        # the layout is built, since a header can name any number of layers
-        r.expect(8 * param_tensor_count(cfg) + param_count(cfg))
+    with _open(path, VERSION_INT8) as (cfg, r):
+        # checked before the layout is built, since a header can name any number of layers
+        r.expect(quantized_memory_bytes(cfg))
         tensors = []
         for name, shape in param_layout(cfg):
             scale = struct.unpack("<d", r.take(8))[0]
-            # bias vectors are stored (and quantized) as 1 x n tensors
-            values = r.into(np.empty(shape if len(shape) == 2 else (1, *shape), np.int8))
+            values = r.into(np.empty(shape, np.int8))
             try:
                 tensors.append((name, QuantizedTensor(values, scale)))
             except ValueError as exc:

@@ -273,6 +273,14 @@ class TestCompress:
         assert "threshold must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "x.retf").exists()
 
+    def test_nan_threshold_exit_2(self, tmp_path, model_path, capsys):
+        code = main(["compress", "prune-magnitude", "--model", str(model_path),
+                     "--out", str(tmp_path / "x.retf"), "--threshold", "nan"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: prune_magnitude: threshold must be >= 0, got nan\n"
+        assert not (tmp_path / "x.retf").exists()
+
 
 class TestNonFiniteModelFile:
     def test_nan_in_v1_file_exit_2(self, tmp_path, capsys):
@@ -285,6 +293,18 @@ class TestNonFiniteModelFile:
         code = main(["compress", "quantize", "--model", str(path), "--out", str(out)])
         assert "tensor tok_emb is not finite" in assert_input_error(capsys, code, path)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag", [(["train", "--config", "tiny", "--iters", "1"], "--lr"),
+                                           (["gradcheck", "--config", "tiny"], "--eps")],
+                         ids=["train", "gradcheck"])
+def test_non_finite_float_flag_exit_2(capsys, command, flag, value):
+    code = main([*command, flag, value])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"got {value}" in err
+    assert out == ""  # no iter line, no error figure
 
 
 class TestSearch:

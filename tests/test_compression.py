@@ -13,6 +13,7 @@ from leanformer.compression import (
     prune_layers,
     prune_magnitude,
     quantize_params,
+    quantize_report,
     quantize_tensor,
     quantized_memory_bytes,
     reduce_config,
@@ -92,6 +93,11 @@ class TestPruneMagnitude:
         p = init_params(PRESETS["tiny"], 0)
         with pytest.raises(ValueError, match="threshold"):
             prune_magnitude(p, -1e-9)
+
+    def test_nan_threshold_rejected(self):
+        p = init_params(PRESETS["tiny"], 0)
+        with pytest.raises(ValueError, match="threshold must be >= 0, got nan"):
+            prune_magnitude(p, np.nan)
 
     @given(st.floats(0, 0.06), st.floats(0, 0.06))
     @settings(max_examples=40, deadline=None)
@@ -337,11 +343,36 @@ class TestQuantize:
         assert np.array_equal(again.values, qt.values)
 
     def test_error_bound_exhaustive_on_params(self):
-        p = init_params(PRESETS["tiny"], 11)
+        p = init_params(ModelConfig(9, 4, 4, 2, 8, 1, use_bias=True), 11)
         for name, qt in quantize_params(p):
             orig = dict(iter_params(p))[name]
-            deq = dequantize(qt).reshape(orig.shape)
+            deq = dequantize(qt)
+            assert deq.shape == orig.shape
             assert np.max(np.abs(deq - orig)) <= qt.scale / 2
+
+    def test_bias_keeps_its_shape(self):
+        qt = quantize_tensor(np.array([0.5, -1.0, 0.25]))
+        assert qt.values.shape == (3,) and dequantize(qt).shape == (3,)
+
+    def test_subnormal_peaks_within_bound_and_idempotent(self):
+        # peaks k * 5e-324: a nearest scale peak / 127 would round to 0 below
+        # k = 64 and clip the peak past scale/2 at k = 190 or 300
+        for k in range(1, 2 ** 15 + 1):
+            m = np.array([k, 1 - k, k // 2, -(k // 3), 2 * k // 3, 1]) * 5e-324
+            qt = quantize_tensor(m)
+            assert 0.0 < qt.scale < np.inf
+            assert np.max(np.abs(dequantize(qt) - m)) <= qt.scale / 2, k
+            again = quantize_tensor(dequantize(qt))
+            assert again.scale == qt.scale and np.array_equal(again.values, qt.values), k
+
+    def test_largest_float_peak_gets_a_finite_scale(self):
+        top = np.finfo(np.float64).max
+        m = np.array([[top, -top / 3, 1.0]])
+        qt = quantize_tensor(m)
+        assert 0.0 < qt.scale < np.inf and np.isfinite(dequantize(qt)).all()
+        assert np.max(np.abs(dequantize(qt) - m)) <= qt.scale / 2
+        again = quantize_tensor(dequantize(qt))
+        assert again.scale == qt.scale and np.array_equal(again.values, qt.values)
 
 
 class TestQuantizedParams:
@@ -353,17 +384,30 @@ class TestQuantizedParams:
             assert na == nb and a.shape == b.shape
 
     def test_memory_bytes_baseline(self):
-        p = init_params(PRESETS["paper-baseline"], 0)
+        cfg = PRESETS["paper-baseline"]
         # 140,288 int8 values + 8 tensors x 8-byte scales
-        assert quantized_memory_bytes(p) == 140_288 + 64
+        assert quantized_memory_bytes(cfg) == 140_288 + 64
 
     def test_memory_bytes_smallest(self):
-        p = init_params(ModelConfig(1, 1, 1, 1, 1, 0), 0)
-        assert quantized_memory_bytes(p) == 2 + 16
+        cfg = ModelConfig(1, 1, 1, 1, 1, 0)
+        assert quantized_memory_bytes(cfg) == 2 + 16
 
     def test_quantized_smaller_than_float(self):
-        p = init_params(PRESETS["tiny"], 0)
-        assert quantized_memory_bytes(p) < 8 * param_count_enumerated(p)
+        cfg = PRESETS["tiny"]
+        p = init_params(cfg, 0)
+        assert quantized_memory_bytes(cfg) < 8 * param_count_enumerated(p)
+
+    def test_report_counts_int8_bytes_zeros_and_error(self):
+        cfg = ModelConfig(9, 4, 4, 2, 8, 2, use_bias=True)
+        p = init_params(cfg, 3)
+        quantized = quantize_params(p)
+        report = quantize_report(cfg, p, quantized)
+        n = p.theta.size
+        deq = np.concatenate([dequantize(qt).ravel() for _, qt in quantized])
+        zeros = sum(int((qt.values == 0).sum()) for _, qt in quantized)
+        assert report == CompressionReport("quantize", n, n, 8 * n, n + 8 * len(quantized),
+                                           zeros / n, float(np.max(np.abs(p.theta - deq))))
+        assert 0 < zeros < n
 
 
 class TestReportInvariants:

@@ -26,6 +26,7 @@ from leanformer.model import (
     synth_copy_batch,
     train_step,
 )
+from leanformer import model
 from leanformer.model import LayerParams, ParamSet
 from leanformer.numerics import matmul, relu, rng_uniform_array
 
@@ -407,6 +408,13 @@ class TestTraining:
         with pytest.raises(ValueError, match="learning rate"):
             train_step(p, TINY, list(batch), list(targets), lr=-0.1)
 
+    @pytest.mark.parametrize("lr", [math.inf, math.nan])
+    def test_non_finite_lr_rejected(self, lr):
+        p = init_params(TINY, 3)
+        batch, targets = synth_copy_batch(3, 2, 3, TINY.vocab_size)
+        with pytest.raises(ValueError, match=f"learning rate must be finite and >= 0, got {lr}"):
+            train_step(p, TINY, list(batch), list(targets), lr=lr)
+
     def test_ten_iterations_reduce_loss(self):
         cfg = PRESETS["small"]
         p = init_params(cfg, 0)
@@ -452,6 +460,16 @@ class TestGradCheck:
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError, match="eps"):
             grad_check(TINY, seed=0, eps=0.0)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match=f"eps must be finite and > 0, got {eps}"):
+            grad_check(TINY, seed=0, eps=eps)
+
+    def test_nan_loss_fails_the_check(self, monkeypatch):
+        # a NaN relative error must not vanish in max(worst, nan)
+        monkeypatch.setattr(model, "batch_loss", lambda *args: math.nan)
+        assert math.isnan(grad_check(TINY, seed=0, eps=1e-5))
 
     def test_multilayer_gradients_close_in_absolute_terms(self):
         # deep near-zero gradients sit at the fd noise floor, so the

@@ -90,6 +90,40 @@ def test_v2_payload_size_named(tmp_path, edit, message):
         load_quantized_model(path)
 
 
+OTHER = {VERSION_FLOAT64: VERSION_INT8, VERSION_INT8: VERSION_FLOAT64}
+ERRORS = [  # (case, the file a loader of version v is given, the exact error after "<path>: ")
+    ("bad-magic", lambda files, v: b"RETX" + files[v][4:], "not a model file (bad magic)"),
+    ("unknown-version", lambda files, v: MAGIC + struct.pack("<I", 3) + files[v][8:],
+     "unsupported format version 3"),
+    ("unknown-tag", lambda files, v: files[VERSION_INT8].replace(b"int8", b"int4", 1),
+     "unsupported element type 'int4'"),
+    ("version-mismatch", lambda files, v: files[OTHER[v]],
+     {VERSION_FLOAT64: "version 2 holds int8 data; expected a float64 (version 1) file",
+      VERSION_INT8: "version 1 holds float64 data; expected an int8 (version 2) file"}),
+    ("truncated", lambda files, v: files[v][:-1], "truncated model file"),
+    ("truncated-header", lambda files, v: files[v][:10], "truncated model file"),
+    ("trailing", lambda files, v: files[v] + b"xyz", "3 trailing bytes"),
+]
+
+
+@pytest.mark.parametrize("version", LOADERS, ids=["v1", "v2"])
+@pytest.mark.parametrize("edit, message", [case[1:] for case in ERRORS],
+                         ids=[case[0] for case in ERRORS])
+def test_loader_error_text(tmp_path, version, edit, message):
+    cfg = ModelConfig(9, 4, 4, 2, 8, 1, use_bias=True)
+    p = init_params(cfg, 0)
+    save_model(tmp_path / "v1.retf", cfg, p)
+    save_quantized_model(tmp_path / "v2.retf", cfg, quantize_params(p))
+    files = {VERSION_FLOAT64: (tmp_path / "v1.retf").read_bytes(),
+             VERSION_INT8: (tmp_path / "v2.retf").read_bytes()}
+    path = tmp_path / "case.retf"
+    path.write_bytes(edit(files, version))
+    with pytest.raises(ValueError) as exc:
+        LOADERS[version](path)
+    text = message if isinstance(message, str) else message[version]
+    assert str(exc.value) == f"{path}: {text}"
+
+
 FUZZ_CFG = ModelConfig(vocab_size=7, max_seq_len=3, d_model=4, n_heads=2, d_ff=5, n_layers=1,
                        use_bias=True)
 
