@@ -78,10 +78,9 @@ def cmd_init(args) -> int:
     with _sized_by(args.config):
         params = init_params(cfg, args.seed)
     modelfile.save_model(args.out, cfg, params)
-    count = param_count(cfg)
     print(f"wrote {args.out}")
-    print(f"parameters: {count}")
-    print(f"parameter bytes: {profiler.BYTES_PER_PARAM * count}")
+    print(f"parameters: {param_count(cfg)}")
+    print(f"parameter bytes: {profiler.memory_bytes(cfg)}")
     return EXIT_OK
 
 
@@ -153,12 +152,10 @@ def cmd_compress(args) -> int:
 
 
 def cmd_search(args) -> int:
-    bounds = profiler.SearchBounds(
-        seq_len=args.seq_len,
-        max_layers=args.max_layers,
-        max_vocab_plus_seq=args.max_vs_total,
+    pairs = profiler.config_search(
+        args.target_base, args.target_variant, seq_len=args.seq_len,
+        max_layers=args.max_layers, max_vocab_plus_seq=args.max_vs_total,
     )
-    pairs = profiler.config_search(args.target_base, args.target_variant, bounds)
     for cfg, reduced in pairs:
         print(json.dumps({
             "base": modelfile.config_to_json_dict(cfg),

@@ -581,8 +581,9 @@ def synth_copy_batch(
     seed: int, batch_size: int, seq_len: int, vocab_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded copy-task batch: random token ids, targets equal inputs."""
-    if batch_size < 1 or seq_len < 1:
-        raise ValueError("synth_copy_batch: batch_size and seq_len must be >= 1")
+    for name, value in (("batch_size", batch_size), ("seq_len", seq_len)):
+        if value < 1:
+            raise ValueError(f"synth_copy_batch: {name} must be >= 1, got {value}")
     if vocab_size < 2:
         raise ValueError(f"synth_copy_batch: vocab_size must be >= 2, got {vocab_size}")
     u = rng_uniform_array(seed, (batch_size, seq_len), 0.0, 1.0)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import product
+from typing import Callable
 
 from .compression import reduce_config
 from .model import (
@@ -30,35 +31,21 @@ _BENCH_BATCH_SEED = 0x5EED
 
 @dataclass(frozen=True)
 class TimingStats:
-    """Wall-clock samples plus their summary statistics (seconds)."""
+    """Wall-clock seconds of each recorded rep, after `warmup` unrecorded ones."""
 
     samples: tuple[float, ...]
-    median: float
-    mean: float
-    min: float
-    reps: int
     warmup: int
 
-    @classmethod
-    def from_samples(cls, samples: Iterable[float], warmup: int) -> "TimingStats":
-        xs = tuple(samples)
-        if not xs:
-            raise ValueError("TimingStats: need at least one sample")
-        return cls(
-            samples=xs,
-            median=statistics.median(xs),
-            mean=statistics.fmean(xs),
-            min=min(xs),
-            reps=len(xs),
-            warmup=warmup,
-        )
+    @property
+    def median(self) -> float:
+        return statistics.median(self.samples)
 
     def to_json(self) -> dict:
         return {
             "median_s": self.median,
-            "mean_s": self.mean,
-            "min_s": self.min,
-            "reps": self.reps,
+            "mean_s": statistics.fmean(self.samples),
+            "min_s": min(self.samples),
+            "reps": len(self.samples),
             "warmup": self.warmup,
         }
 
@@ -69,13 +56,21 @@ class ResourceReport:
 
     label: str
     param_count: int
-    param_bytes: int
     activation_bytes: int
     timing: TimingStats
 
-    def __post_init__(self):
-        if self.param_bytes != BYTES_PER_PARAM * self.param_count:
-            raise ValueError("ResourceReport: param_bytes must equal 8 * param_count")
+    @property
+    def param_bytes(self) -> int:
+        return BYTES_PER_PARAM * self.param_count
+
+    def metrics(self) -> dict[str, float]:
+        """The values a comparison sets side by side, by name."""
+        return {
+            "param_count": self.param_count,
+            "param_bytes": self.param_bytes,
+            "activation_bytes": self.activation_bytes,
+            "time_median_s": self.timing.median,
+        }
 
     def to_json(self) -> dict:
         return {
@@ -89,17 +84,30 @@ class ResourceReport:
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """Variant-over-baseline ratios and percent reductions per metric.
+
+    A zero baseline metric yields None (undefined) rather than a division
+    error.
+    """
+
     baseline: ResourceReport
     variant: ResourceReport
-    ratios: dict[str, float | None]
-    reductions_pct: dict[str, float | None]
+
+    @property
+    def ratios(self) -> dict[str, float | None]:
+        base, var = self.baseline.metrics(), self.variant.metrics()
+        return {name: None if base[name] == 0 else var[name] / base[name] for name in base}
+
+    @property
+    def reductions_pct(self) -> dict[str, float | None]:
+        return {name: None if r is None else (1.0 - r) * 100.0 for name, r in self.ratios.items()}
 
     def to_json(self) -> dict:
         return {
             "baseline": self.baseline.to_json(),
             "variant": self.variant.to_json(),
-            "ratios": dict(self.ratios),
-            "reductions_pct": dict(self.reductions_pct),
+            "ratios": self.ratios,
+            "reductions_pct": self.reductions_pct,
         }
 
 
@@ -117,8 +125,9 @@ def activation_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> int:
     8x the element count of the batch's ForwardTrace plus its logits by
     construction, and a forward's measured peak sits just above it.
     """
-    if batch_size < 1 or seq_len < 1:
-        raise ValueError("activation_bytes: batch_size and seq_len must be >= 1")
+    for name, value in (("batch_size", batch_size), ("seq_len", seq_len)):
+        if value < 1:
+            raise ValueError(f"activation_bytes: {name} must be >= 1, got {value}")
     if seq_len > cfg.max_seq_len:
         raise ValueError(
             f"activation_bytes: seq_len {seq_len} exceeds max_seq_len {cfg.max_seq_len}"
@@ -161,7 +170,7 @@ def time_forward(
         start = clock()
         model_forward(p, cfg, batch)
         samples.append(clock() - start)
-    return TimingStats.from_samples(samples, warmup=warmup)
+    return TimingStats(tuple(samples), warmup)
 
 
 def profile_model(
@@ -174,52 +183,26 @@ def profile_model(
     warmup: int = 10,
     clock: Callable[[], float] = time.perf_counter,
 ) -> ResourceReport:
-    count = param_count(cfg)
     return ResourceReport(
         label=label,
-        param_count=count,
-        param_bytes=BYTES_PER_PARAM * count,
+        param_count=param_count(cfg),
         activation_bytes=activation_bytes(cfg, batch_size, seq_len),
         timing=time_forward(p, cfg, batch_size, seq_len, reps, warmup, clock),
     )
 
 
-_COMPARE_METRICS = ("param_count", "param_bytes", "activation_bytes", "time_median_s")
-
-
-def _metric(report: ResourceReport, name: str) -> float:
-    if name == "time_median_s":
-        return report.timing.median
-    return getattr(report, name)
-
-
 def compare(baseline: ResourceReport, variant: ResourceReport) -> ComparisonReport:
-    """Variant-over-baseline ratios and percent reductions per metric.
-
-    A zero baseline metric yields None (undefined) rather than a division
-    error.
-    """
-    ratios: dict[str, float | None] = {}
-    reductions: dict[str, float | None] = {}
-    for name in _COMPARE_METRICS:
-        base = _metric(baseline, name)
-        if base == 0:
-            ratios[name] = None
-            reductions[name] = None
-        else:
-            r = _metric(variant, name) / base
-            ratios[name] = r
-            reductions[name] = (1.0 - r) * 100.0
-    return ComparisonReport(baseline=baseline, variant=variant,
-                            ratios=ratios, reductions_pct=reductions)
+    """Pair two reports; the pair derives its ratios and reductions."""
+    return ComparisonReport(baseline, variant)
 
 
 def render_comparison(cr: ComparisonReport) -> str:
     """Three-row text table: memory, execution time, parameter count."""
     b, v = cr.baseline, cr.variant
+    reductions = cr.reductions_pct
 
     def pct(name: str) -> str:
-        red = cr.reductions_pct[name]
+        red = reductions[name]
         return "undefined" if red is None else f"{red:.2f}%"
 
     rows = [
@@ -239,67 +222,55 @@ def render_comparison(cr: ComparisonReport) -> str:
     return "\n".join(lines)
 
 
-# the configuration search's fixed choices; FFN width is a multiple of d_model
+# the configuration search's fixed choices; FFN width is a multiple of d_model.
+# Every d and head count is even, so each candidate's d, heads and d_ff
+# halve exactly, as reduce_config(cfg, 2) needs.
 D_CHOICES = (2, 4, 8, 16, 32, 64, 128, 256, 512)
 HEAD_CHOICES = (2, 4, 8, 16)
 FF_MULTIPLIERS = (1, 2, 4)
 BIAS_OPTIONS = (False, True)
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    """The configuration search's settable ranges."""
-
-    seq_len: int = 10
-    max_layers: int = 4
-    max_vocab_plus_seq: int = 1_000_000
-
-    def __post_init__(self):
-        if self.seq_len < 1 or self.max_layers < 0 or self.max_vocab_plus_seq < 2:
-            raise ValueError("SearchBounds: degenerate bounds")
-
-
 def config_search(
-    target_base: int, target_variant: int, bounds: SearchBounds = SearchBounds()
+    target_base: int, target_variant: int, *,
+    seq_len: int = 10, max_layers: int = 4, max_vocab_plus_seq: int = 1_000_000,
 ) -> list[tuple[ModelConfig, ModelConfig]]:
     """Find every (config, half-sized config) pair hitting both parameter targets.
 
-    Enumerates d, layer count, FFN multiplier, bias and head count over the
-    module's choice sets and `bounds`; for each combination the embedding total V+S follows directly
-    from the closed-form count, so only the divisibility and range filters
-    remain. Every candidate is re-verified against param_count exactly.
+    Enumerates d, head count, layer count up to `max_layers`, FFN multiplier
+    and bias over the module's choice sets; for each combination the
+    embedding total V+S follows directly from the closed-form count, and
+    V = (V+S) - seq_len must be >= 1 with V+S <= `max_vocab_plus_seq`.
+    Every candidate is re-verified against param_count exactly.
     """
     if target_base < 1 or target_variant < 1:
         raise ValueError("config_search: targets must be positive")
+    for name, value, least in (("seq_len", seq_len, 1), ("max_layers", max_layers, 0),
+                               ("max_vocab_plus_seq", max_vocab_plus_seq, 2)):
+        if value < least:
+            raise ValueError(f"config_search: {name} must be >= {least}, got {value}")
     found = []
-    for d in D_CHOICES:
-        for heads in HEAD_CHOICES:
-            # reduce_config(cfg, 2) needs d, heads and f all even, heads >= 2
-            if d % heads != 0 or d % 2 != 0 or heads % 2 != 0:
-                continue
-            for n_layers in range(bounds.max_layers + 1):
-                for mult in FF_MULTIPLIERS:
-                    d_ff = mult * d
-                    if d_ff % 2 != 0:
-                        continue
-                    for use_bias in BIAS_OPTIONS:
-                        # the count of a one-token, one-position model, less its 2 * d embeddings
-                        layers = ModelConfig(1, 1, d, heads, d_ff, n_layers, use_bias)
-                        remainder = target_base - (param_count(layers) - 2 * d)
-                        if remainder <= 0 or remainder % d != 0:
-                            continue
-                        total_vs = remainder // d
-                        vocab = total_vs - bounds.seq_len
-                        if vocab < 1 or total_vs > bounds.max_vocab_plus_seq:
-                            continue
-                        cfg = ModelConfig(
-                            vocab_size=vocab, max_seq_len=bounds.seq_len,
-                            d_model=d, n_heads=heads, d_ff=d_ff,
-                            n_layers=n_layers, use_bias=use_bias,
-                        )
-                        reduced = reduce_config(cfg, 2)
-                        if param_count(cfg) == target_base and param_count(reduced) == target_variant:
-                            found.append((cfg, reduced))
+    for d, heads, n_layers, mult, use_bias in product(
+            D_CHOICES, HEAD_CHOICES, range(max_layers + 1), FF_MULTIPLIERS, BIAS_OPTIONS):
+        if d % heads != 0:
+            continue
+        d_ff = mult * d
+        # the count of a one-token, one-position model, less its 2 * d embeddings
+        layers = ModelConfig(1, 1, d, heads, d_ff, n_layers, use_bias)
+        remainder = target_base - (param_count(layers) - 2 * d)
+        if remainder <= 0 or remainder % d != 0:
+            continue
+        total_vs = remainder // d
+        vocab = total_vs - seq_len
+        if vocab < 1 or total_vs > max_vocab_plus_seq:
+            continue
+        cfg = ModelConfig(
+            vocab_size=vocab, max_seq_len=seq_len, d_model=d, n_heads=heads,
+            d_ff=d_ff, n_layers=n_layers, use_bias=use_bias,
+        )
+        reduced = reduce_config(cfg, 2)
+        if param_count(cfg) == target_base and param_count(reduced) == target_variant:
+            found.append((cfg, reduced))
     found.sort(key=lambda pair: (pair[0].d_model, pair[0].n_layers, pair[0].d_ff,
                                  pair[0].n_heads, pair[0].use_bias))
     return found

@@ -307,6 +307,21 @@ def test_non_finite_float_flag_exit_2(capsys, command, flag, value):
     assert out == ""  # no iter line, no error figure
 
 
+@pytest.mark.parametrize("command, flag, message", [
+    (["compare", "--baseline", "tiny", "--variant", "tiny", "--seq", "4"], "--batch",
+     "activation_bytes: batch_size must be >= 1, got 0"),
+    (["compare", "--baseline", "tiny", "--variant", "tiny"], "--seq",
+     "activation_bytes: seq_len must be >= 1, got 0"),
+    (["train", "--config", "tiny"], "--batch", "synth_copy_batch: batch_size must be >= 1, got 0"),
+    (["train", "--config", "tiny"], "--seq", "synth_copy_batch: seq_len must be >= 1, got 0"),
+], ids=["compare-batch", "compare-seq", "train-batch", "train-seq"])
+def test_zero_batch_or_seq_named_exit_2(capsys, command, flag, message):
+    code = main([*command, flag, "0"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 class TestSearch:
     def test_paper_targets_found(self, capsys):
         code = main(["search", "--target-base", "140288", "--target-variant", "67072"])
@@ -333,6 +348,17 @@ class TestSearch:
         with pytest.raises(SystemExit) as exc:
             main(["search", "--target-base", "lots", "--target-variant", "67072"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, value, bound", [
+        ("--max-layers", "-1", "max_layers must be >= 0, got -1"),
+        ("--seq-len", "0", "seq_len must be >= 1, got 0"),
+        ("--max-vs-total", "1", "max_vocab_plus_seq must be >= 2, got 1"),
+    ], ids=["max-layers", "seq-len", "max-vs-total"])
+    def test_degenerate_bound_named_exit_2(self, capsys, flag, value, bound):
+        code = main(["search", "--target-base", "140288", "--target-variant", "67072", flag, value])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: config_search: {bound}\n"
 
     def test_zero_target_exit_2(self, capsys):
         assert main(["search", "--target-base", "0", "--target-variant", "67072"]) == 2

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from leanformer.model import (
     trace_element_count,
 )
 from leanformer.profiler import (
-    SearchBounds,
+    ResourceReport,
     TimingStats,
     activation_bytes,
     compare,
@@ -140,19 +141,21 @@ class TestTimeForward:
         p = init_params(cfg, 0)
         stats = time_forward(p, cfg, batch_size=2, seq_len=3, reps=3, warmup=1,
                              clock=durations_clock([0.005, 0.001, 0.003]))
+        doc = stats.to_json()
         assert stats.samples == pytest.approx((0.005, 0.001, 0.003))
         assert stats.median == pytest.approx(0.003)
-        assert stats.min == pytest.approx(0.001)
-        assert stats.mean == pytest.approx(0.003)
-        assert stats.median == stats.samples[2] and stats.min == stats.samples[1]
-        assert stats.reps == 3 and stats.warmup == 1
+        assert doc["min_s"] == pytest.approx(0.001)
+        assert doc["mean_s"] == pytest.approx(0.003)
+        assert stats.median == stats.samples[2] and doc["min_s"] == stats.samples[1]
+        assert doc["reps"] == 3 and stats.warmup == 1
 
     def test_single_rep_collapses_stats(self):
         cfg = PRESETS["tiny"]
         p = init_params(cfg, 0)
         stats = time_forward(p, cfg, 2, 3, reps=1, warmup=0,
                              clock=durations_clock([0.0125]))
-        assert stats.median == stats.mean == stats.min == 0.0125
+        doc = stats.to_json()
+        assert stats.median == doc["mean_s"] == doc["min_s"] == 0.0125
 
     def test_zero_reps_rejected(self):
         cfg = PRESETS["tiny"]
@@ -161,17 +164,18 @@ class TestTimeForward:
             time_forward(p, cfg, 2, 3, reps=0, warmup=0)
 
     def test_median_order_statistics(self):
-        even = TimingStats.from_samples([4.0, 1.0, 3.0, 2.0], warmup=0)
+        even = TimingStats((4.0, 1.0, 3.0, 2.0), warmup=0)
         assert even.median == 2.5
-        odd = TimingStats.from_samples([9.0, 1.0, 5.0], warmup=0)
+        odd = TimingStats((9.0, 1.0, 5.0), warmup=0)
         assert odd.median == 5.0
 
     @given(st.lists(st.floats(0, 10), min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)
     def test_min_median_max_ordering(self, samples):
-        stats = TimingStats.from_samples(samples, warmup=0)
-        assert stats.min <= stats.median <= max(samples)
-        assert stats.reps == len(samples)
+        stats = TimingStats(tuple(samples), warmup=0)
+        doc = stats.to_json()
+        assert doc["min_s"] <= stats.median <= max(samples)
+        assert doc["reps"] == len(samples)
 
 
 class TestCompare:
@@ -223,10 +227,8 @@ class TestCompare:
 
 
 def _mk_report(label, count, act=1000, median=0.5):
-    from leanformer.profiler import ResourceReport
-    stats = TimingStats.from_samples([median], warmup=0)
-    return ResourceReport(label=label, param_count=count, param_bytes=8 * count,
-                          activation_bytes=act, timing=stats)
+    return ResourceReport(label=label, param_count=count, activation_bytes=act,
+                          timing=TimingStats((median,), warmup=0))
 
 
 class TestConfigSearch:
@@ -257,10 +259,9 @@ class TestConfigSearch:
         assert config_search(3, 5) == []
 
     def test_search_respects_vs_cap(self):
-        bounded = SearchBounds(max_vocab_plus_seq=100)
         assert all(
             cfg.vocab_size + cfg.max_seq_len <= 100
-            for cfg, _ in config_search(140_288, 67_072, bounded)
+            for cfg, _ in config_search(140_288, 67_072, max_vocab_plus_seq=100)
         )
 
 
@@ -273,3 +274,68 @@ class TestProfileModel:
         assert rep.param_count == param_count(cfg)
         assert rep.param_bytes == 8 * rep.param_count
         assert rep.timing.median == pytest.approx(0.003)
+
+
+# Pinned from a scripted-clock run of both paper presets: the comparison's
+# every value and the search's full output, which no refactor may move.
+PAPER_COMPARISON_JSON = {
+    "baseline": {
+        "label": "paper-baseline", "param_count": 140288, "param_bytes": 1122304,
+        "activation_bytes": 11238400,
+        "timing": {"median_s": 0.01295, "mean_s": 0.01285, "min_s": 0.012,
+                   "reps": 4, "warmup": 1},
+    },
+    "variant": {
+        "label": "paper-reduced", "param_count": 67072, "param_bytes": 536576,
+        "activation_bytes": 10726400,
+        "timing": {"median_s": 0.0088, "mean_s": 0.008725, "min_s": 0.0081,
+                   "reps": 4, "warmup": 1},
+    },
+    "ratios": {
+        "param_count": 0.4781021897810219, "param_bytes": 0.4781021897810219,
+        "activation_bytes": 0.9544419134396356, "time_median_s": 0.6795366795366796,
+    },
+    "reductions_pct": {
+        "param_count": 52.18978102189781, "param_bytes": 52.18978102189781,
+        "activation_bytes": 4.555808656036442, "time_median_s": 32.04633204633204,
+    },
+}
+
+PAPER_COMPARISON_TABLE = "\n".join([
+    "Metric                    paper-baseline  paper-reduced  Reduction",
+    "------------------------  --------------  -------------  ---------",
+    "Memory Usage (Bytes)      1,122,304       536,576        52.19%   ",
+    "Execution Time (Seconds)  0.012950        0.008800       32.05%   ",
+    "Parameter Count           140,288         67,072         52.19%   ",
+])
+
+# (d_model, n_heads, d_ff, n_layers, use_bias, vocab_size) of each base
+# config, in the search's order; every one has max_seq_len 10
+PAPER_SEARCH = [
+    (d, heads, d_ff, layers, bias, vocab)
+    for d, d_ff, layers, vocabs in ((16, 64, 4, (7990, 7954)), (32, 128, 1, (3990, 3981)),
+                                    (32, 32, 2, (3990, 3978)))
+    for heads in (2, 4, 8, 16)
+    for bias, vocab in zip((False, True), vocabs)
+]
+
+
+class TestPinnedOutputs:
+    def test_paper_comparison_json_and_table(self):
+        reports = [
+            profile_model(init_params(PRESETS[name], 0), PRESETS[name], name, reps=4, warmup=1,
+                          clock=durations_clock(durations))
+            for name, durations in (("paper-baseline", [0.012, 0.0135, 0.0128, 0.0131]),
+                                    ("paper-reduced", [0.0081, 0.0092, 0.0087, 0.0089]))
+        ]
+        cr = compare(*reports)
+        assert json.dumps(cr.to_json(), indent=2) == json.dumps(PAPER_COMPARISON_JSON, indent=2)
+        assert render_comparison(cr) == PAPER_COMPARISON_TABLE
+
+    def test_paper_search_output(self):
+        expected = [
+            (ModelConfig(vocab, 10, d, heads, d_ff, layers, bias),
+             ModelConfig(vocab, 10, d // 2, heads // 2, d_ff // 2, layers, bias))
+            for d, heads, d_ff, layers, bias, vocab in PAPER_SEARCH
+        ]
+        assert config_search(140_288, 67_072) == expected
