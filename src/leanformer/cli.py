@@ -111,7 +111,9 @@ def cmd_train(args) -> int:
     if args.iters < 1:
         raise ValueError(f"--iters must be >= 1, got {args.iters}")
     cfg = _load_config(args.config)
-    seq_len = min(cfg.max_seq_len, args.seq)
+    seq_len = min(cfg.max_seq_len, 10) if args.seq is None else args.seq
+    if seq_len > cfg.max_seq_len:
+        raise ValueError(f"--seq {seq_len} exceeds max_seq_len {cfg.max_seq_len}")
     batch, targets = synth_copy_batch(args.seed, args.batch, seq_len, cfg.vocab_size)
     with _sized_by(args.config):
         params = init_params(cfg, args.seed)
@@ -200,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--seq", type=int, default=10)
+    p.add_argument("--seq", type=int, default=None, help="default: min(10, max_seq_len)")
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)

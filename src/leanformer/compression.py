@@ -14,9 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    ModelConfig, ParamSet, _freeze, iter_params, param_count, param_layout, param_tensor_count,
-)
+from .model import ModelConfig, ParamSet, _freeze, iter_params, param_count, param_tensor_count
 from .numerics import Matrix
 
 
@@ -188,7 +186,7 @@ def prune_heads(
     counts = [cfg.heads_in_layer(i) for i in range(cfg.n_layers)]
     counts[layer] = len(kept)
     new_cfg = _with_heads(cfg, counts)
-    pruned = ParamSet(_freeze(p.theta[mask.theta]), param_layout(new_cfg))
+    pruned = ParamSet(_freeze(p.theta[mask.theta]), new_cfg)
     return pruned, new_cfg, _report("prune-heads", p, pruned)
 
 
@@ -202,11 +200,10 @@ def prune_layers(
     if kept and (kept[0] < 0 or kept[-1] >= cfg.n_layers):
         raise ValueError(f"prune_layers: layer indices {kept} outside [0, {cfg.n_layers})")
 
-    mask = p.with_theta(np.zeros(p.theta.size, dtype=bool))
-    for name, arr in iter_params(mask):
-        arr[...] = not name.startswith("layers.") or int(name.split(".")[1]) in kept
     new_cfg = _with_heads(cfg, [cfg.heads_in_layer(i) for i in kept])
-    pruned = ParamSet(_freeze(p.theta[mask.theta]), param_layout(new_cfg))
+    arrays = [p.tok_emb, p.pos_emb,
+              *(a for i in kept for a in vars(p.layers[i]).values() if a is not None)]
+    pruned = ParamSet(_freeze(np.concatenate([a.ravel() for a in arrays])), new_cfg)
     return pruned, new_cfg, _report("prune-layers", p, pruned)
 
 
@@ -268,7 +265,7 @@ def quantize_params(p: ParamSet) -> list[tuple[str, QuantizedTensor]]:
 def dequantize_params(p: ParamSet, quantized: list[tuple[str, QuantizedTensor]]) -> ParamSet:
     """Rebuild float64 params shaped like `p` from quantized tensors."""
     if [(name, qt.values.size) for name, qt in quantized] != [
-            (name, math.prod(shape)) for name, shape in p.layout]:
+            (name, arr.size) for name, arr in iter_params(p)]:
         raise ValueError("dequantize_params: tensors do not match the canonical layout")
     theta, at = np.empty(p.theta.size), 0
     for _, qt in quantized:

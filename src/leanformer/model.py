@@ -98,89 +98,76 @@ PRESETS: dict[str, ModelConfig] = {
 
 @dataclass(frozen=True)
 class LayerParams:
+    """One layer's weights, each followed by its bias (None without biases), in canonical order."""
+
     wq: Matrix
+    bq: np.ndarray | None
     wk: Matrix
+    bk: np.ndarray | None
     wv: Matrix
+    bv: np.ndarray | None
     wo: Matrix
+    bo: np.ndarray | None
     w1: Matrix
+    b1: np.ndarray | None
     w2: Matrix
-    bq: np.ndarray | None = None
-    bk: np.ndarray | None = None
-    bv: np.ndarray | None = None
-    bo: np.ndarray | None = None
-    b1: np.ndarray | None = None
-    b2: np.ndarray | None = None
-
-
-Layout = tuple[tuple[str, tuple[int, ...]], ...]
-
-
-def param_layout(cfg: ModelConfig) -> Layout:
-    """(name, shape) of every parameter in canonical order, from the config alone.
-
-    Canonical order (used by serialization, enumeration and the gradient
-    checker): tok_emb, pos_emb, then per layer wq, wk, wv, wo, w1, w2 with
-    each bias immediately after its weight when biases are enabled.
-    """
-    d, f = cfg.d_model, cfg.d_ff
-    out = [("tok_emb", (cfg.vocab_size, d)), ("pos_emb", (cfg.max_seq_len, d))]
-    for i in range(cfg.n_layers):
-        w = cfg.attn_width(i)
-        for suffix, shape in (("q", (d, w)), ("k", (d, w)), ("v", (d, w)),
-                              ("o", (w, d)), ("1", (d, f)), ("2", (f, d))):
-            out.append((f"layers.{i}.w{suffix}", shape))
-            if cfg.use_bias:
-                # a bias adds to its weight's output columns
-                out.append((f"layers.{i}.b{suffix}", shape[1:]))
-    return tuple(out)
+    b2: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
 class ParamSet:
     """Every parameter of one model instance in one flat vector `theta`.
 
-    `theta` holds the arrays of `layout` back to back, row-major.
-    `tok_emb`, `pos_emb` and each layer's weights and biases are views into
-    it, so they share its writeability: the package freezes every theta it
-    hands out, while gradients (and bool keep-masks laid out the same way)
-    are written through their views.
+    The constructor lays `cfg`'s tensors out in theta back to back, row-major,
+    in canonical order: tok_emb, pos_emb, then each layer's in `LayerParams`
+    field order. They are views into theta, so they share its writeability:
+    the package freezes every theta it hands out, while gradients (and bool
+    keep-masks and int8 payloads laid out the same way) are written through them.
     """
 
     theta: np.ndarray
-    layout: Layout
+    cfg: ModelConfig
     tok_emb: Matrix = field(init=False, repr=False)
     pos_emb: Matrix = field(init=False, repr=False)
     layers: list[LayerParams] = field(init=False, repr=False)
-    named: tuple[tuple[str, np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         theta = np.ascontiguousarray(self.theta)
-        size = sum(math.prod(shape) for _, shape in self.layout)
+        cfg = self.cfg
+        size = param_count(cfg)
         if theta.shape != (size,):
             raise ValueError(f"ParamSet: theta has shape {theta.shape}, layout needs ({size},)")
-        named, pos = [], 0
-        for name, shape in self.layout:
-            n = math.prod(shape)
-            named.append((name, theta[pos: pos + n].reshape(shape)))
-            pos += n
-        per_layer: dict[int, dict[str, np.ndarray]] = {}
-        for name, view in named[2:]:
-            _, i, field_name = name.split(".")
-            per_layer.setdefault(int(i), {})[field_name] = view
+        d, f, bias = cfg.d_model, cfg.d_ff, cfg.use_bias
+        emb = cfg.vocab_size * d
+        pos = emb + cfg.max_seq_len * d
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "named", tuple(named))
-        object.__setattr__(self, "tok_emb", named[0][1])
-        object.__setattr__(self, "pos_emb", named[1][1])
-        object.__setattr__(self, "layers", [LayerParams(**kw) for kw in per_layer.values()])
+        object.__setattr__(self, "tok_emb", theta[:emb].reshape(cfg.vocab_size, d))
+        object.__setattr__(self, "pos_emb", theta[emb:pos].reshape(cfg.max_seq_len, d))
+        layers = []
+        for i in range(cfg.n_layers):
+            w = cfg.attn_width(i)
+            views = []
+            # each weight, then the bias that adds to its output columns
+            for rows, cols in ((d, w), (d, w), (d, w), (w, d), (d, f), (f, d)):
+                end = pos + rows * cols
+                views += theta[pos:end].reshape(rows, cols), theta[end:end + cols] if bias else None
+                pos = end + cols * bias
+            layers.append(LayerParams(*views))
+        object.__setattr__(self, "layers", layers)
 
     def with_theta(self, theta: np.ndarray) -> ParamSet:
-        """The same layout over another vector."""
-        return ParamSet(theta, self.layout)
+        """The same config over another vector."""
+        return ParamSet(theta, self.cfg)
 
 
 def iter_params(p: ParamSet) -> Iterator[tuple[str, np.ndarray]]:
     """Yield (name, view) in canonical order, biases only when present."""
-    yield from p.named
+    yield "tok_emb", p.tok_emb
+    yield "pos_emb", p.pos_emb
+    for i, lay in enumerate(p.layers):
+        for name, arr in vars(lay).items():
+            if arr is not None:
+                yield f"layers.{i}.{name}", arr
 
 
 def param_count_enumerated(p: ParamSet) -> int:
@@ -206,7 +193,7 @@ def param_count(cfg: ModelConfig) -> int:
 
 
 def param_tensor_count(cfg: ModelConfig) -> int:
-    """len(param_layout(cfg)), without building the layout.
+    """The number of tensors `iter_params` yields, without building a ParamSet.
 
     Two embeddings, then six weights per layer, each followed by its bias
     when biases are enabled.
@@ -221,12 +208,14 @@ def _freeze(theta: np.ndarray) -> np.ndarray:
 
 
 def _init_uniform(cfg: ModelConfig, seed: int, lo: float, hi: float) -> ParamSet:
-    layout = param_layout(cfg)
-    is_weight = np.concatenate([np.full(math.prod(shape), len(shape) == 2) for _, shape in layout])
-    draws = rng_uniform_array(seed, (int(is_weight.sum()),), lo, hi)
-    theta = np.zeros(is_weight.size)
-    theta[is_weight] = draws
-    return ParamSet(_freeze(theta), layout)
+    theta = np.zeros(param_count(cfg))
+    # views of a read-only alias stay read-only; the weights are written through theta itself
+    p = ParamSet(_freeze(theta.view()), cfg)
+    tensors = [arr for _, arr in iter_params(p)]
+    is_weight = np.repeat([arr.ndim == 2 for arr in tensors], [arr.size for arr in tensors])
+    theta[is_weight] = rng_uniform_array(seed, (int(is_weight.sum()),), lo, hi)
+    _freeze(theta)
+    return p
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ParamSet:
@@ -376,6 +365,8 @@ def model_forward(
     array, and then the logits, is allocated once at its final shape and
     filled one sequence at a time; the logits read the trace's last array.
     """
+    if cfg != p.cfg:
+        raise ValueError(f"model_forward: config {cfg} does not describe params built for {p.cfg}")
     ids = _id_array("model_forward", "batch", batch)
     if ids.ndim != 2 or len(ids) == 0:
         raise ValueError("model_forward: batch must be a non-empty (sequences, n) array of token ids")
@@ -549,7 +540,7 @@ def _check_finite(p: ParamSet, what: str) -> None:
     # min and max propagate NaN and reach any infinity, with no temporary the size of theta
     if math.isfinite(p.theta.min()) and math.isfinite(p.theta.max()):
         return
-    name = next(name for name, arr in p.named if not np.isfinite(arr).all())
+    name = next(name for name, arr in iter_params(p) if not np.isfinite(arr).all())
     raise ValueError(f"{what} {name} is not finite")
 
 

@@ -1,6 +1,6 @@
 """Versioned binary model container.
 
-Layout (all integers little-endian):
+Format (all integers little-endian):
 
   magic   4 bytes   b"RETF"
   version u32       1 = float64 payload, 2 = int8 + per-tensor scales
@@ -8,15 +8,16 @@ Layout (all integers little-endian):
   config  u32 length + UTF-8 JSON of the model configuration
   payload v1: every parameter as float64, canonical order, row-major
           (exactly the bytes of ParamSet.theta)
-          v2: per tensor one float64 scale, then its int8 values
-          (`compression.quantized_memory_bytes(cfg)` bytes in all)
+          v2: per tensor in canonical order one float64 scale, then its
+          int8 values (`compression.quantized_memory_bytes(cfg)` bytes in all)
 
 Files stream between disk and arrays: a save writes the header and then
 theta's (or each int8 tensor's) own buffer, and a load reads the header
 fields with reads bounded by the file's length, then reads the payload
 straight into the arrays it returns (`readinto`), so neither side holds a
-second copy of the parameters. Shapes come from the config: an int8 tensor
-loads in its parameter's shape. Both loaders open files through `_open`.
+second copy of the parameters. Shapes come from the config: a v2 payload
+loads into one int8 ParamSet of it, so each int8 tensor is a view in its
+parameter's shape. Both loaders open files through `_open`.
 
 Round-trips are bit-exact. Loaders reject trailing or missing bytes, NaN or
 infinite float64 values, and v2 scales that are not positive and finite.
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .compression import QuantizedTensor, quantized_memory_bytes
-from .model import ModelConfig, ParamSet, _check_finite, _freeze, param_count, param_layout
+from .model import ModelConfig, ParamSet, _check_finite, _freeze, iter_params, param_count
 
 MAGIC = b"RETF"
 VERSION_FLOAT64 = 1
@@ -132,7 +133,7 @@ class _Reader:
 
     def into(self, a: np.ndarray) -> np.ndarray:
         """Fill the C-contiguous array `a` with the next `a.nbytes` bytes and return it."""
-        if a.nbytes > self.left or self.file.readinto(a.reshape(-1).view(np.uint8)) != a.nbytes:
+        if a.nbytes > self.left or self.file.readinto(a) != a.nbytes:
             raise ValueError(f"{self.path}: truncated model file")
         self.left -= a.nbytes
         return a
@@ -158,6 +159,8 @@ class _Reader:
 
 def save_model(path: str | Path, cfg: ModelConfig, p: ParamSet) -> None:
     """Write a version-1 (float64) model file: the header, then theta's own buffer."""
+    if cfg != p.cfg:
+        raise ValueError(f"save_model: config {cfg} does not describe params built for {p.cfg}")
     with open(path, "wb") as f:
         f.write(MAGIC + struct.pack("<I", VERSION_FLOAT64) + _config_block(cfg))
         f.write(np.ascontiguousarray(p.theta, dtype="<f8"))
@@ -205,7 +208,7 @@ def load_model(path: str | Path) -> tuple[ModelConfig, ParamSet]:
         n = param_count(cfg)
         r.expect(8 * n)
         theta = r.into(np.empty(n, "<f8")).astype(np.float64, copy=False)
-    p = ParamSet(_freeze(theta), param_layout(cfg))
+    p = ParamSet(_freeze(theta), cfg)
     _check_finite(p, f"{path}: tensor")
     return cfg, p
 
@@ -215,14 +218,13 @@ def load_quantized_model(
 ) -> tuple[ModelConfig, list[tuple[str, QuantizedTensor]]]:
     """Load a version-2 model file as named quantized tensors."""
     with _open(path, VERSION_INT8) as (cfg, r):
-        # checked before the layout is built, since a header can name any number of layers
+        # checked before anything is built, since a header can name any number of layers
         r.expect(quantized_memory_bytes(cfg))
         tensors = []
-        for name, shape in param_layout(cfg):
+        for name, values in iter_params(ParamSet(np.empty(param_count(cfg), np.int8), cfg)):
             scale = struct.unpack("<d", r.take(8))[0]
-            values = r.into(np.empty(shape, np.int8))
             try:
-                tensors.append((name, QuantizedTensor(values, scale)))
+                tensors.append((name, QuantizedTensor(r.into(values), scale)))
             except ValueError as exc:
                 raise ValueError(f"{path}: tensor {name}: {exc}") from exc
     return cfg, tensors

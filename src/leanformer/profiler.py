@@ -237,9 +237,10 @@ def config_search(
 ) -> list[tuple[ModelConfig, ModelConfig]]:
     """Find every (config, half-sized config) pair hitting both parameter targets.
 
-    Enumerates d, head count, layer count up to `max_layers`, FFN multiplier
-    and bias over the module's choice sets; for each combination the
-    embedding total V+S follows directly from the closed-form count, and
+    Enumerates d, head count, FFN multiplier and bias over the module's
+    choice sets. A model and its half-sized pair share V+S, so the two
+    targets fix each combination's layer count (at most `max_layers`); the
+    embedding total V+S then follows from the closed-form count, and
     V = (V+S) - seq_len must be >= 1 with V+S <= `max_vocab_plus_seq`.
     Every candidate is re-verified against param_count exactly.
     """
@@ -250,19 +251,20 @@ def config_search(
         if value < least:
             raise ValueError(f"config_search: {name} must be >= {least}, got {value}")
     found = []
-    for d, heads, n_layers, mult, use_bias in product(
-            D_CHOICES, HEAD_CHOICES, range(max_layers + 1), FF_MULTIPLIERS, BIAS_OPTIONS):
+    for d, heads, mult, use_bias in product(D_CHOICES, HEAD_CHOICES, FF_MULTIPLIERS, BIAS_OPTIONS):
         if d % heads != 0:
             continue
         d_ff = mult * d
-        # the count of a one-token, one-position model, less its 2 * d embeddings
-        layers = ModelConfig(1, 1, d, heads, d_ff, n_layers, use_bias)
-        remainder = target_base - (param_count(layers) - 2 * d)
-        if remainder <= 0 or remainder % d != 0:
-            continue
-        total_vs = remainder // d
+        layer = ModelConfig(1, 1, d, heads, d_ff, 1, use_bias)
+        # what one layer adds to the model's count and to its pair's, whose V+S weighs d / 2:
+        # target_base - 2 * target_variant = n_layers * (per_layer - 2 * per_half)
+        per_layer = param_count(layer) - 2 * d
+        per_half = param_count(reduce_config(layer, 2)) - d
+        n_layers, rest = divmod(target_base - 2 * target_variant, per_layer - 2 * per_half)
+        total_vs, rest_vs = divmod(target_base - n_layers * per_layer, d)
         vocab = total_vs - seq_len
-        if vocab < 1 or total_vs > max_vocab_plus_seq:
+        if (rest or rest_vs or not 0 <= n_layers <= max_layers
+                or vocab < 1 or total_vs > max_vocab_plus_seq):
             continue
         cfg = ModelConfig(
             vocab_size=vocab, max_seq_len=seq_len, d_model=d, n_heads=heads,

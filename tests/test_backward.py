@@ -14,6 +14,7 @@ from leanformer.model import (
     cross_entropy,
     embed,
     init_params,
+    iter_params,
     loss_and_grads,
     model_forward,
     synth_copy_batch,
@@ -66,8 +67,8 @@ class TestScalarOracle:
         targets = shifted_targets(batch, cfg.vocab_size)
         loss, grads = loss_and_grads(p, cfg, batch, targets)
         ref_loss, ref_grads = reference.loss_and_grads(p, cfg, batch, targets)
-        assert set(ref_grads) == {name for name, _ in grads.named}
-        want = np.concatenate([np.ravel(ref_grads[name]) for name, _ in grads.named])
+        assert set(ref_grads) == {name for name, _ in iter_params(grads)}
+        want = np.concatenate([np.ravel(ref_grads[name]) for name, _ in iter_params(grads)])
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         assert rel_err(grads.theta, want) <= 1e-12
 

@@ -163,6 +163,13 @@ class TestTrain:
     def test_negative_lr_exit_2(self, capsys):
         assert main(["train", "--config", "tiny", "--lr", "-1"]) == 2
 
+    def test_seq_beyond_config_exit_2(self, capsys):
+        code = main(["train", "--config", "tiny", "--seq", "99"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == "error: --seq 99 exceeds max_seq_len 4\n"
+        assert "iter" not in out
+
     def test_non_numeric_flag_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--config", "tiny", "--iters", "many"])

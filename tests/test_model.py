@@ -21,7 +21,6 @@ from leanformer.model import (
     model_forward,
     param_count,
     param_count_enumerated,
-    param_layout,
     param_tensor_count,
     synth_copy_batch,
     train_step,
@@ -267,6 +266,12 @@ class TestForward:
         with pytest.raises(ValueError, match="non-empty"):
             model_forward(p, TINY, [])
 
+    def test_config_other_than_the_params_rejected(self):
+        # 8 heads of width 2 would fit the reduced model's 16-wide layers
+        cfg = PRESETS["paper-reduced"]
+        with pytest.raises(ValueError, match="model_forward: config .* does not describe params"):
+            model_forward(init_params(cfg, 0), dataclasses.replace(cfg, n_heads=8), [[1, 2]])
+
     def test_trace_rows_are_the_stages_run_on_one_sequence(self):
         cfg = ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True, head_dim=3, layer_heads=(2, 1))
         p = init_params(cfg, 0).with_theta(rng_uniform_array(5, (param_count(cfg),), -0.5, 0.5))
@@ -362,11 +367,11 @@ class TestParamCount:
     @given(small_configs)
     @settings(max_examples=60, deadline=None)
     def test_tensor_count_equals_layout_length(self, cfg):
-        assert param_tensor_count(cfg) == len(param_layout(cfg))
+        assert param_tensor_count(cfg) == len(list(iter_params(init_params(cfg, 0))))
 
     def test_tensor_count_of_pruned_biased_config(self):
         cfg = ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True, head_dim=3, layer_heads=(2, 1))
-        assert param_tensor_count(cfg) == len(param_layout(cfg)) == 26
+        assert param_tensor_count(cfg) == len(list(iter_params(init_params(cfg, 0)))) == 26
 
     @pytest.mark.parametrize("heads", [1, 2, 4, 8])
     def test_head_count_does_not_change_count(self, heads):

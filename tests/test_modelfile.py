@@ -167,6 +167,12 @@ class TestFloatModelFile:
         with pytest.raises(ValueError, match="trailing"):
             load_model(path)
 
+    def test_config_other_than_the_params_rejected(self, tmp_path):
+        path = tmp_path / "m.retf"
+        with pytest.raises(ValueError, match="save_model: config .* does not describe params"):
+            save_model(path, PRESETS["tiny"], init_params(PRESETS["small"], 0))
+        assert not path.exists()
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "m.retf"
         path.write_bytes(MAGIC + struct.pack("<I", 9) + b"\x00" * 8)
@@ -263,3 +269,16 @@ class TestFileBytesPinned:
         digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16]
                         for f in ("f.retf", "q.retf"))
         assert digests == self.PINS[name]
+
+    def test_biased_pruned_config_names_and_bytes(self, tmp_path):
+        # the presets have no biases and one head count for every layer
+        cfg = ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True, head_dim=3, layer_heads=(2, 1))
+        p = init_params(cfg, 0)
+        assert [name for name, _ in iter_params(p)] == ["tok_emb", "pos_emb"] + [
+            f"layers.{i}.{kind}{part}" for i in range(2)
+            for part in "qkvo12" for kind in "wb"]
+        save_model(tmp_path / "f.retf", cfg, p)
+        save_quantized_model(tmp_path / "q.retf", cfg, quantize_params(p))
+        digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16]
+                        for f in ("f.retf", "q.retf"))
+        assert digests == ("c76f25ef884f1309", "51fa56873cf2dd48")

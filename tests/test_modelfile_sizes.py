@@ -160,7 +160,7 @@ def test_mutated_files_raise_only_value_error_within_bounded_memory(
         assert load_peak(load, path) <= peak_bound(path.stat().st_size)
 
 
-SLACK = 64_000  # header, config, layout and ParamSet views
+SLACK = 64_000  # header, config and ParamSet views
 
 
 def traced_peak(fn, *args):
@@ -184,3 +184,11 @@ def test_files_stream_between_disk_and_theta(tmp_path, name):
     assert traced_peak(load_model, v1) <= 8 * param_count(cfg) + SLACK
     assert traced_peak(save_quantized_model, v2, cfg, quantized) <= SLACK
     assert traced_peak(load_quantized_model, v2) <= param_count(cfg) + SLACK
+
+
+def test_deep_file_loads_without_per_tensor_names(tmp_path):
+    # 60,002 tensors of one element: what a load holds beside theta is per-tensor overhead
+    cfg = ModelConfig(2, 1, 1, 1, 1, 10_000)
+    path = tmp_path / "deep.retf"
+    save_model(path, cfg, init_params(cfg, 0))
+    assert traced_peak(load_model, path) <= 16_000_000

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -263,6 +264,13 @@ class TestConfigSearch:
             cfg.vocab_size + cfg.max_seq_len <= 100
             for cfg, _ in config_search(140_288, 67_072, max_vocab_plus_seq=100)
         )
+
+    def test_layer_bound_beyond_the_target_costs_nothing(self):
+        # no model of more than 140,288 layers fits 140,288 parameters
+        start = time.perf_counter()
+        deep = config_search(140_288, 67_072, max_layers=10**6)
+        assert time.perf_counter() - start < 1.0
+        assert deep == config_search(140_288, 67_072, max_layers=140_288)
 
 
 class TestProfileModel:
