@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelConfig, ParamSet, _freeze, iter_params, param_count, param_tensor_count
+from .model import (LayerParams, ModelConfig, ParamSet, _check_config, _freeze, iter_params,
+                    param_count, param_tensor_count)
 from .numerics import Matrix
 
 
@@ -22,8 +23,8 @@ from .numerics import Matrix
 class QuantizedTensor:
     """Signed int8 values with one positive symmetric scale.
 
-    Values stay within [-127, 127]; -128 is never produced. A zero tensor
-    gets scale 1.0 by convention.
+    Values stay within [-127, 127]: quantization never produces -128, and the
+    v2 loader refuses it. A zero tensor gets scale 1.0 by convention.
     """
 
     values: np.ndarray  # int8, shaped like the parameter it stores
@@ -32,8 +33,6 @@ class QuantizedTensor:
     def __post_init__(self):
         if self.values.dtype != np.int8:
             raise ValueError(f"QuantizedTensor: dtype must be int8, got {self.values.dtype}")
-        if self.values.size and self.values.min() < -127:
-            raise ValueError("QuantizedTensor: -128 is outside the symmetric range")
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"QuantizedTensor: scale must be positive and finite, got {self.scale}")
 
@@ -78,29 +77,18 @@ def _report(pass_name: str, before: ParamSet, after: ParamSet,
     )
 
 
-def reduce_config(cfg: ModelConfig, factor: int = 2) -> ModelConfig:
-    """Shrink d_model, n_heads and d_ff by an integer factor.
+def reduce_config(cfg: ModelConfig) -> ModelConfig:
+    """Halve d_model, n_heads and d_ff.
 
     Vocab, sequence length and depth stay put. The reduced model is meant
     to be freshly initialized, not projected from the original weights.
     """
-    if factor < 1:
-        raise ValueError(f"reduce_config: factor must be >= 1, got {factor}")
-    if factor == 1:
-        return cfg
     if cfg.head_dim is not None or cfg.layer_heads is not None:
         raise ValueError("reduce_config: cannot reduce a structurally pruned config")
     for name in ("d_model", "n_heads", "d_ff"):
-        if getattr(cfg, name) % factor != 0:
-            raise ValueError(
-                f"reduce_config: {name} ({getattr(cfg, name)}) not divisible by {factor}"
-            )
-    return replace(
-        cfg,
-        d_model=cfg.d_model // factor,
-        n_heads=cfg.n_heads // factor,
-        d_ff=cfg.d_ff // factor,
-    )
+        if getattr(cfg, name) % 2 != 0:
+            raise ValueError(f"reduce_config: {name} ({getattr(cfg, name)}) not divisible by 2")
+    return replace(cfg, d_model=cfg.d_model // 2, n_heads=cfg.n_heads // 2, d_ff=cfg.d_ff // 2)
 
 
 def prune_magnitude(p: ParamSet, threshold: float) -> tuple[ParamSet, CompressionReport]:
@@ -133,6 +121,7 @@ def head_importance(p: ParamSet, cfg: ModelConfig, layer: int) -> list[float]:
     A head whose slice of Wo is near zero contributes almost nothing to
     the layer output, so its score approaches zero.
     """
+    _check_config("head_importance", cfg, p)
     if not 0 <= layer < len(p.layers):
         raise ValueError(f"head_importance: layer {layer} out of range [0, {len(p.layers)})")
     heads = cfg.heads_in_layer(layer)
@@ -160,11 +149,12 @@ def prune_heads(
 ) -> tuple[ParamSet, ModelConfig, CompressionReport]:
     """Drop whole attention heads from one layer.
 
-    Removes the dropped heads' column blocks from Wq/Wk/Wv and row blocks
-    from Wo, so the layer's internal attention width shrinks while its
-    input/output width stays d_model. Each dropped head removes exactly
-    4 * d_model * head_width weight elements.
+    Removes the dropped heads' column blocks from Wq/Wk/Wv (and their bias
+    entries) and row blocks from Wo, so the layer's internal attention width
+    shrinks while its input/output width stays d_model. Each dropped head
+    removes exactly 4 * d_model * head_width weight elements.
     """
+    _check_config("prune_heads", cfg, p)
     heads = cfg.heads_in_layer(layer)
     kept = sorted(set(keep))
     if not kept:
@@ -172,39 +162,35 @@ def prune_heads(
     if kept[0] < 0 or kept[-1] >= heads:
         raise ValueError(f"prune_heads: head indices {kept} outside [0, {heads})")
 
-    dh = cfg.head_width
-    dropped = np.repeat([h not in kept for h in range(heads)], dh)
-    mask = p.with_theta(np.ones(p.theta.size, dtype=bool))
-    lay = mask.layers[layer]
-    for w in (lay.wq, lay.wk, lay.wv):
-        w[:, dropped] = False
-    lay.wo[dropped, :] = False
-    for bias in (lay.bq, lay.bk, lay.bv):
-        if bias is not None:
-            bias[dropped] = False
-
-    counts = [cfg.heads_in_layer(i) for i in range(cfg.n_layers)]
-    counts[layer] = len(kept)
-    new_cfg = _with_heads(cfg, counts)
-    pruned = ParamSet(_freeze(p.theta[mask.theta]), new_cfg)
-    return pruned, new_cfg, _report("prune-heads", p, pruned)
+    cols = np.repeat([h in kept for h in range(heads)], cfg.head_width)
+    lay = p.layers[layer]
+    qkv = {name: getattr(lay, name)[..., cols] for name in ("wq", "bq", "wk", "bk", "wv", "bv")
+           if getattr(lay, name) is not None}
+    layers = [*p.layers]
+    layers[layer] = replace(lay, wo=lay.wo[cols], **qkv)
+    return _rebuild("prune-heads", p, cfg, layers)
 
 
 def prune_layers(
     p: ParamSet, cfg: ModelConfig, keep_layers: list[int]
 ) -> tuple[ParamSet, ModelConfig, CompressionReport]:
     """Keep only the listed layers, re-indexed in order."""
+    _check_config("prune_layers", cfg, p)
     kept = list(keep_layers)
     if sorted(set(kept)) != kept:
         raise ValueError(f"prune_layers: keep_layers {kept} must be strictly increasing")
     if kept and (kept[0] < 0 or kept[-1] >= cfg.n_layers):
         raise ValueError(f"prune_layers: layer indices {kept} outside [0, {cfg.n_layers})")
+    return _rebuild("prune-layers", p, cfg, [p.layers[i] for i in kept])
 
-    new_cfg = _with_heads(cfg, [cfg.heads_in_layer(i) for i in kept])
-    arrays = [p.tok_emb, p.pos_emb,
-              *(a for i in kept for a in vars(p.layers[i]).values() if a is not None)]
+
+def _rebuild(pass_name: str, p: ParamSet, cfg: ModelConfig,
+             layers: list[LayerParams]) -> tuple[ParamSet, ModelConfig, CompressionReport]:
+    """A pass's frozen params, config and report: p's embeddings, then `layers`, in canonical order."""
+    new_cfg = _with_heads(cfg, [lay.wq.shape[1] // cfg.head_width for lay in layers])
+    arrays = [p.tok_emb, p.pos_emb, *(a for lay in layers for a in vars(lay).values() if a is not None)]
     pruned = ParamSet(_freeze(np.concatenate([a.ravel() for a in arrays])), new_cfg)
-    return pruned, new_cfg, _report("prune-layers", p, pruned)
+    return pruned, new_cfg, _report(pass_name, p, pruned)
 
 
 # The smallest subnormal float64. A peak of k * _TINY with k <= 16065 (where

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -118,18 +119,17 @@ class LayerParams:
 class ParamSet:
     """Every parameter of one model instance in one flat vector `theta`.
 
-    The constructor lays `cfg`'s tensors out in theta back to back, row-major,
-    in canonical order: tok_emb, pos_emb, then each layer's in `LayerParams`
-    field order. They are views into theta, so they share its writeability:
-    the package freezes every theta it hands out, while gradients (and bool
-    keep-masks and int8 payloads laid out the same way) are written through them.
+    `cfg`'s tensors lie in theta back to back, row-major, in canonical order:
+    tok_emb, pos_emb, then each layer's in `LayerParams` field order. Embedding
+    views are made on construction, layer views on the first read of `layers`,
+    so code that touches only theta builds none. Views share theta's writeability:
+    gradients are written through them; every theta the package hands out is frozen.
     """
 
     theta: np.ndarray
     cfg: ModelConfig
     tok_emb: Matrix = field(init=False, repr=False)
     pos_emb: Matrix = field(init=False, repr=False)
-    layers: list[LayerParams] = field(init=False, repr=False)
 
     def __post_init__(self):
         theta = np.ascontiguousarray(self.theta)
@@ -137,12 +137,18 @@ class ParamSet:
         size = param_count(cfg)
         if theta.shape != (size,):
             raise ValueError(f"ParamSet: theta has shape {theta.shape}, layout needs ({size},)")
-        d, f, bias = cfg.d_model, cfg.d_ff, cfg.use_bias
+        d = cfg.d_model
         emb = cfg.vocab_size * d
         pos = emb + cfg.max_seq_len * d
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "tok_emb", theta[:emb].reshape(cfg.vocab_size, d))
         object.__setattr__(self, "pos_emb", theta[emb:pos].reshape(cfg.max_seq_len, d))
+
+    @cached_property
+    def layers(self) -> list[LayerParams]:
+        theta, cfg = self.theta, self.cfg
+        d, f, bias = cfg.d_model, cfg.d_ff, cfg.use_bias
+        pos = self.tok_emb.size + self.pos_emb.size
         layers = []
         for i in range(cfg.n_layers):
             w = cfg.attn_width(i)
@@ -153,7 +159,7 @@ class ParamSet:
                 views += theta[pos:end].reshape(rows, cols), theta[end:end + cols] if bias else None
                 pos = end + cols * bias
             layers.append(LayerParams(*views))
-        object.__setattr__(self, "layers", layers)
+        return layers
 
     def with_theta(self, theta: np.ndarray) -> ParamSet:
         """The same config over another vector."""
@@ -199,6 +205,11 @@ def param_tensor_count(cfg: ModelConfig) -> int:
     when biases are enabled.
     """
     return 2 + cfg.n_layers * (12 if cfg.use_bias else 6)
+
+
+def _check_config(who: str, cfg: ModelConfig, p: ParamSet) -> None:
+    if cfg != p.cfg:
+        raise ValueError(f"{who}: config {cfg} does not describe params built for {p.cfg}")
 
 
 def _freeze(theta: np.ndarray) -> np.ndarray:
@@ -365,8 +376,7 @@ def model_forward(
     array, and then the logits, is allocated once at its final shape and
     filled one sequence at a time; the logits read the trace's last array.
     """
-    if cfg != p.cfg:
-        raise ValueError(f"model_forward: config {cfg} does not describe params built for {p.cfg}")
+    _check_config("model_forward", cfg, p)
     ids = _id_array("model_forward", "batch", batch)
     if ids.ndim != 2 or len(ids) == 0:
         raise ValueError("model_forward: batch must be a non-empty (sequences, n) array of token ids")

@@ -37,7 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from .compression import QuantizedTensor, quantized_memory_bytes
-from .model import ModelConfig, ParamSet, _check_finite, _freeze, iter_params, param_count
+from .model import (ModelConfig, ParamSet, _check_config, _check_finite, _freeze, iter_params,
+                    param_count)
 
 MAGIC = b"RETF"
 VERSION_FLOAT64 = 1
@@ -159,8 +160,7 @@ class _Reader:
 
 def save_model(path: str | Path, cfg: ModelConfig, p: ParamSet) -> None:
     """Write a version-1 (float64) model file: the header, then theta's own buffer."""
-    if cfg != p.cfg:
-        raise ValueError(f"save_model: config {cfg} does not describe params built for {p.cfg}")
+    _check_config("save_model", cfg, p)
     with open(path, "wb") as f:
         f.write(MAGIC + struct.pack("<I", VERSION_FLOAT64) + _config_block(cfg))
         f.write(np.ascontiguousarray(p.theta, dtype="<f8"))
@@ -220,11 +220,15 @@ def load_quantized_model(
     with _open(path, VERSION_INT8) as (cfg, r):
         # checked before anything is built, since a header can name any number of layers
         r.expect(quantized_memory_bytes(cfg))
+        ints = ParamSet(np.empty(param_count(cfg), np.int8), cfg)
         tensors = []
-        for name, values in iter_params(ParamSet(np.empty(param_count(cfg), np.int8), cfg)):
+        for name, values in iter_params(ints):
             scale = struct.unpack("<d", r.take(8))[0]
             try:
                 tensors.append((name, QuantizedTensor(r.into(values), scale)))
             except ValueError as exc:
                 raise ValueError(f"{path}: tensor {name}: {exc}") from exc
+    if ints.theta.min() < -127:
+        name = next(name for name, qt in tensors if qt.values.min() < -127)
+        raise ValueError(f"{path}: tensor {name}: QuantizedTensor: -128 is outside the symmetric range")
     return cfg, tensors

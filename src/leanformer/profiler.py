@@ -224,7 +224,7 @@ def render_comparison(cr: ComparisonReport) -> str:
 
 # the configuration search's fixed choices; FFN width is a multiple of d_model.
 # Every d and head count is even, so each candidate's d, heads and d_ff
-# halve exactly, as reduce_config(cfg, 2) needs.
+# halve exactly, as reduce_config(cfg) needs.
 D_CHOICES = (2, 4, 8, 16, 32, 64, 128, 256, 512)
 HEAD_CHOICES = (2, 4, 8, 16)
 FF_MULTIPLIERS = (1, 2, 4)
@@ -259,7 +259,7 @@ def config_search(
         # what one layer adds to the model's count and to its pair's, whose V+S weighs d / 2:
         # target_base - 2 * target_variant = n_layers * (per_layer - 2 * per_half)
         per_layer = param_count(layer) - 2 * d
-        per_half = param_count(reduce_config(layer, 2)) - d
+        per_half = param_count(reduce_config(layer)) - d
         n_layers, rest = divmod(target_base - 2 * target_variant, per_layer - 2 * per_half)
         total_vs, rest_vs = divmod(target_base - n_layers * per_layer, d)
         vocab = total_vs - seq_len
@@ -270,7 +270,7 @@ def config_search(
             vocab_size=vocab, max_seq_len=seq_len, d_model=d, n_heads=heads,
             d_ff=d_ff, n_layers=n_layers, use_bias=use_bias,
         )
-        reduced = reduce_config(cfg, 2)
+        reduced = reduce_config(cfg)
         if param_count(cfg) == target_base and param_count(reduced) == target_variant:
             found.append((cfg, reduced))
     found.sort(key=lambda pair: (pair[0].d_model, pair[0].n_layers, pair[0].d_ff,

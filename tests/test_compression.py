@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,17 +45,13 @@ class TestReduceConfig:
     def test_paper_pair(self):
         assert reduce_config(PRESETS["paper-baseline"]) == PRESETS["paper-reduced"]
 
-    def test_factor_one_is_identity(self):
-        cfg = PRESETS["paper-baseline"]
-        assert reduce_config(cfg, 1) == cfg
-
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError, match="not divisible"):
-            reduce_config(ModelConfig(100, 10, 30, 2, 60, 1), 4)
+            reduce_config(ModelConfig(100, 10, 30, 3, 60, 1))
 
     def test_vocab_seq_layers_unchanged(self):
         cfg = ModelConfig(123, 7, 16, 4, 32, 3)
-        out = reduce_config(cfg, 2)
+        out = reduce_config(cfg)
         assert (out.vocab_size, out.max_seq_len, out.n_layers) == (123, 7, 3)
         assert (out.d_model, out.n_heads, out.d_ff) == (8, 2, 16)
 
@@ -145,6 +143,12 @@ class TestHeadImportance:
         with pytest.raises(ValueError, match="layer"):
             head_importance(p, PRESETS["tiny"], 5)
 
+    def test_config_other_than_the_params_rejected(self):
+        # 8 heads of width 2 would fit the reduced model's 16-wide Wo
+        cfg = PRESETS["paper-reduced"]
+        with pytest.raises(ValueError, match="head_importance: config .* does not describe params"):
+            head_importance(init_params(cfg, 0), replace(cfg, n_heads=8), 0)
+
 
 class TestPruneHeads:
     def test_keep_all_is_bit_identical_forward(self):
@@ -206,6 +210,11 @@ class TestPruneHeads:
         with pytest.raises(ValueError, match="outside"):
             prune_heads(p, cfg, 0, {0, 9})
 
+    def test_config_other_than_the_params_rejected(self):
+        cfg = PRESETS["paper-reduced"]
+        with pytest.raises(ValueError, match="prune_heads: config .* does not describe params"):
+            prune_heads(init_params(cfg, 0), replace(cfg, n_heads=8), 0, {0, 1})
+
 
 class TestPruneLayers:
     def test_keep_all_identity(self):
@@ -262,6 +271,11 @@ class TestPruneLayers:
         p = init_params(cfg, 0)
         with pytest.raises(ValueError, match="outside"):
             prune_layers(p, cfg, [0, 1])
+
+    def test_config_other_than_the_params_rejected(self):
+        cfg = PRESETS["paper-reduced"]
+        with pytest.raises(ValueError, match="prune_layers: config .* does not describe params"):
+            prune_layers(init_params(cfg, 0), replace(cfg, n_heads=8), [0])
 
 
 class TestStructuralPruningWithBiases:

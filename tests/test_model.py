@@ -361,7 +361,7 @@ class TestParamCount:
         base = ModelConfig(vocab, seq, d, 8, 4 * d, 1)
         assert param_count(base) == (vocab + seq) * d + 12 * d * d
         from leanformer.compression import reduce_config
-        half = reduce_config(base, 2)
+        half = reduce_config(base)
         assert param_count(half) == (vocab + seq) * (d // 2) + 3 * d * d
 
     @given(small_configs)

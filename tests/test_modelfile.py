@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from leanformer.compression import (
     dequantize,
     prune_heads,
+    prune_layers,
     quantize_params,
 )
 from leanformer.model import (
@@ -240,18 +241,29 @@ class TestNonFiniteFiles:
         with pytest.raises(ValueError, match=rf"m\.retf: tensor {name} is not finite"):
             load_model(path)
 
-    @pytest.mark.parametrize("scale", [np.inf, np.nan, 0.0, -1.0])
-    def test_v2_scale_named(self, tmp_path, scale):
+    def v2_file_with_pos_emb_bytes(self, tmp_path, skip, data):
+        """A v2 file of CFG with `data` written `skip` bytes into pos_emb's scale and values."""
         quantized = quantize_params(init_params(self.CFG, 0))
         path = tmp_path / "q.retf"
         save_quantized_model(path, self.CFG, quantized)
         blob = bytearray(path.read_bytes())
         # pos_emb's scale follows the header and tok_emb's scale and values
         at = (len(blob) - sum(8 + qt.values.size for _, qt in quantized)
-              + 8 + quantized[0][1].values.size)
-        blob[at: at + 8] = struct.pack("<d", scale)
+              + 8 + quantized[0][1].values.size + skip)
+        blob[at: at + len(data)] = data
         path.write_bytes(bytes(blob))
+        return path
+
+    @pytest.mark.parametrize("scale", [np.inf, np.nan, 0.0, -1.0])
+    def test_v2_scale_named(self, tmp_path, scale):
+        path = self.v2_file_with_pos_emb_bytes(tmp_path, 0, struct.pack("<d", scale))
         with pytest.raises(ValueError, match=r"q\.retf: tensor pos_emb: .*scale must be positive and finite"):
+            load_quantized_model(path)
+
+    def test_v2_minus_128_named(self, tmp_path):
+        # quantization never writes 0x80; pos_emb's first value follows its scale
+        path = self.v2_file_with_pos_emb_bytes(tmp_path, 8, b"\x80")
+        with pytest.raises(ValueError, match=r"q\.retf: tensor pos_emb: .*-128 is outside the symmetric range"):
             load_quantized_model(path)
 
 
@@ -282,3 +294,13 @@ class TestFileBytesPinned:
         digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16]
                         for f in ("f.retf", "q.retf"))
         assert digests == ("c76f25ef884f1309", "51fa56873cf2dd48")
+
+
+def test_head_and_layer_pruning_theta_pinned():
+    # sha256 prefixes of theta, so both pruning passes keep their bytes and canonical order
+    cfg = ModelConfig(13, 6, 8, 4, 16, 3, use_bias=True)
+    heads, heads_cfg, _ = prune_heads(init_params(cfg, 1), cfg, 1, {0, 3})
+    layers, _, _ = prune_layers(heads, heads_cfg, [0, 1])
+    assert heads_cfg.layer_heads == (4, 2, 4)
+    assert [hashlib.sha256(p.theta.tobytes()).hexdigest()[:16] for p in (heads, layers)] == [
+        "9fe4f3ca3d04272a", "7744c5da6fac9716"]
