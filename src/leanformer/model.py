@@ -365,16 +365,18 @@ def ffn_forward(p: ParamSet, layer: int, x: Matrix) -> Matrix:
 
 
 def model_forward(
-    p: ParamSet, cfg: ModelConfig, batch: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, ForwardTrace]:
+    p: ParamSet, cfg: ModelConfig, batch: Sequence[Sequence[int]], *, trace: bool = False
+) -> tuple[np.ndarray, ForwardTrace | None]:
     """Run the full encoder over a (sequences, n) batch of token ids.
 
-    Returns the logits as one C-contiguous (sequences, n, vocab) array and
-    one ForwardTrace for the batch. Layers compose as x <- ffn(attention(x))
-    with no residual paths; the logits are x against the transposed token
-    embedding. The whole batch passes `embed`'s checks first. Every trace
-    array, and then the logits, is allocated once at its final shape and
-    filled one sequence at a time; the logits read the trace's last array.
+    Returns the logits as one C-contiguous (sequences, n, vocab) array and,
+    with `trace` (what the backward reads), one ForwardTrace for the batch;
+    without it, None. Layers compose as x <- ffn(attention(x)) with no
+    residual paths; the logits are x against the transposed token embedding.
+    The whole batch passes `embed`'s checks first. Every trace array, and then
+    the logits, is allocated once at its final shape and filled one sequence
+    at a time. The logits read the trace's last array or, untraced, each
+    sequence's last-layer output, written over its embedded rows once read.
     """
     _check_config("model_forward", cfg, p)
     ids = _id_array("model_forward", "batch", batch)
@@ -383,23 +385,27 @@ def model_forward(
     embedded = embed(p, ids)
     n, d = embedded.shape[1:]
     layers = []
-    for layer in range(cfg.n_layers):
+    for layer in range(cfg.n_layers if trace else 0):
         w, heads = cfg.attn_width(layer), cfg.heads_in_layer(layer)
         q, k, v, weights, y, hidden, out = (np.empty((len(ids), *shape)) for shape in (
             (n, w), (n, w), (n, w), (heads, n, n), (n, d), (n, cfg.d_ff), (n, d)))
         layers.append(LayerTrace(AttentionTrace(q, k, v, weights), y, hidden, out))
     for s, x in enumerate(embedded):
-        for layer, lt in enumerate(layers):
+        for layer in range(cfg.n_layers):
             y, attn = attention_forward(p, layer, x, cfg.heads_in_layer(layer))
             hidden, x = _ffn(p, layer, y)
-            for name, a in vars(attn).items():
-                getattr(lt.attn, name)[s] = a
-            lt.attn_out[s], lt.ffn_hidden[s], lt.ffn_out[s] = y, hidden, x
+            if trace:
+                lt = layers[layer]
+                for name, a in vars(attn).items():
+                    getattr(lt.attn, name)[s] = a
+                lt.attn_out[s], lt.ffn_hidden[s], lt.ffn_out[s] = y, hidden, x
+        if not trace:
+            embedded[s] = x
     # after the layers: each sequence's product streams all of tok_emb, evicting the layer weights
     logits = np.empty((*ids.shape, p.tok_emb.shape[0]))
     for out, x in zip(logits, layers[-1].ffn_out if layers else embedded):
         matmul(x, p.tok_emb.T, out=out)
-    return logits, ForwardTrace(ids=ids, embedded=embedded, layers=layers)
+    return logits, ForwardTrace(ids=ids, embedded=embedded, layers=layers) if trace else None
 
 
 def _target_ids(who: str, targets: Sequence, shape: tuple[int, ...], vocab: int) -> np.ndarray:
@@ -436,8 +442,11 @@ def _fused_cross_entropy(z: Matrix, ids: np.ndarray, grad: bool) -> float:
 
 def cross_entropy(logits: Matrix, targets: Sequence[int]) -> float:
     """Mean negative log-likelihood of the targets, one per logit row."""
-    ids = _target_ids("cross_entropy", targets, logits.shape[:1], logits.shape[1])
-    return _fused_cross_entropy(np.array(logits, dtype=np.float64), ids, grad=False)
+    z = np.array(logits, dtype=np.float64)
+    if z.ndim != 2 or z.size == 0:
+        raise ValueError(f"cross_entropy: logits must be a non-empty (rows, vocab) array, got shape {z.shape}")
+    ids = _target_ids("cross_entropy", targets, z.shape[:1], z.shape[1])
+    return _fused_cross_entropy(z, ids, grad=False)
 
 
 def batch_loss(
@@ -481,7 +490,7 @@ def loss_and_grads(
     the trace's (sequences, n, ·) arrays as (sequences * n, ·) rows and
     heads as (sequences, heads, n, head width) views.
     """
-    logits, trace = model_forward(p, cfg, batch)
+    logits, trace = model_forward(p, cfg, batch, trace=True)
     n = logits.shape[1]
     ids = _target_ids("loss_and_grads", targets, logits.shape[:2], logits.shape[2])
     # the logits until the fused cross-entropy turns them into their gradient

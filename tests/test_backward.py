@@ -113,7 +113,7 @@ class TestLogitBuffer:
         loss_and_grads(p, cfg, batch, targets)
         tracemalloc.start()
         try:
-            model_forward(p, cfg, batch)
+            model_forward(p, cfg, batch, trace=True)
             forward_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             loss_and_grads(p, cfg, batch, targets)
@@ -207,7 +207,7 @@ class TestNonFiniteTraining:
         p = init_params(TINY, 3)
         batch, targets = synth_copy_batch(3, 4, 4, TINY.vocab_size)
         hot = p.with_theta(p.theta * 1e60)
-        logits, trace = model_forward(hot, TINY, batch)
+        logits, trace = model_forward(hot, TINY, batch, trace=True)
         assert np.all(np.isfinite(trace.layers[-1].ffn_out[0]))
         assert not np.all(np.isfinite(np.concatenate(logits)))
         with pytest.raises(ValueError, match="train_step: loss is nan"):

@@ -220,7 +220,7 @@ class TestForward:
         cfg = ModelConfig(9, 4, 4, 2, 8, 0)
         p = init_params(cfg, seed=6)
         tokens = [2, 5, 8]
-        logits, trace = model_forward(p, cfg, [tokens])
+        logits, trace = model_forward(p, cfg, [tokens], trace=True)
         assert np.array_equal(logits[0], embed(p, tokens) @ p.tok_emb.T)
         assert trace.layers == []
 
@@ -261,6 +261,14 @@ class TestForward:
             want = matmul(x, p.tok_emb.T)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    def test_untraced_forward_gives_the_traced_logits_and_no_trace(self):
+        cfg = ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True)
+        p = init_params(cfg, 0).with_theta(rng_uniform_array(3, (param_count(cfg),), -0.5, 0.5))
+        batch = [[1, 2, 3, 4, 5], [7, 0, 12, 3, 3]]
+        logits, trace = model_forward(p, cfg, batch)
+        assert trace is None
+        assert logits.tobytes() == model_forward(p, cfg, batch, trace=True)[0].tobytes()
+
     def test_empty_batch_rejected(self):
         p = init_params(TINY, 0)
         with pytest.raises(ValueError, match="non-empty"):
@@ -277,7 +285,7 @@ class TestForward:
         p = init_params(cfg, 0).with_theta(rng_uniform_array(5, (param_count(cfg),), -0.5, 0.5))
         batch = [[1, 2, 3, 4, 5], [7, 0, 12, 3, 3], [0, 12, 3, 5, 6]]
         b, n, d = 3, 5, cfg.d_model
-        _, trace = model_forward(p, cfg, batch)
+        _, trace = model_forward(p, cfg, batch, trace=True)
         assert trace.ids.shape == (b, n) and trace.ids.tolist() == batch
         assert trace.embedded.shape == (b, n, d)
         for layer, lt in enumerate(trace.layers):
@@ -396,6 +404,14 @@ class TestCrossEntropy:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             cross_entropy(np.zeros((1, 5)), [5])
+
+    def test_one_dimensional_logits_refused(self):
+        with pytest.raises(ValueError, match=r"cross_entropy: logits must be .* got shape \(5,\)"):
+            cross_entropy(np.zeros(5), [2])
+
+    def test_no_rows_refused(self):
+        with pytest.raises(ValueError, match=r"cross_entropy: logits must be .* got shape \(0, 5\)"):
+            cross_entropy(np.zeros((0, 5)), [])
 
 
 class TestTraining:

@@ -31,6 +31,7 @@ from leanformer.modelfile import (
     save_model,
     save_quantized_model,
 )
+from leanformer.numerics import rng_uniform_array
 
 small_configs = st.builds(
     ModelConfig,
@@ -304,3 +305,13 @@ def test_head_and_layer_pruning_theta_pinned():
     assert heads_cfg.layer_heads == (4, 2, 4)
     assert [hashlib.sha256(p.theta.tobytes()).hexdigest()[:16] for p in (heads, layers)] == [
         "9fe4f3ca3d04272a", "7744c5da6fac9716"]
+
+
+def test_pruning_theta_pinned_with_random_biases():
+    # init_params leaves biases at zero, so only a random theta lets the pins see their order
+    cfg = ModelConfig(13, 6, 8, 4, 16, 3, use_bias=True)
+    p = init_params(cfg, 1).with_theta(rng_uniform_array(7, (param_count(cfg),), -0.5, 0.5))
+    heads, heads_cfg, _ = prune_heads(p, cfg, 1, {0, 3})
+    layers, _, _ = prune_layers(heads, heads_cfg, [0, 1])
+    assert [hashlib.sha256(p.theta.tobytes()).hexdigest()[:16] for p in (heads, layers)] == [
+        "ed4285162ece52cb", "12b9eff277489517"]
