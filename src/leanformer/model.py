@@ -364,19 +364,31 @@ def ffn_forward(p: ParamSet, layer: int, x: Matrix) -> Matrix:
     return _ffn(p, layer, x)[1]
 
 
+def _tied_logits(x: np.ndarray, tok_emb: Matrix, out: np.ndarray) -> None:
+    """Each sequence's logits `x[s] @ tok_emb^T` into `out[s]`, one product per sequence.
+
+    The one place the tied output product is taken, so training and
+    inference give every row the same bits.
+    """
+    for o, xs in zip(out, x):
+        matmul(xs, tok_emb.T, out=o)
+
+
 def model_forward(
     p: ParamSet, cfg: ModelConfig, batch: Sequence[Sequence[int]], *, trace: bool = False
-) -> tuple[np.ndarray, ForwardTrace | None]:
+) -> tuple[np.ndarray | None, ForwardTrace | None]:
     """Run the full encoder over a (sequences, n) batch of token ids.
 
-    Returns the logits as one C-contiguous (sequences, n, vocab) array and,
-    with `trace` (what the backward reads), one ForwardTrace for the batch;
-    without it, None. Layers compose as x <- ffn(attention(x)) with no
+    Untraced (inference), returns the logits as one C-contiguous
+    (sequences, n, vocab) array and None. With `trace` (what the backward
+    reads), stops after the last layer and returns None and one
+    ForwardTrace for the batch: `loss_and_grads` takes the logits itself, a
+    chunk at a time. Layers compose as x <- ffn(attention(x)) with no
     residual paths; the logits are x against the transposed token embedding.
-    The whole batch passes `embed`'s checks first. Every trace array, and then
-    the logits, is allocated once at its final shape and filled one sequence
-    at a time. The logits read the trace's last array or, untraced, each
-    sequence's last-layer output, written over its embedded rows once read.
+    The whole batch passes `embed`'s checks first. Every trace array, or the
+    logits, is allocated once at its final shape and filled one sequence at
+    a time. Untraced, each sequence's last-layer output is written over its
+    embedded rows, which the logits then read.
     """
     _check_config("model_forward", cfg, p)
     ids = _id_array("model_forward", "batch", batch)
@@ -401,11 +413,12 @@ def model_forward(
                 lt.attn_out[s], lt.ffn_hidden[s], lt.ffn_out[s] = y, hidden, x
         if not trace:
             embedded[s] = x
+    if trace:
+        return None, ForwardTrace(ids=ids, embedded=embedded, layers=layers)
     # after the layers: each sequence's product streams all of tok_emb, evicting the layer weights
     logits = np.empty((*ids.shape, p.tok_emb.shape[0]))
-    for out, x in zip(logits, layers[-1].ffn_out if layers else embedded):
-        matmul(x, p.tok_emb.T, out=out)
-    return logits, ForwardTrace(ids=ids, embedded=embedded, layers=layers) if trace else None
+    _tied_logits(embedded, p.tok_emb, logits)
+    return logits, None
 
 
 def _target_ids(who: str, targets: Sequence, shape: tuple[int, ...], vocab: int) -> np.ndarray:
@@ -420,24 +433,18 @@ def _target_ids(who: str, targets: Sequence, shape: tuple[int, ...], vocab: int)
     return ids
 
 
-def _fused_cross_entropy(z: Matrix, ids: np.ndarray, grad: bool) -> float:
-    """Mean cross-entropy of the rows of `z` against `ids`, worked out in `z` itself.
+def _fused_cross_entropy(z: Matrix, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-entropy of each row of `z` against `ids`, worked out in `z` itself.
 
-    One max, one exp and one row sum: a row's loss is
-    log(rowsum) - shifted[target]. With `grad`, `z` is then left holding
-    (softmax(z) - onehot(ids)) / rows, the gradient of the mean loss;
-    otherwise it holds the unnormalised exponentials.
+    One max, one exp and one row sum: a row's term is
+    log(rowsum) - shifted[target]. Returns the per-row terms and row sums;
+    `z` is left holding the unnormalised exponentials.
     """
-    rows = np.arange(ids.size)
     z -= z.max(axis=1, keepdims=True)
-    picked = z[rows, ids]
+    picked = z[np.arange(ids.size), ids]
     np.exp(z, out=z)
     rowsum = z.sum(axis=1)
-    loss = float(np.sum(np.log(rowsum) - picked)) / ids.size
-    if grad:
-        z *= (1.0 / (rowsum * ids.size))[:, None]
-        z[rows, ids] -= 1.0 / ids.size
-    return loss
+    return np.log(rowsum) - picked, rowsum
 
 
 def cross_entropy(logits: Matrix, targets: Sequence[int]) -> float:
@@ -446,7 +453,7 @@ def cross_entropy(logits: Matrix, targets: Sequence[int]) -> float:
     if z.ndim != 2 or z.size == 0:
         raise ValueError(f"cross_entropy: logits must be a non-empty (rows, vocab) array, got shape {z.shape}")
     ids = _target_ids("cross_entropy", targets, z.shape[:1], z.shape[1])
-    return _fused_cross_entropy(z, ids, grad=False)
+    return float(np.sum(_fused_cross_entropy(z, ids)[0])) / ids.size
 
 
 def batch_loss(
@@ -458,7 +465,7 @@ def batch_loss(
     """Mean cross-entropy over every position in the batch (no gradients)."""
     logits, _ = model_forward(p, cfg, batch)
     ids = _target_ids("batch_loss", targets, logits.shape[:2], logits.shape[2])
-    return _fused_cross_entropy(logits.reshape(ids.size, -1), ids, grad=False)
+    return float(np.sum(_fused_cross_entropy(logits.reshape(ids.size, -1), ids)[0])) / ids.size
 
 
 def _heads_view(m: np.ndarray, n: int, heads: int) -> np.ndarray:
@@ -470,6 +477,51 @@ def _heads_merge(t: np.ndarray) -> Matrix:
     """Inverse of `_heads_view`: (sequences, heads, n, dh) to (sequences * n, heads * dh)."""
     b, h, n, dh = t.shape
     return t.transpose(0, 2, 1, 3).reshape(b * n, h * dh)
+
+
+# The most logit bytes `loss_and_grads` holds at once: it takes the tied
+# logits and their cross-entropy this many bytes' worth of whole sequences
+# at a time, and at least one sequence
+LOGIT_CHUNK_BYTES = 1 << 20
+
+# rows of tok_emb's gradient that a chunk adds per product: a block's
+# (rows, d) share is added while still in cache, where a whole (vocab, d)
+# one would be written out and read back for every chunk
+_TOK_EMB_GRAD_BLOCK = 1024
+
+
+def _output_backward(
+    p: ParamSet, x: np.ndarray, ids: np.ndarray, g_tok_emb: Matrix
+) -> tuple[float, Matrix]:
+    """Mean loss and its gradient at `x`, the last (sequences, n, d) output.
+
+    The tied logits x @ tok_emb^T and the fused cross-entropy run one chunk
+    of whole sequences at a time in one reused buffer, which then becomes
+    the chunk's logit gradient (softmax - onehot) / positions. Each chunk
+    adds its share of the output projection's gradient to `g_tok_emb`, a
+    block of rows at a time, and writes its rows of the returned
+    (positions, d) gradient; the per-row loss terms are summed once, over
+    the whole batch.
+    """
+    b, n, d = x.shape
+    vocab = p.tok_emb.shape[0]
+    per = min(b, max(1, LOGIT_CHUNK_BYTES // (8 * n * vocab)))
+    buf = np.empty((per, n, vocab))
+    terms, dx = np.empty(ids.size), np.empty((ids.size, d))
+    for s in range(0, b, per):
+        chunk = x[s:s + per]
+        rows = slice(s * n, (s + len(chunk)) * n)
+        z = buf[:len(chunk)]
+        _tied_logits(chunk, p.tok_emb, z)
+        z, target = z.reshape(-1, vocab), ids[rows]
+        terms[rows], rowsum = _fused_cross_entropy(z, target)
+        z *= (1.0 / (rowsum * ids.size))[:, None]
+        z[np.arange(len(z)), target] -= 1.0 / ids.size
+        xc = chunk.reshape(-1, d)
+        for v in range(0, vocab, _TOK_EMB_GRAD_BLOCK):
+            g_tok_emb[v:v + _TOK_EMB_GRAD_BLOCK] += z[:, v:v + _TOK_EMB_GRAD_BLOCK].T @ xc
+        np.matmul(z, p.tok_emb, out=dx[rows])
+    return float(np.sum(terms)) / ids.size, dx
 
 
 def loss_and_grads(
@@ -484,29 +536,20 @@ def loss_and_grads(
     gradients carry the same averaging. The tied output projection sends
     gradient into tok_emb from both the logit matmul and the lookup.
 
-    The cross-entropy works in place on `model_forward`'s logit array,
-    which then becomes the logit gradient and is released before the
-    layers. Each layer is differentiated once for the whole batch, reading
-    the trace's (sequences, n, ·) arrays as (sequences * n, ·) rows and
-    heads as (sequences, heads, n, head width) views.
+    `model_forward` stops after the last layer; the logits, the loss and
+    their gradient are taken a chunk of sequences at a time (see
+    LOGIT_CHUNK_BYTES), so no more than one chunk of logits is ever held,
+    and none during the layers. Each layer is differentiated once for the
+    whole batch, reading the trace's (sequences, n, ·) arrays as
+    (sequences * n, ·) rows and heads as (sequences, heads, n, head width)
+    views.
     """
-    logits, trace = model_forward(p, cfg, batch, trace=True)
-    n = logits.shape[1]
-    ids = _target_ids("loss_and_grads", targets, logits.shape[:2], logits.shape[2])
-    # the logits until the fused cross-entropy turns them into their gradient
-    dlogits = logits.reshape(ids.size, -1)
-    del logits
-    loss = _fused_cross_entropy(dlogits, ids, grad=True)
-
-    # logits = x_final @ tok_emb^T  (tied output); grads start at zero, so
-    # the product is written straight into tok_emb's gradient
+    _, trace = model_forward(p, cfg, batch, trace=True)
+    n = trace.ids.shape[1]
+    ids = _target_ids("loss_and_grads", targets, trace.ids.shape, p.tok_emb.shape[0])
     grads = p.with_theta(np.zeros_like(p.theta))
-    x_final = (trace.layers[-1].ffn_out if trace.layers else trace.embedded).reshape(ids.size, -1)
-    np.matmul(dlogits.T, x_final, out=grads.tok_emb)
-    dx = dlogits @ p.tok_emb
-    # the last reference to the logit array: freeing it here keeps it out
-    # of the layer backward's peak memory
-    del dlogits
+    x_final = trace.layers[-1].ffn_out if trace.layers else trace.embedded
+    loss, dx = _output_backward(p, x_final, ids, grads.tok_emb)
 
     for layer in reversed(range(cfg.n_layers)):
         lay, g, lt = p.layers[layer], grads.layers[layer], trace.layers[layer]

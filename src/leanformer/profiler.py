@@ -117,15 +117,16 @@ def memory_bytes(cfg: ModelConfig) -> int:
 
 
 def activation_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> int:
-    """Bytes of intermediate activations for one traced (training) forward pass.
+    """Bytes of a forward pass's intermediate activations and logits.
 
     Per sequence: the embedded input (n*d), per layer Q, K, V (3*n*w), the
     per-head attention weights (heads*n^2), the attention output (n*d),
     the FFN hidden (n*f) and output (n*d), and the logits (n*V). Matches
     8x the element count of the batch's ForwardTrace plus its logits by
-    construction, and a traced forward's measured peak sits just above it.
-    An untraced (inference) forward holds only the logits, the embedded
-    input and one sequence's temporaries.
+    construction. No pass holds all of it at once: training holds the
+    trace plus one chunk of logits (`model.LOGIT_CHUNK_BYTES`), and
+    inference holds the logits, the embedded input and one sequence's
+    temporaries.
     """
     for name, value in (("batch_size", batch_size), ("seq_len", seq_len)):
         if value < 1:

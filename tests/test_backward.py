@@ -73,6 +73,34 @@ class TestScalarOracle:
         assert rel_err(grads.theta, want) <= 1e-12
 
 
+CHUNKS = {
+    "one-sequence": lambda b: 1,
+    # from three sequences on, full chunks and then a last chunk of one
+    "all-but-one": lambda b: b - 1,
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestLogitChunks:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("chunk", sorted(CHUNKS))
+    def test_chunked_logits_keep_the_loss_and_the_oracle_gradient(self, case, chunk, monkeypatch):
+        cfg, batch = CASES[case]
+        per = CHUNKS[chunk](len(batch))
+        monkeypatch.setattr(model, "LOGIT_CHUNK_BYTES", per * 8 * len(batch[0]) * cfg.vocab_size)
+        # tok_emb's gradient in blocks of 4 rows, the last one partial
+        monkeypatch.setattr(model, "_TOK_EMB_GRAD_BLOCK", 4)
+        p = random_params(cfg, 3)
+        targets = shifted_targets(batch, cfg.vocab_size)
+        loss, grads = loss_and_grads(p, cfg, batch, targets)
+        assert loss == batch_loss(p, cfg, batch, targets)
+        _, ref_grads = reference.loss_and_grads(p, cfg, batch, targets)
+        want = np.concatenate([np.ravel(ref_grads[name]) for name, _ in iter_params(grads)])
+        assert rel_err(grads.theta, want) <= 1e-12
+        with pytest.raises(ValueError, match="train_step: loss is nan"):
+            train_step(p.with_theta(p.theta * 1e60), cfg, batch, targets, lr=0.1)
+
+
 class TestOneLoss:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_loss_and_grads_reports_batch_loss_exactly(self, case):
@@ -104,23 +132,22 @@ class TestLogitBuffer:
         assert logits.flags.c_contiguous
 
     def test_backward_releases_the_buffer_before_the_layers(self):
-        # over the forward's own peak, the backward holds the gradient vector
-        # and a few (positions, d_model) arrays, never the logit buffer beside
-        # the layer gradients' temporaries
+        # the trace, the gradient vector, one chunk of logits and a block of
+        # its tok_emb-gradient share: never the whole logit block
         cfg = PRESETS["paper-baseline"]
         p = init_params(cfg, 1)
         batch, targets = synth_copy_batch(1, 32, 10, cfg.vocab_size)
+        _, trace = model_forward(p, cfg, batch, trace=True)
+        accounted = 8 * model.trace_element_count(trace) + 2 * p.theta.nbytes + model.LOGIT_CHUNK_BYTES
+        del trace
         loss_and_grads(p, cfg, batch, targets)
         tracemalloc.start()
         try:
-            model_forward(p, cfg, batch, trace=True)
-            forward_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
             loss_and_grads(p, cfg, batch, targets)
-            backward_peak = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert backward_peak - forward_peak <= p.theta.nbytes + 500_000
+        assert peak <= accounted + 300_000
 
 
 MIXED = [[1, 2, 3], [4, 5]]
@@ -207,8 +234,9 @@ class TestNonFiniteTraining:
         p = init_params(TINY, 3)
         batch, targets = synth_copy_batch(3, 4, 4, TINY.vocab_size)
         hot = p.with_theta(p.theta * 1e60)
-        logits, trace = model_forward(hot, TINY, batch, trace=True)
+        _, trace = model_forward(hot, TINY, batch, trace=True)
         assert np.all(np.isfinite(trace.layers[-1].ffn_out[0]))
+        logits, _ = model_forward(hot, TINY, batch)
         assert not np.all(np.isfinite(np.concatenate(logits)))
         with pytest.raises(ValueError, match="train_step: loss is nan"):
             train_step(hot, TINY, batch, targets, lr=0.1)

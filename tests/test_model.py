@@ -220,9 +220,9 @@ class TestForward:
         cfg = ModelConfig(9, 4, 4, 2, 8, 0)
         p = init_params(cfg, seed=6)
         tokens = [2, 5, 8]
-        logits, trace = model_forward(p, cfg, [tokens], trace=True)
+        logits, _ = model_forward(p, cfg, [tokens])
         assert np.array_equal(logits[0], embed(p, tokens) @ p.tok_emb.T)
-        assert trace.layers == []
+        assert model_forward(p, cfg, [tokens], trace=True)[1].layers == []
 
     def test_deterministic_bitwise(self):
         cfg = ModelConfig(15, 6, 8, 2, 16, 2)
@@ -267,7 +267,11 @@ class TestForward:
         batch = [[1, 2, 3, 4, 5], [7, 0, 12, 3, 3]]
         logits, trace = model_forward(p, cfg, batch)
         assert trace is None
-        assert logits.tobytes() == model_forward(p, cfg, batch, trace=True)[0].tobytes()
+        # the traced forward stops at the last layer: the backward takes the logits itself
+        traced, trace = model_forward(p, cfg, batch, trace=True)
+        assert traced is None
+        tied = np.array([matmul(x, p.tok_emb.T) for x in trace.layers[-1].ffn_out])
+        assert logits.tobytes() == tied.tobytes()
 
     def test_empty_batch_rejected(self):
         p = init_params(TINY, 0)
