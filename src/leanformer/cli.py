@@ -134,7 +134,7 @@ def cmd_compress(args) -> int:
 
     if args.pass_name == "quantize":
         quantized = compression.quantize_params(params)
-        report = compression.quantize_report(cfg, params, quantized)
+        report = compression.quantize_report(params, quantized)
         modelfile.save_quantized_model(args.out, cfg, quantized)
     else:
         if args.pass_name == "prune-magnitude":

@@ -248,11 +248,20 @@ def quantize_params(p: ParamSet) -> list[tuple[str, QuantizedTensor]]:
     return [(name, quantize_tensor(arr)) for name, arr in iter_params(p)]
 
 
+def _check_layout(who: str, cfg: ModelConfig, quantized: list[tuple[str, QuantizedTensor]]) -> None:
+    """Refuse `quantized` unless it holds cfg's tensors: each name and size, in canonical order.
+
+    The count goes first, so no longer config is laid out; the layout is a ParamSet whose
+    elements (dtype `[]`) take no bytes."""
+    if len(quantized) != param_tensor_count(cfg) or [
+            (name, qt.values.size) for name, qt in quantized] != [
+            (name, a.size) for name, a in iter_params(ParamSet(np.empty(param_count(cfg), []), cfg))]:
+        raise ValueError(f"{who}: tensors do not match the canonical layout")
+
+
 def dequantize_params(p: ParamSet, quantized: list[tuple[str, QuantizedTensor]]) -> ParamSet:
     """Rebuild float64 params shaped like `p` from quantized tensors."""
-    if [(name, qt.values.size) for name, qt in quantized] != [
-            (name, arr.size) for name, arr in iter_params(p)]:
-        raise ValueError("dequantize_params: tensors do not match the canonical layout")
+    _check_layout("dequantize_params", p.cfg, quantized)
     theta, at = np.empty(p.theta.size), 0
     for _, qt in quantized:
         # the same products as dequantize(qt), written in place
@@ -269,9 +278,8 @@ def quantized_memory_bytes(cfg: ModelConfig) -> int:
     return param_count(cfg) + 8 * param_tensor_count(cfg)
 
 
-def quantize_report(cfg: ModelConfig, p: ParamSet,
-                    quantized: list[tuple[str, QuantizedTensor]]) -> CompressionReport:
+def quantize_report(p: ParamSet, quantized: list[tuple[str, QuantizedTensor]]) -> CompressionReport:
     """The report of `quantize_params(p)`; dequantized values are 0 exactly where int8 ones are."""
     restored = dequantize_params(p, quantized)
     report = _report("quantize", p, restored, float(abs(p.theta - restored.theta).max()))
-    return replace(report, bytes_after=quantized_memory_bytes(cfg))
+    return replace(report, bytes_after=quantized_memory_bytes(p.cfg))

@@ -11,7 +11,7 @@ parameter count the profiler reproduces byte-for-byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -47,26 +47,31 @@ class ModelConfig:
     layer_heads: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        for name in ("vocab_size", "max_seq_len", "d_model", "n_heads", "d_ff"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"ModelConfig: {name} must be >= 1, got {getattr(self, name)}")
-        if self.n_layers < 0:
-            raise ValueError(f"ModelConfig: n_layers must be >= 0, got {self.n_layers}")
-        if self.head_dim is None:
-            if self.d_model % self.n_heads != 0:
-                raise ValueError(
-                    f"ModelConfig: n_heads ({self.n_heads}) must divide d_model ({self.d_model})"
-                )
-        elif self.head_dim < 1:
-            raise ValueError(f"ModelConfig: head_dim must be >= 1, got {self.head_dim}")
-        if self.layer_heads is not None:
-            if len(self.layer_heads) != self.n_layers:
-                raise ValueError(
-                    f"ModelConfig: layer_heads has {len(self.layer_heads)} entries "
-                    f"for {self.n_layers} layers"
-                )
-            if any(h < 1 for h in self.layer_heads):
-                raise ValueError("ModelConfig: every layer_heads entry must be >= 1")
+        # one pass over the fields by annotation: a config holds only what header JSON carries
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool":
+                if type(value) is not bool:
+                    raise ValueError(f"ModelConfig: {f.name} must be a boolean, got {value!r}")
+                continue
+            if value is None and f.default is None:  # not structurally pruned
+                continue
+            many = f.type.startswith("tuple")  # layer_heads: one count per layer
+            kind = "a tuple of integers" if many else "an integer"
+            if many and type(value) is not tuple:
+                raise ValueError(f"ModelConfig: {f.name} must be {kind}, got {value!r}")
+            least = 0 if f.name == "n_layers" else 1
+            for count in value if many else (value,):
+                if type(count) is not int:
+                    raise ValueError(f"ModelConfig: {f.name} must be {kind}, got {value!r}")
+                if count < least:
+                    what = f"every {f.name} entry" if many else f.name
+                    raise ValueError(f"ModelConfig: {what} must be >= {least}, got {value!r}")
+        if self.head_dim is None and self.d_model % self.n_heads != 0:
+            raise ValueError(f"ModelConfig: n_heads ({self.n_heads}) must divide d_model ({self.d_model})")
+        if self.layer_heads is not None and len(self.layer_heads) != self.n_layers:
+            raise ValueError(f"ModelConfig: layer_heads has {len(self.layer_heads)} entries "
+                             f"for {self.n_layers} layers")
 
     @property
     def head_width(self) -> int:

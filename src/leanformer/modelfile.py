@@ -5,7 +5,8 @@ Format (all integers little-endian):
   magic   4 bytes   b"RETF"
   version u32       1 = float64 payload, 2 = int8 + per-tensor scales
   [v2 only] element-type tag: u32 length + UTF-8 bytes (currently "int8")
-  config  u32 length + UTF-8 JSON of the model configuration
+  config  u32 length + UTF-8 JSON of the model configuration: `ModelConfig`'s
+          fields by name, less `head_dim` and `layer_heads` when they are None
   payload v1: every parameter as float64, canonical order, row-major
           (exactly the bytes of ParamSet.theta)
           v2: per tensor in canonical order one float64 scale, then its
@@ -19,10 +20,10 @@ second copy of the parameters. Shapes come from the config: a v2 payload
 loads into one int8 ParamSet of it, so each int8 tensor is a view in its
 parameter's shape. Both loaders open files through `_open`.
 
-Round-trips are bit-exact. Loaders reject trailing or missing bytes, NaN or
-infinite float64 values, and v2 scales that are not positive and finite.
-Every size the header implies is checked against the file's length before
-anything is allocated from it.
+A save checks its inputs before it opens its path. Round-trips are bit-exact.
+Loaders reject trailing or missing bytes, NaN or infinite float64 values, and
+v2 scales that are not positive and finite. Every size the header implies is
+checked against the file's length before anything is allocated from it.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ import os
 import struct
 from collections.abc import Iterator
 from contextlib import contextmanager
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
-from .compression import QuantizedTensor, quantized_memory_bytes
+from .compression import QuantizedTensor, _check_layout, quantized_memory_bytes
 from .model import (ModelConfig, ParamSet, _check_config, _check_finite, _freeze, iter_params,
                     param_count)
 
@@ -47,51 +49,34 @@ _INT8_TAG = "int8"
 # per version: what its payload holds, and how an error names a file of it
 _HOLDS = {VERSION_FLOAT64: ("float64", "a float64"), VERSION_INT8: ("int8", "an int8")}
 
-_CONFIG_KEYS = ("vocab_size", "max_seq_len", "d_model", "n_heads",
-                "d_ff", "n_layers", "use_bias")
-
-
 def config_to_json_dict(cfg: ModelConfig) -> dict:
-    doc = {key: getattr(cfg, key) for key in _CONFIG_KEYS}
-    # structural-pruning fields only appear when they carry information,
-    # so ordinary models serialize with exactly the documented keys
-    if cfg.head_dim is not None:
-        doc["head_dim"] = cfg.head_dim
-    if cfg.layer_heads is not None:
-        doc["layer_heads"] = list(cfg.layer_heads)
-    return doc
+    """`cfg`'s fields by name, less the pruned-only ones an unpruned config leaves at None."""
+    return {f.name: list(value) if type(value) is tuple else value
+            for f in fields(cfg) if (value := getattr(cfg, f.name)) is not None}
 
 
 def config_from_json_dict(doc: dict, *, allow_pruned: bool = True) -> ModelConfig:
-    """Parse a config JSON object with key-specific error messages."""
+    """Parse a config JSON object whose keys are ModelConfig's fields; errors name the key.
+
+    Fields without a default are required; the pruned-only ones (default None) are unknown
+    keys unless `allow_pruned`. Null is refused; ModelConfig checks each value's type.
+    """
     if not isinstance(doc, dict):
         raise ValueError("config: expected a JSON object")
-    allowed = set(_CONFIG_KEYS) | ({"head_dim", "layer_heads"} if allow_pruned else set())
-    unknown = sorted(set(doc) - allowed)
+    known = [f for f in fields(ModelConfig) if allow_pruned or f.default is not None]
+    unknown = sorted(set(doc) - {f.name for f in known})
     if unknown:
         raise ValueError(f"config: unknown key {unknown[0]!r}")
     kwargs = {}
-    for key in _CONFIG_KEYS:
-        if key == "use_bias":
-            value = doc.get(key, False)
-            if not isinstance(value, bool):
-                raise ValueError(f"config: key 'use_bias' must be a boolean, got {value!r}")
-        else:
-            if key not in doc:
-                raise ValueError(f"config: missing required key '{key}'")
-            value = doc[key]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"config: key '{key}' must be an integer, got {value!r}")
-        kwargs[key] = value
-    if "head_dim" in doc:
-        if not isinstance(doc["head_dim"], int) or isinstance(doc["head_dim"], bool):
-            raise ValueError(f"config: key 'head_dim' must be an integer, got {doc['head_dim']!r}")
-        kwargs["head_dim"] = doc["head_dim"]
-    if "layer_heads" in doc:
-        lh = doc["layer_heads"]
-        if not isinstance(lh, list) or not all(isinstance(h, int) and not isinstance(h, bool) for h in lh):
-            raise ValueError(f"config: key 'layer_heads' must be a list of integers, got {lh!r}")
-        kwargs["layer_heads"] = tuple(lh)
+    for f in known:
+        if f.name not in doc:
+            if f.default is MISSING:
+                raise ValueError(f"config: missing required key '{f.name}'")
+            continue
+        value = doc[f.name]
+        if value is None:
+            raise ValueError(f"config: key '{f.name}' must not be null")
+        kwargs[f.name] = tuple(value) if type(value) is list and f.type.startswith("tuple") else value
     try:
         return ModelConfig(**kwargs)
     except ValueError as exc:
@@ -169,7 +154,8 @@ def save_model(path: str | Path, cfg: ModelConfig, p: ParamSet) -> None:
 def save_quantized_model(
     path: str | Path, cfg: ModelConfig, quantized: list[tuple[str, QuantizedTensor]]
 ) -> None:
-    """Write a version-2 (int8 + scales) model file."""
+    """Write a version-2 (int8 + scales) model file of `quantized`, cfg's tensors in canonical order."""
+    _check_layout("save_quantized_model", cfg, quantized)
     tag = _INT8_TAG.encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC + struct.pack("<I", VERSION_INT8) + struct.pack("<I", len(tag)) + tag

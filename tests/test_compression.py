@@ -415,7 +415,7 @@ class TestQuantizedParams:
         cfg = ModelConfig(9, 4, 4, 2, 8, 2, use_bias=True)
         p = init_params(cfg, 3)
         quantized = quantize_params(p)
-        report = quantize_report(cfg, p, quantized)
+        report = quantize_report(p, quantized)
         n = p.theta.size
         deq = np.concatenate([dequantize(qt).ravel() for _, qt in quantized])
         zeros = sum(int((qt.values == 0).sum()) for _, qt in quantized)

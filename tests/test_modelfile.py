@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from leanformer.modelfile import (
     config_to_json_dict,
     load_model,
     load_quantized_model,
+    parse_config,
     save_model,
     save_quantized_model,
 )
@@ -43,6 +46,46 @@ small_configs = st.builds(
     n_layers=st.integers(0, 2),
     use_bias=st.booleans(),
 )
+
+
+@st.composite
+def pruned_configs(draw):
+    """A config of `small_configs` with a pinned head width and, maybe, a head count per layer."""
+    cfg = draw(small_configs)
+    layer_heads = draw(st.none() | st.tuples(*[st.integers(1, 3)] * cfg.n_layers))
+    return replace(cfg, head_dim=draw(st.integers(1, 4)), layer_heads=layer_heads)
+
+
+class TestConfigFields:
+    TINY = dict(vocab_size=11, max_seq_len=4, d_model=4, n_heads=2, d_ff=8, n_layers=1)
+    # (field, value, what the message says it must be); no JSON document can carry the last two
+    WRONG = [("n_heads", True, "an integer"), ("d_ff", 8.0, "an integer"),
+             ("max_seq_len", "4", "an integer"), ("use_bias", 1, "a boolean"),
+             ("head_dim", 2.0, "an integer"), ("layer_heads", (2, "1"), "a tuple of integers"),
+             ("n_layers", np.int64(1), "an integer"), ("layer_heads", [2], "a tuple of integers")]
+
+    @pytest.mark.parametrize("field, value, kind", WRONG)
+    def test_wrong_type_refused_naming_the_field(self, field, value, kind):
+        with pytest.raises(ValueError, match=rf"^ModelConfig: {field} must be {kind}, got "):
+            ModelConfig(**{**self.TINY, field: value})
+
+    @pytest.mark.parametrize("field, value, kind", WRONG[:-2])
+    def test_wrong_type_in_json_names_the_field(self, tmp_path, field, value, kind):
+        raw = json.dumps({**self.TINY, field: value}).encode("utf-8")
+        path = tmp_path / "cfg.json"
+        message = rf"^{re.escape(str(path))}: config: ModelConfig: {field} must be {kind}, got "
+        with pytest.raises(ValueError, match=message):
+            parse_config(raw, path)
+
+    @given(cfg=small_configs | pruned_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_every_config_saves_and_loads_as_v1_and_v2(self, tmp_path_factory, cfg):
+        p = init_params(cfg, 0)
+        root = tmp_path_factory.mktemp("cfg")
+        save_model(root / "f.retf", cfg, p)
+        save_quantized_model(root / "q.retf", cfg, quantize_params(p))
+        assert load_model(root / "f.retf")[0] == cfg
+        assert load_quantized_model(root / "q.retf")[0] == cfg
 
 
 class TestConfigJson:
@@ -67,7 +110,7 @@ class TestConfigJson:
     def test_wrong_type_named(self):
         doc = config_to_json_dict(PRESETS["tiny"])
         doc["n_heads"] = "two"
-        with pytest.raises(ValueError, match="'n_heads' must be an integer"):
+        with pytest.raises(ValueError, match="n_heads must be an integer"):
             config_from_json_dict(doc)
 
     def test_use_bias_optional_defaults_false(self):
@@ -214,6 +257,19 @@ class TestQuantizedModelFile:
         save_model(fpath, cfg, p)
         save_quantized_model(qpath, cfg, quantize_params(p))
         assert qpath.stat().st_size < fpath.stat().st_size / 7
+
+    @pytest.mark.parametrize("tensors", ["tiny", "one dropped", "reordered"])
+    def test_tensors_other_than_the_config_rejected_before_writing(self, tmp_path, tensors):
+        cfg = PRESETS["small"]
+        quantized = quantize_params(init_params(PRESETS["tiny"] if tensors == "tiny" else cfg, 0))
+        if tensors == "one dropped":
+            del quantized[-1]
+        elif tensors == "reordered":
+            quantized[2], quantized[3] = quantized[3], quantized[2]
+        path = tmp_path / "q.retf"
+        with pytest.raises(ValueError, match="save_quantized_model: tensors do not match"):
+            save_quantized_model(path, cfg, quantized)
+        assert not path.exists()
 
     def test_cross_version_loads_rejected(self, tmp_path):
         cfg = PRESETS["tiny"]
