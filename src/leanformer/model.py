@@ -278,10 +278,10 @@ def embed(p: ParamSet, tokens: Sequence) -> np.ndarray:
 
 @dataclass
 class AttentionTrace:
-    q: np.ndarray
+    q: np.ndarray  # (..., n, width), as are k and v; "..." is the input's stack shape
     k: np.ndarray
     v: np.ndarray
-    weights: Sequence[Matrix]  # one n x n matrix per head
+    weights: np.ndarray  # (..., heads, n, n)
 
 
 @dataclass
@@ -303,24 +303,19 @@ class ForwardTrace:
     layers: list[LayerTrace]
 
 
-def trace_element_count(t: ForwardTrace) -> int:
-    """Activation elements held by a trace, logits aside (the memory-accounting oracle)."""
-    return t.embedded.size + sum(a.size for lt in t.layers for a in (
-        *vars(lt.attn).values(), lt.attn_out, lt.ffn_hidden, lt.ffn_out))
-
-
 def attention_forward(
     p: ParamSet, layer: int, x: Matrix, heads: int
 ) -> tuple[Matrix, AttentionTrace]:
-    """Bidirectional multi-head self-attention (no masking).
+    """Bidirectional multi-head self-attention (no masking) over `x`, (..., n, d).
 
     Q, K, V are split column-wise into `heads` blocks; each block attends
     with scores scaled by 1/sqrt(head width), and the concatenated head
-    outputs go through the output projection.
+    outputs go through the output projection. Leading axes are independent
+    sequences: each slice's result is the 2-D call's on that slice, bit for bit.
     """
     lay = p.layers[layer]
     d = lay.wq.shape[0]
-    if x.ndim != 2 or x.shape[1] != d:
+    if x.ndim < 2 or x.shape[-1] != d:
         raise ValueError(f"attention_forward: input shape {tuple(x.shape)} does not match d_model {d}")
     width = lay.wq.shape[1]
     if heads < 1 or width % heads != 0:
@@ -331,36 +326,37 @@ def attention_forward(
     k = matmul(x, lay.wk)
     v = matmul(x, lay.wv)
     if lay.bq is not None:
-        q = q + lay.bq
-        k = k + lay.bk
-        v = v + lay.bv
+        q += lay.bq
+        k += lay.bk
+        v += lay.bv
 
     scale = 1.0 / math.sqrt(dh)
-    weights = []
-    head_outs = []
+    n = x.shape[-2]
+    weights = np.empty((*x.shape[:-2], heads, n, n))
+    concat = np.empty(q.shape)
     for h in range(heads):
         cols = slice(h * dh, (h + 1) * dh)
-        a = softmax_rows(matmul(q[:, cols], k[:, cols].T) * scale)
-        weights.append(a)
-        head_outs.append(matmul(a, v[:, cols]))
-    concat = np.hstack(head_outs)
+        a = softmax_rows(matmul(q[..., cols], k[..., cols].swapaxes(-1, -2)) * scale,
+                         out=weights[..., h, :, :])
+        matmul(a, v[..., cols], out=concat[..., cols])
     out = matmul(concat, lay.wo)
     if lay.bo is not None:
-        out = out + lay.bo
+        out += lay.bo
     return out, AttentionTrace(q=q, k=k, v=v, weights=weights)
 
 
 def _ffn(p: ParamSet, layer: int, x: Matrix) -> tuple[Matrix, Matrix]:
     lay = p.layers[layer]
-    if x.ndim != 2 or x.shape[1] != lay.w1.shape[0]:
+    if x.ndim < 2 or x.shape[-1] != lay.w1.shape[0]:
         raise ValueError(f"ffn_forward: input shape {tuple(x.shape)} does not match d_model {lay.w1.shape[0]}")
-    z = matmul(x, lay.w1)
+    # biases and the rectifier work in the fresh products: no second array of the batch's size
+    hidden = matmul(x, lay.w1)
     if lay.b1 is not None:
-        z = z + lay.b1
-    hidden = relu(z)
+        hidden += lay.b1
+    relu(hidden, out=hidden)
     out = matmul(hidden, lay.w2)
     if lay.b2 is not None:
-        out = out + lay.b2
+        out += lay.b2
     return hidden, out
 
 
@@ -379,6 +375,17 @@ def _tied_logits(x: np.ndarray, tok_emb: Matrix, out: np.ndarray) -> None:
         matmul(xs, tok_emb.T, out=o)
 
 
+def _encode(p: ParamSet, cfg: ModelConfig, x: np.ndarray,
+            layers: list[LayerTrace] | None = None) -> np.ndarray:
+    """The last layer's output for `x`, (..., n, d); appends each layer's trace to `layers` if given."""
+    for layer in range(cfg.n_layers):
+        y, attn = attention_forward(p, layer, x, cfg.heads_in_layer(layer))
+        hidden, x = _ffn(p, layer, y)
+        if layers is not None:
+            layers.append(LayerTrace(attn, y, hidden, x))
+    return x
+
+
 def model_forward(
     p: ParamSet, cfg: ModelConfig, batch: Sequence[Sequence[int]], *, trace: bool = False
 ) -> tuple[np.ndarray | None, ForwardTrace | None]:
@@ -390,36 +397,22 @@ def model_forward(
     ForwardTrace for the batch: `loss_and_grads` takes the logits itself, a
     chunk at a time. Layers compose as x <- ffn(attention(x)) with no
     residual paths; the logits are x against the transposed token embedding.
-    The whole batch passes `embed`'s checks first. Every trace array, or the
-    logits, is allocated once at its final shape and filled one sequence at
-    a time. Untraced, each sequence's last-layer output is written over its
-    embedded rows, which the logits then read.
+    The whole batch passes `embed`'s checks first. Traced, each stage runs
+    once per layer on the whole (sequences, n, d) stack, and what it returns
+    is the trace. Untraced, the same stages run a sequence at a time, and each
+    last-layer output is written over its embedded rows, which the logits read.
     """
     _check_config("model_forward", cfg, p)
     ids = _id_array("model_forward", "batch", batch)
     if ids.ndim != 2 or len(ids) == 0:
         raise ValueError("model_forward: batch must be a non-empty (sequences, n) array of token ids")
     embedded = embed(p, ids)
-    n, d = embedded.shape[1:]
-    layers = []
-    for layer in range(cfg.n_layers if trace else 0):
-        w, heads = cfg.attn_width(layer), cfg.heads_in_layer(layer)
-        q, k, v, weights, y, hidden, out = (np.empty((len(ids), *shape)) for shape in (
-            (n, w), (n, w), (n, w), (heads, n, n), (n, d), (n, cfg.d_ff), (n, d)))
-        layers.append(LayerTrace(AttentionTrace(q, k, v, weights), y, hidden, out))
-    for s, x in enumerate(embedded):
-        for layer in range(cfg.n_layers):
-            y, attn = attention_forward(p, layer, x, cfg.heads_in_layer(layer))
-            hidden, x = _ffn(p, layer, y)
-            if trace:
-                lt = layers[layer]
-                for name, a in vars(attn).items():
-                    getattr(lt.attn, name)[s] = a
-                lt.attn_out[s], lt.ffn_hidden[s], lt.ffn_out[s] = y, hidden, x
-        if not trace:
-            embedded[s] = x
     if trace:
+        layers: list[LayerTrace] = []
+        _encode(p, cfg, embedded, layers)
         return None, ForwardTrace(ids=ids, embedded=embedded, layers=layers)
+    for s, x in enumerate(embedded):
+        embedded[s] = _encode(p, cfg, x)
     # after the layers: each sequence's product streams all of tok_emb, evicting the layer weights
     logits = np.empty((*ids.shape, p.tok_emb.shape[0]))
     _tied_logits(embedded, p.tok_emb, logits)
@@ -450,15 +443,6 @@ def _fused_cross_entropy(z: Matrix, ids: np.ndarray) -> tuple[np.ndarray, np.nda
     np.exp(z, out=z)
     rowsum = z.sum(axis=1)
     return np.log(rowsum) - picked, rowsum
-
-
-def cross_entropy(logits: Matrix, targets: Sequence[int]) -> float:
-    """Mean negative log-likelihood of the targets, one per logit row."""
-    z = np.array(logits, dtype=np.float64)
-    if z.ndim != 2 or z.size == 0:
-        raise ValueError(f"cross_entropy: logits must be a non-empty (rows, vocab) array, got shape {z.shape}")
-    ids = _target_ids("cross_entropy", targets, z.shape[:1], z.shape[1])
-    return float(np.sum(_fused_cross_entropy(z, ids)[0])) / ids.size
 
 
 def batch_loss(

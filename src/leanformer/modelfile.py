@@ -20,10 +20,11 @@ second copy of the parameters. Shapes come from the config: a v2 payload
 loads into one int8 ParamSet of it, so each int8 tensor is a view in its
 parameter's shape. Both loaders open files through `_open`.
 
-A save checks its inputs before it opens its path. Round-trips are bit-exact.
-Loaders reject trailing or missing bytes, NaN or infinite float64 values, and
-v2 scales that are not positive and finite. Every size the header implies is
-checked against the file's length before anything is allocated from it.
+A save checks its inputs before it opens its path, so it writes no file its
+loader refuses. Round-trips are bit-exact. Loaders reject trailing or missing
+bytes, NaN or infinite float64 values, v2 scales that are not positive and
+finite, and int8 -128. Every size the header implies is checked against the
+file's length before anything is allocated from it.
 """
 
 from __future__ import annotations
@@ -146,6 +147,7 @@ class _Reader:
 def save_model(path: str | Path, cfg: ModelConfig, p: ParamSet) -> None:
     """Write a version-1 (float64) model file: the header, then theta's own buffer."""
     _check_config("save_model", cfg, p)
+    _check_finite(p, "save_model: tensor")
     with open(path, "wb") as f:
         f.write(MAGIC + struct.pack("<I", VERSION_FLOAT64) + _config_block(cfg))
         f.write(np.ascontiguousarray(p.theta, dtype="<f8"))
@@ -156,6 +158,7 @@ def save_quantized_model(
 ) -> None:
     """Write a version-2 (int8 + scales) model file of `quantized`, cfg's tensors in canonical order."""
     _check_layout("save_quantized_model", cfg, quantized)
+    _check_symmetric("save_quantized_model", quantized)
     tag = _INT8_TAG.encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC + struct.pack("<I", VERSION_INT8) + struct.pack("<I", len(tag)) + tag
@@ -163,6 +166,13 @@ def save_quantized_model(
         for _, qt in quantized:
             f.write(struct.pack("<d", qt.scale))
             f.write(np.ascontiguousarray(qt.values, dtype="|i1"))
+
+
+def _check_symmetric(where: str, quantized: list[tuple[str, QuantizedTensor]]) -> None:
+    """Refuse the first tensor that holds -128: quantization never writes it, and v2 files may not."""
+    for name, qt in quantized:
+        if qt.values.min() < -127:
+            raise ValueError(f"{where}: tensor {name}: QuantizedTensor: -128 is outside the symmetric range")
 
 
 @contextmanager
@@ -214,7 +224,6 @@ def load_quantized_model(
                 tensors.append((name, QuantizedTensor(r.into(values), scale)))
             except ValueError as exc:
                 raise ValueError(f"{path}: tensor {name}: {exc}") from exc
-    if ints.theta.min() < -127:
-        name = next(name for name, qt in tensors if qt.values.min() < -127)
-        raise ValueError(f"{path}: tensor {name}: QuantizedTensor: -128 is outside the symmetric range")
+    if ints.theta.min() < -127:  # one pass over the payload; the names only on failure
+        _check_symmetric(str(path), tensors)
     return cfg, tensors

@@ -2,9 +2,9 @@
 
 The forward pass multiplies, rectifies and normalizes through the helpers
 in this module; the backward works on numpy arrays directly. Matrices are
-plain 2-D float64 numpy arrays in row-major order, and all randomness
-comes from one SplitMix64 stream, so every run is reproducible
-bit-for-bit from a single integer seed.
+plain 2-D float64 numpy arrays in row-major order, or stacks of them that
+the helpers take slice by slice. All randomness comes from one SplitMix64
+stream, so every run is reproducible bit-for-bit from a single integer seed.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import operator
 
 import numpy as np
 
-# A Matrix is a 2-D, C-contiguous float64 ndarray. Kept as an alias rather
-# than a wrapper class so the linear algebra stays plain numpy.
+# A Matrix is a 2-D float64 ndarray, or a stack of them along leading axes.
+# Kept as an alias rather than a wrapper class so the linear algebra stays plain numpy.
 Matrix = np.ndarray
 
 _MASK64 = (1 << 64) - 1
@@ -28,32 +28,37 @@ _MIX_B = 0x94D049BB133111EB
 def matmul(a: Matrix, b: Matrix, out: Matrix | None = None) -> Matrix:
     """Matrix product with an explicit shape check.
 
+    `a` is a matrix or a stack; `b` is one matrix for every slice of `a`, or a
+    stack of `a`'s leading shape. Each slice's product is the 2-D one, bit for bit.
     Accumulation happens in float64; on a given platform the result is
     deterministic for identical inputs. `out`, when given, receives the
     product in place and is returned.
     """
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
+            or b.ndim > 2 and b.shape[:-2] != a.shape[:-2]):
         raise ValueError(
             f"matmul: incompatible shapes {tuple(a.shape)} x {tuple(b.shape)}"
         )
     return np.matmul(a, b, out=out)
 
 
-def softmax_rows(m: Matrix) -> Matrix:
-    """Row-wise softmax with the max subtracted before exponentiation.
+def softmax_rows(m: Matrix, out: Matrix | None = None) -> Matrix:
+    """Softmax along the last axis of a matrix or a stack, the max subtracted first.
 
     The subtraction is required for numerical stability and makes the
-    result invariant to adding a constant to a row.
+    result invariant to adding a constant to a row. `out`, when given,
+    receives the result and is returned.
     """
-    if m.ndim != 2 or m.shape[1] < 1:
-        raise ValueError(f"softmax_rows: expected a non-empty 2-D array, got shape {m.shape}")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    if m.ndim < 2 or m.shape[-1] < 1:
+        raise ValueError(f"softmax_rows: expected a non-empty 2-D or stacked array, got shape {m.shape}")
+    e = m - m.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
 
 
-def relu(m: Matrix) -> Matrix:
-    return np.maximum(m, 0.0)
+def relu(m: Matrix, out: Matrix | None = None) -> Matrix:
+    """max(m, 0) elementwise; `out`, when given (`m` itself included), receives it and is returned."""
+    return np.maximum(m, 0.0, out=out)
 
 
 def rng_uniform_array(seed: int, shape: tuple[int, ...], lo: float, hi: float) -> np.ndarray:

@@ -270,3 +270,11 @@ def loss_and_grads(params, cfg, batch, targets):
                 g["tok_emb"][t][j] += d
                 g["pos_emb"][i][j] += d
     return loss, g
+
+
+def trace_element_count(trace):
+    """Activation elements a ForwardTrace holds, logits aside: the memory-accounting oracle."""
+    arrays = [trace.embedded]
+    for lt in trace.layers:
+        arrays += [*vars(lt.attn).values(), lt.attn_out, lt.ffn_hidden, lt.ffn_out]
+    return sum(a.size for a in arrays)

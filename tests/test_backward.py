@@ -11,7 +11,6 @@ from leanformer.model import (
     ModelConfig,
     PRESETS,
     batch_loss,
-    cross_entropy,
     embed,
     init_params,
     iter_params,
@@ -138,7 +137,7 @@ class TestLogitBuffer:
         p = init_params(cfg, 1)
         batch, targets = synth_copy_batch(1, 32, 10, cfg.vocab_size)
         _, trace = model_forward(p, cfg, batch, trace=True)
-        accounted = 8 * model.trace_element_count(trace) + 2 * p.theta.nbytes + model.LOGIT_CHUNK_BYTES
+        accounted = 8 * reference.trace_element_count(trace) + 2 * p.theta.nbytes + model.LOGIT_CHUNK_BYTES
         del trace
         loss_and_grads(p, cfg, batch, targets)
         tracemalloc.start()
@@ -200,8 +199,6 @@ class TestIntegerIds:
             batch_loss(p, TINY, [[1, 2]], ids)
         with pytest.raises(ValueError, match="loss_and_grads: targets must hold integer ids"):
             loss_and_grads(p, TINY, [[1, 2]], ids)
-        with pytest.raises(ValueError, match="cross_entropy: targets must hold integer ids"):
-            cross_entropy(np.zeros((2, TINY.vocab_size)), ids[0])
 
     @pytest.mark.parametrize("big", [2**64 - 1, 2**63], ids=["max-uint64", "2**63"])
     def test_unsigned_id_beyond_int64_named_as_given(self, big):

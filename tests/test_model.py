@@ -11,7 +11,6 @@ from leanformer.model import (
     PRESETS,
     attention_forward,
     batch_loss,
-    cross_entropy,
     embed,
     ffn_forward,
     grad_check,
@@ -313,6 +312,21 @@ class TestForward:
                 assert lt.ffn_hidden[s].tobytes() == hidden.tobytes()
                 assert lt.ffn_out[s].tobytes() == x.tobytes()
 
+    @pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+    def test_stage_calls_per_layer(self, trace, monkeypatch):
+        # traced, each stage runs once per layer on the whole batch; untraced, once per sequence
+        cfg = ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True)
+        batch = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        calls = {"attention_forward": 0, "_ffn": 0}
+        for name in calls:
+            def counted(*args, _stage=getattr(model, name), _name=name):
+                calls[_name] += 1
+                return _stage(*args)
+            monkeypatch.setattr(model, name, counted)
+        model_forward(init_params(cfg, 0), cfg, batch, trace=trace)
+        per_layer = 1 if trace else len(batch)
+        assert calls == {"attention_forward": per_layer * cfg.n_layers, "_ffn": per_layer * cfg.n_layers}
+
     def test_batch_embedding_names_sequence_and_position(self):
         p = init_params(TINY, 0)
         rows = np.array([embed(p, [1, 2]), embed(p, [3, 4])])
@@ -391,31 +405,33 @@ class TestParamCount:
         assert param_count(cfg) == param_count(ModelConfig(100, 10, 8, 1, 32, 2))
 
 
+def layerless_1d(tok_emb, pos_emb=(0.0,)) -> tuple[ModelConfig, ParamSet]:
+    """A width-1 layerless model: token t at position i gets logits (tok_emb[t] + pos_emb[i]) * tok_emb."""
+    cfg = ModelConfig(len(tok_emb), len(pos_emb), 1, 1, 1, 0)
+    return cfg, init_params(cfg, 0).with_theta(np.array([*tok_emb, *pos_emb], dtype=float))
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        logits = np.zeros((3, 4000))
-        assert cross_entropy(logits, [0, 17, 3999]) == pytest.approx(math.log(4000), rel=1e-12)
+        cfg, p = layerless_1d([0.0] * 4000)
+        assert batch_loss(p, cfg, [[5]], [[17]]) == pytest.approx(math.log(4000), rel=1e-12)
+        assert reference.cross_entropy(np.zeros((3, 4000)), [0, 17, 3999]) == pytest.approx(
+            math.log(4000), rel=1e-12)
 
     def test_confident_correct_prediction(self):
-        logits = np.zeros((1, 5))
-        logits[0, 2] = 20.0
-        assert cross_entropy(logits, [2]) < 1e-8
+        # logits (0, 0, 20, 0, 0) for token 2
+        cfg, p = layerless_1d([0.0, 0.0, math.sqrt(20.0), 0.0, 0.0])
+        assert batch_loss(p, cfg, [[2]], [[2]]) < 1e-8
 
     def test_two_class_analytic(self):
-        logits = np.array([[0.0, math.log(3.0)]])
-        assert cross_entropy(logits, [0]) == pytest.approx(math.log(4.0), rel=1e-12)
+        # logits (0, log 3) for token 0 at position 0
+        cfg, p = layerless_1d([0.0, 1.0], [math.log(3.0)])
+        assert batch_loss(p, cfg, [[0]], [[0]]) == pytest.approx(math.log(4.0), rel=1e-12)
 
     def test_target_out_of_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            cross_entropy(np.zeros((1, 5)), [5])
-
-    def test_one_dimensional_logits_refused(self):
-        with pytest.raises(ValueError, match=r"cross_entropy: logits must be .* got shape \(5,\)"):
-            cross_entropy(np.zeros(5), [2])
-
-    def test_no_rows_refused(self):
-        with pytest.raises(ValueError, match=r"cross_entropy: logits must be .* got shape \(0, 5\)"):
-            cross_entropy(np.zeros((0, 5)), [])
+        cfg, p = layerless_1d([0.0] * 5)
+        with pytest.raises(ValueError, match=r"batch_loss: target id 5 outside \[0, 5\)"):
+            batch_loss(p, cfg, [[1]], [[5]])
 
 
 class TestTraining:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leanformer.compression import (
+    QuantizedTensor,
     dequantize,
     prune_heads,
     prune_layers,
@@ -286,17 +287,31 @@ class TestQuantizedModelFile:
 class TestNonFiniteFiles:
     CFG = ModelConfig(9, 4, 4, 2, 8, 1)
 
-    @pytest.mark.parametrize("index, value, name", [(5, np.nan, "tok_emb"),
-                                                    (37, -np.inf, "pos_emb"),
-                                                    (-1, np.inf, "layers.0.w2")])
+    BAD_VALUES = pytest.mark.parametrize("index, value, name", [(5, np.nan, "tok_emb"),
+                                                                (37, -np.inf, "pos_emb"),
+                                                                (-1, np.inf, "layers.0.w2")])
+
+    @BAD_VALUES
     def test_v1_value_named(self, tmp_path, index, value, name):
         p = init_params(self.CFG, 0)
-        theta = p.theta.copy()
-        theta[index] = value
         path = tmp_path / "m.retf"
-        save_model(path, self.CFG, p.with_theta(theta))
+        save_model(path, self.CFG, p)
+        # a save refuses the value, so it is written over theta's bytes, which end the file
+        blob = bytearray(path.read_bytes())
+        at = len(blob) - p.theta.nbytes + 8 * (index % p.theta.size)
+        blob[at: at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match=rf"m\.retf: tensor {name} is not finite"):
             load_model(path)
+
+    @BAD_VALUES
+    def test_v1_save_refuses_the_value_before_writing(self, tmp_path, index, value, name):
+        theta = init_params(self.CFG, 0).theta.copy()
+        theta[index] = value
+        path = tmp_path / "m.retf"
+        with pytest.raises(ValueError, match=rf"save_model: tensor {name} is not finite"):
+            save_model(path, self.CFG, init_params(self.CFG, 0).with_theta(theta))
+        assert not path.exists()
 
     def v2_file_with_pos_emb_bytes(self, tmp_path, skip, data):
         """A v2 file of CFG with `data` written `skip` bytes into pos_emb's scale and values."""
@@ -323,6 +338,15 @@ class TestNonFiniteFiles:
         with pytest.raises(ValueError, match=r"q\.retf: tensor pos_emb: .*-128 is outside the symmetric range"):
             load_quantized_model(path)
 
+    def test_v2_save_refuses_minus_128_before_writing(self, tmp_path):
+        quantized = quantize_params(init_params(self.CFG, 0))
+        values = quantized[1][1].values.copy()
+        values.flat[0] = -128
+        quantized[1] = ("pos_emb", QuantizedTensor(values, quantized[1][1].scale))
+        path = tmp_path / "q.retf"
+        with pytest.raises(ValueError, match=r"save_quantized_model: tensor pos_emb: .*-128 is outside the symmetric range"):
+            save_quantized_model(path, self.CFG, quantized)
+        assert not path.exists()
 
 class TestFileBytesPinned:
     # sha256 prefixes of the v1 and v2 files of each paper preset at seed 0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,32 @@ class TestMatmul:
         got = matmul(a, b)
         assert np.allclose(got, expect, rtol=1e-13, atol=1e-15)
 
+    def test_stacked_left_operand_is_each_slices_product(self):
+        a = rng_uniform_array(1, (3, 4, 5), -1.0, 1.0)
+        b = random_matrix(5, 2, seed=2)
+        got = matmul(a, b)
+        assert got.tobytes() == np.array([matmul(s, b) for s in a]).tobytes()
+
+    def test_same_rank_stacks_pair_slice_by_slice(self):
+        a = rng_uniform_array(3, (2, 3, 4, 5), -1.0, 1.0)
+        b = rng_uniform_array(4, (2, 3, 5, 6), -1.0, 1.0)
+        # the attention scores' operand: a transposed view of a column block
+        bt = rng_uniform_array(5, (2, 3, 6, 8), -1.0, 1.0)[..., 1:6].swapaxes(-1, -2)
+        for right in (b, bt):
+            want = [[matmul(x, y) for x, y in zip(xs, ys)] for xs, ys in zip(a, right)]
+            assert matmul(a, right).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("left, right", [
+        ((3, 4, 5), (4, 2)),         # inner dimensions differ
+        ((3, 4, 5), (2, 5, 6)),      # stacks of different lengths
+        ((4, 5), (3, 5, 6)),         # a stacked right operand needs a stacked left one
+        ((5,), (5, 2)),              # 1-D left
+        ((2, 5), (5,)),              # 1-D right
+    ])
+    def test_incompatible_shapes_name_both(self, left, right):
+        with pytest.raises(ValueError, match=re.escape(f"{left} x {right}")):
+            matmul(np.zeros(left), np.zeros(right))
+
 
 class TestSoftmax:
     def test_uniform_row(self):
@@ -102,6 +129,15 @@ class TestSoftmax:
         assert np.all(np.isfinite(out))
         assert abs(out.sum() - 1.0) <= 1e-12
 
+    def test_stack_is_each_slice_softmaxed(self):
+        m = rng_uniform_array(6, (3, 4, 5), -3.0, 3.0)
+        assert softmax_rows(m).tobytes() == np.array([softmax_rows(s) for s in m]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 0), (2, 3, 0)])
+    def test_no_rows_refused(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            softmax_rows(np.zeros(shape))
+
 
 class TestRelu:
     def test_mixed_signs(self):
@@ -113,6 +149,11 @@ class TestRelu:
     def test_positive_unchanged(self):
         m = random_matrix(3, 3, seed=5, lo=0.1, hi=2.0)
         assert np.array_equal(relu(m), m)
+
+    def test_in_place_returns_its_input_rectified(self):
+        m = np.array([[-1.5, 0.0], [2.0, -0.0]])
+        assert relu(m, out=m) is m
+        assert np.array_equal(m, [[0.0, 0.0], [2.0, 0.0]])
 
 
 class TestRng:

@@ -15,7 +15,6 @@ from leanformer.model import (
     param_count,
     param_count_enumerated,
     synth_copy_batch,
-    trace_element_count,
 )
 from leanformer.profiler import (
     ResourceReport,
@@ -28,6 +27,8 @@ from leanformer.profiler import (
     render_comparison,
     time_forward,
 )
+
+from reference import trace_element_count
 
 small_configs = st.builds(
     ModelConfig,
@@ -117,7 +118,7 @@ class TestActivationBytes:
         ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True),
     ], ids=["paper-baseline", "paper-reduced", "64-layer", "biased-2-layer"])
     def test_forward_peak_stays_near_the_accounted_bytes(self, cfg):
-        # the traced forward holds its trace plus one sequence's temporaries,
+        # the traced forward holds its trace plus one layer's stage temporaries,
         # and no logits, so little is measured beyond the trace's own bytes
         n = min(10, cfg.max_seq_len)
         p = init_params(cfg, 1)
