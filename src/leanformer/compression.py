@@ -259,6 +259,13 @@ def _check_layout(who: str, cfg: ModelConfig, quantized: list[tuple[str, Quantiz
         raise ValueError(f"{who}: tensors do not match the canonical layout")
 
 
+def _check_symmetric(where: str, quantized: list[tuple[str, QuantizedTensor]]) -> None:
+    """Refuse the first tensor that holds -128: quantization never writes it, and v2 files may not."""
+    for name, qt in quantized:
+        if qt.values.min() < -127:
+            raise ValueError(f"{where}: tensor {name}: QuantizedTensor: -128 is outside the symmetric range")
+
+
 def dequantize_params(p: ParamSet, quantized: list[tuple[str, QuantizedTensor]]) -> ParamSet:
     """Rebuild float64 params shaped like `p` from quantized tensors."""
     _check_layout("dequantize_params", p.cfg, quantized)

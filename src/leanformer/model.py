@@ -303,6 +303,31 @@ class ForwardTrace:
     layers: list[LayerTrace]
 
 
+def _linear(x: np.ndarray, w: Matrix, b: np.ndarray | None) -> np.ndarray:
+    """The affine map `x W + b` as one `matmul`; the bias, if any, is added in the fresh product."""
+    y = matmul(x, w)
+    if b is not None:
+        y += b
+    return y
+
+
+def _linear_backward(x: Matrix, w: Matrix, g_w: Matrix, g_b: np.ndarray | None, dy: Matrix) -> Matrix:
+    """Backward of `_linear` over (rows, ·) `x` and `dy`: adds into `g_w` (and `g_b`), returns dx."""
+    g_w += x.T @ dy
+    if g_b is not None:
+        g_b += dy.sum(axis=0)
+    return dy @ w.T
+
+
+def _layer(who: str, p: ParamSet, layer: int) -> tuple[LayerParams, int]:
+    """Layer `layer`'s weights and head count; a ValueError naming `who` unless 0 <= layer < n_layers."""
+    try:
+        heads = p.cfg.heads_in_layer(layer)
+    except ValueError as exc:
+        raise ValueError(f"{who}: {exc}") from None
+    return p.layers[layer], heads
+
+
 def attention_forward(
     p: ParamSet, layer: int, x: Matrix, heads: int
 ) -> tuple[Matrix, AttentionTrace]:
@@ -313,22 +338,15 @@ def attention_forward(
     outputs go through the output projection. Leading axes are independent
     sequences: each slice's result is the 2-D call's on that slice, bit for bit.
     """
-    lay = p.layers[layer]
+    lay, own = _layer("attention_forward", p, layer)
     d = lay.wq.shape[0]
     if x.ndim < 2 or x.shape[-1] != d:
         raise ValueError(f"attention_forward: input shape {tuple(x.shape)} does not match d_model {d}")
-    width = lay.wq.shape[1]
-    if heads < 1 or width % heads != 0:
-        raise ValueError(f"attention_forward: {heads} heads do not divide attention width {width}")
-    dh = width // heads
+    if heads != own:
+        raise ValueError(f"attention_forward: layer {layer} has {own} heads, not {heads}")
+    dh = lay.wq.shape[1] // heads
 
-    q = matmul(x, lay.wq)
-    k = matmul(x, lay.wk)
-    v = matmul(x, lay.wv)
-    if lay.bq is not None:
-        q += lay.bq
-        k += lay.bk
-        v += lay.bv
+    q, k, v = _linear(x, lay.wq, lay.bq), _linear(x, lay.wk, lay.bk), _linear(x, lay.wv, lay.bv)
 
     scale = 1.0 / math.sqrt(dh)
     n = x.shape[-2]
@@ -339,25 +357,17 @@ def attention_forward(
         a = softmax_rows(matmul(q[..., cols], k[..., cols].swapaxes(-1, -2)) * scale,
                          out=weights[..., h, :, :])
         matmul(a, v[..., cols], out=concat[..., cols])
-    out = matmul(concat, lay.wo)
-    if lay.bo is not None:
-        out += lay.bo
-    return out, AttentionTrace(q=q, k=k, v=v, weights=weights)
+    return _linear(concat, lay.wo, lay.bo), AttentionTrace(q=q, k=k, v=v, weights=weights)
 
 
 def _ffn(p: ParamSet, layer: int, x: Matrix) -> tuple[Matrix, Matrix]:
-    lay = p.layers[layer]
+    lay, _ = _layer("ffn_forward", p, layer)
     if x.ndim < 2 or x.shape[-1] != lay.w1.shape[0]:
         raise ValueError(f"ffn_forward: input shape {tuple(x.shape)} does not match d_model {lay.w1.shape[0]}")
-    # biases and the rectifier work in the fresh products: no second array of the batch's size
-    hidden = matmul(x, lay.w1)
-    if lay.b1 is not None:
-        hidden += lay.b1
+    # the rectifier works in the fresh product: no second array of the batch's size
+    hidden = _linear(x, lay.w1, lay.b1)
     relu(hidden, out=hidden)
-    out = matmul(hidden, lay.w2)
-    if lay.b2 is not None:
-        out += lay.b2
-    return hidden, out
+    return hidden, _linear(hidden, lay.w2, lay.b2)
 
 
 def ffn_forward(p: ParamSet, layer: int, x: Matrix) -> Matrix:
@@ -546,24 +556,15 @@ def loss_and_grads(
 
         # feed-forward: out = relu(y W1 + b1) W2 + b2
         hidden, y = lt.ffn_hidden.reshape(ids.size, -1), lt.attn_out.reshape(ids.size, -1)
-        g.w2[...] += hidden.T @ dx
-        if g.b2 is not None:
-            g.b2[...] += dx.sum(axis=0)
-        dz = (dx @ lay.w2.T) * (hidden > 0)
-        g.w1[...] += y.T @ dz
-        if g.b1 is not None:
-            g.b1[...] += dz.sum(axis=0)
-        dy = dz @ lay.w1.T
+        dz = _linear_backward(hidden, lay.w2, g.w2, g.b2, dx) * (hidden > 0)
+        dy = _linear_backward(y, lay.w1, g.w1, g.b1, dz)
 
         # attention: y = concat(heads) @ Wo + bo, each head softmax(q k^T s) v
         heads = cfg.heads_in_layer(layer)
         s = 1.0 / math.sqrt(lay.wq.shape[1] // heads)
         q, k, v = (_heads_view(m, n, heads) for m in (lt.attn.q, lt.attn.k, lt.attn.v))
         a = lt.attn.weights
-        g.wo[...] += _heads_merge(a @ v).T @ dy
-        if g.bo is not None:
-            g.bo[...] += dy.sum(axis=0)
-        d_out = _heads_view(dy @ lay.wo.T, n, heads)
+        d_out = _heads_view(_linear_backward(_heads_merge(a @ v), lay.wo, g.wo, g.bo, dy), n, heads)
         da = d_out @ v.transpose(0, 1, 3, 2)
         # softmax rows: dS = A * (dA - rowsum(dA * A))
         dscores = a * (da - (da * a).sum(axis=-1, keepdims=True))
@@ -571,14 +572,9 @@ def loss_and_grads(
         dk = _heads_merge(dscores.transpose(0, 1, 3, 2) @ q * s)
         dv = _heads_merge(a.transpose(0, 1, 3, 2) @ d_out)
 
-        g.wq[...] += x_in.T @ dq
-        g.wk[...] += x_in.T @ dk
-        g.wv[...] += x_in.T @ dv
-        if g.bq is not None:
-            g.bq[...] += dq.sum(axis=0)
-            g.bk[...] += dk.sum(axis=0)
-            g.bv[...] += dv.sum(axis=0)
-        dx = dq @ lay.wq.T + dk @ lay.wk.T + dv @ lay.wv.T
+        dx = (_linear_backward(x_in, lay.wq, g.wq, g.bq, dq)
+              + _linear_backward(x_in, lay.wk, g.wk, g.bk, dk)
+              + _linear_backward(x_in, lay.wv, g.wv, g.bv, dv))
 
     # embedding lookup: a row of tok_emb per token id, of pos_emb per position
     np.add.at(grads.tok_emb, trace.ids.ravel(), dx)

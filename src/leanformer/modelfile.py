@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compression import QuantizedTensor, _check_layout, quantized_memory_bytes
+from .compression import QuantizedTensor, _check_layout, _check_symmetric, quantized_memory_bytes
 from .model import (ModelConfig, ParamSet, _check_config, _check_finite, _freeze, iter_params,
                     param_count)
 
@@ -166,13 +166,6 @@ def save_quantized_model(
         for _, qt in quantized:
             f.write(struct.pack("<d", qt.scale))
             f.write(np.ascontiguousarray(qt.values, dtype="|i1"))
-
-
-def _check_symmetric(where: str, quantized: list[tuple[str, QuantizedTensor]]) -> None:
-    """Refuse the first tensor that holds -128: quantization never writes it, and v2 files may not."""
-    for name, qt in quantized:
-        if qt.values.min() < -127:
-            raise ValueError(f"{where}: tensor {name}: QuantizedTensor: -128 is outside the symmetric range")
 
 
 @contextmanager

@@ -1,9 +1,10 @@
 """Resource accounting: parameter memory, activation memory, wall-clock timing.
 
 Parameter memory is exact (8 bytes per float64 element); activation memory
-is the closed-form element count of one forward's trace and logits; timing
-is measured with warmup and reported through order statistics, with the
-clock injectable so the statistics pipeline is testable without real time.
+is the closed-form size of the batch-sized arrays the timed (inference)
+forward holds, its logits and its embedded rows; timing is measured with
+warmup and reported through order statistics, with the clock injectable so
+the statistics pipeline is testable without real time.
 """
 
 from __future__ import annotations
@@ -117,16 +118,13 @@ def memory_bytes(cfg: ModelConfig) -> int:
 
 
 def activation_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> int:
-    """Bytes of a forward pass's intermediate activations and logits.
+    """Bytes of the batch-sized arrays the timed forward holds: 8*b*n*(V + d).
 
-    Per sequence: the embedded input (n*d), per layer Q, K, V (3*n*w), the
-    per-head attention weights (heads*n^2), the attention output (n*d),
-    the FFN hidden (n*f) and output (n*d), and the logits (n*V). Matches
-    8x the element count of the batch's ForwardTrace plus its logits by
-    construction. No pass holds all of it at once: training holds the
-    trace plus one chunk of logits (`model.LOGIT_CHUNK_BYTES`), and
-    inference holds the logits, the embedded input and one sequence's
-    temporaries.
+    The untraced (inference) forward that `time_forward` times holds the
+    (b, n, V) logits and the (b, n, d) embedded rows, which each sequence's
+    last-layer output overwrites; beside them it holds only one sequence's
+    temporaries. Training holds the trace instead, plus one chunk of logits
+    (`model.LOGIT_CHUNK_BYTES`), and is not accounted here.
     """
     for name, value in (("batch_size", batch_size), ("seq_len", seq_len)):
         if value < 1:
@@ -135,13 +133,7 @@ def activation_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> int:
         raise ValueError(
             f"activation_bytes: seq_len {seq_len} exceeds max_seq_len {cfg.max_seq_len}"
         )
-    n, d = seq_len, cfg.d_model
-    elems = n * d + n * cfg.vocab_size
-    for layer in range(cfg.n_layers):
-        w = cfg.attn_width(layer)
-        heads = cfg.heads_in_layer(layer)
-        elems += 3 * n * w + heads * n * n + n * d + n * cfg.d_ff + n * d
-    return BYTES_PER_PARAM * batch_size * elems
+    return BYTES_PER_PARAM * batch_size * seq_len * (cfg.vocab_size + cfg.d_model)
 
 
 def time_forward(

@@ -185,6 +185,19 @@ class TestAttention:
         with pytest.raises(ValueError, match="does not match"):
             attention_forward(p, 0, np.zeros((3, 5)), TINY.n_heads)
 
+    @pytest.mark.parametrize("layer", [-1, 2], ids=["negative", "n_layers"])
+    def test_layer_outside_the_model_rejected(self, layer):
+        # -1 would index the last layer, 2 past the end
+        cfg = ModelConfig(9, 4, 4, 2, 8, 2)
+        with pytest.raises(ValueError, match=rf"attention_forward: layer index {layer} out of range \[0, 2\)"):
+            attention_forward(init_params(cfg, 0), layer, np.zeros((3, 4)), 2)
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_head_count_other_than_the_layers_rejected(self, heads):
+        # both divide the width 4, so each would compute some other attention
+        with pytest.raises(ValueError, match=f"attention_forward: layer 0 has 2 heads, not {heads}"):
+            attention_forward(init_params(TINY, 0), 0, np.zeros((3, 4)), heads)
+
 
 class TestFfn:
     def test_zero_w1_gives_zeros(self):
@@ -204,6 +217,13 @@ class TestFfn:
         p.layers[0].w2[...] = [[3.0]]
         assert ffn_forward(p, 0, np.array([[-1.0]]))[0, 0] == 0.0
         assert ffn_forward(p, 0, np.array([[1.0]]))[0, 0] == 6.0
+
+    @pytest.mark.parametrize("layer", [-2, 2], ids=["negative", "n_layers"])
+    def test_layer_outside_the_model_rejected(self, layer):
+        # -2 would index layer 0, 2 past the end
+        cfg = ModelConfig(9, 4, 4, 2, 8, 2)
+        with pytest.raises(ValueError, match=rf"ffn_forward: layer index {layer} out of range \[0, 2\)"):
+            ffn_forward(init_params(cfg, 0), layer, np.zeros((3, 4)))
 
 
 class TestForward:
@@ -326,6 +346,22 @@ class TestForward:
         model_forward(init_params(cfg, 0), cfg, batch, trace=trace)
         per_layer = 1 if trace else len(batch)
         assert calls == {"attention_forward": per_layer * cfg.n_layers, "_ffn": per_layer * cfg.n_layers}
+
+    @pytest.mark.parametrize("name, per_sequence", [("paper-baseline", (23, 8)), ("paper-reduced", (15, 4))],
+                             ids=["paper-baseline", "paper-reduced"])
+    def test_numerics_calls_per_untraced_forward(self, name, per_sequence, monkeypatch):
+        # per sequence: Q, K, V, two per head, the output projection, two FFN
+        # products and the tied logits; one softmax per head
+        cfg = PRESETS[name]
+        calls = {"matmul": 0, "softmax_rows": 0}
+        for fn in calls:
+            def counted(*args, _fn=getattr(model, fn), _name=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(model, fn, counted)
+        batch, _ = synth_copy_batch(1, 32, 10, cfg.vocab_size)
+        model_forward(init_params(cfg, 0), cfg, batch)
+        assert (calls["matmul"], calls["softmax_rows"]) == tuple(32 * c for c in per_sequence)
 
     def test_batch_embedding_names_sequence_and_position(self):
         p = init_params(TINY, 0)
