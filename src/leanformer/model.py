@@ -523,6 +523,50 @@ def _output_backward(
     return float(np.sum(terms)) / ids.size, dx
 
 
+def _layer_backward(lay: LayerParams, g: LayerParams, lt: LayerTrace, x_in: Matrix,
+                    dx: Matrix, heads: int) -> Matrix:
+    """One layer's backward for the batch: adds into `g` and returns the gradient at `x_in`.
+
+    `x_in` and `dx` are (sequences * n, ·) rows; the trace's (sequences, n, ·)
+    arrays are read as such rows and its heads as (sequences, heads, n, head
+    width) views. Each temporary is dropped after its last reader, so the
+    layer holds its trace and about two of its (rows, d_ff or d) arrays at once.
+    """
+    n = lt.attn_out.shape[1]
+
+    # feed-forward: out = relu(y W1 + b1) W2 + b2
+    hidden, y = lt.ffn_hidden.reshape(len(dx), -1), lt.attn_out.reshape(len(dx), -1)
+    dz = _linear_backward(hidden, lay.w2, g.w2, g.b2, dx)
+    del dx
+    dz *= hidden > 0
+    dy = _linear_backward(y, lay.w1, g.w1, g.b1, dz)
+    del dz
+
+    # attention: y = concat(heads) @ Wo + bo, each head softmax(q k^T s) v
+    s = 1.0 / math.sqrt(lay.wq.shape[1] // heads)
+    q, k, v = (_heads_view(m, n, heads) for m in (lt.attn.q, lt.attn.k, lt.attn.v))
+    a = lt.attn.weights
+    d_out = _heads_view(_linear_backward(_heads_merge(a @ v), lay.wo, g.wo, g.bo, dy), n, heads)
+    del dy
+    # softmax rows, in place in dA: dS = (dA - rowsum(dA * A)) * A
+    da = d_out @ v.transpose(0, 1, 3, 2)
+    da -= (da * a).sum(axis=-1, keepdims=True)
+    da *= a
+    dq = _heads_merge(da @ k * s)
+    dk = _heads_merge(da.transpose(0, 1, 3, 2) @ q * s)
+    del da
+    dv = _heads_merge(a.transpose(0, 1, 3, 2) @ d_out)
+    del d_out
+
+    # (q-term + k-term) + v-term
+    dx = _linear_backward(x_in, lay.wq, g.wq, g.bq, dq)
+    del dq
+    dx += _linear_backward(x_in, lay.wk, g.wk, g.bk, dk)
+    del dk
+    dx += _linear_backward(x_in, lay.wv, g.wv, g.bv, dv)
+    return dx
+
+
 def loss_and_grads(
     p: ParamSet,
     cfg: ModelConfig,
@@ -535,46 +579,31 @@ def loss_and_grads(
     gradients carry the same averaging. The tied output projection sends
     gradient into tok_emb from both the logit matmul and the lookup.
 
-    `model_forward` stops after the last layer; the logits, the loss and
-    their gradient are taken a chunk of sequences at a time (see
-    LOGIT_CHUNK_BYTES), so no more than one chunk of logits is ever held,
-    and none during the layers. Each layer is differentiated once for the
-    whole batch, reading the trace's (sequences, n, ·) arrays as
-    (sequences * n, ·) rows and heads as (sequences, heads, n, head width)
-    views.
+    In order: one traced `model_forward`, which stops after the last layer;
+    the last layer's output is kept and the layer traces are dropped; the
+    output stage takes the logits, the loss and their gradient a chunk of
+    sequences at a time (see LOGIT_CHUNK_BYTES); the layers then run again
+    on the embedded input through the same stage calls, so their trace has
+    the same bits; last, each layer is differentiated once for the whole
+    batch, and its trace is dropped when its backward is done. So a chunk of
+    logits and the layer traces are never held at once.
     """
     _, trace = model_forward(p, cfg, batch, trace=True)
     n = trace.ids.shape[1]
     ids = _target_ids("loss_and_grads", targets, trace.ids.shape, p.tok_emb.shape[0])
     grads = p.with_theta(np.zeros_like(p.theta))
     x_final = trace.layers[-1].ffn_out if trace.layers else trace.embedded
+    trace.layers.clear()
     loss, dx = _output_backward(p, x_final, ids, grads.tok_emb)
+    del x_final
 
+    _encode(p, cfg, trace.embedded, trace.layers)
     for layer in reversed(range(cfg.n_layers)):
-        lay, g, lt = p.layers[layer], grads.layers[layer], trace.layers[layer]
-        x_in = (trace.layers[layer - 1].ffn_out if layer else trace.embedded).reshape(ids.size, -1)
-
-        # feed-forward: out = relu(y W1 + b1) W2 + b2
-        hidden, y = lt.ffn_hidden.reshape(ids.size, -1), lt.attn_out.reshape(ids.size, -1)
-        dz = _linear_backward(hidden, lay.w2, g.w2, g.b2, dx) * (hidden > 0)
-        dy = _linear_backward(y, lay.w1, g.w1, g.b1, dz)
-
-        # attention: y = concat(heads) @ Wo + bo, each head softmax(q k^T s) v
-        heads = cfg.heads_in_layer(layer)
-        s = 1.0 / math.sqrt(lay.wq.shape[1] // heads)
-        q, k, v = (_heads_view(m, n, heads) for m in (lt.attn.q, lt.attn.k, lt.attn.v))
-        a = lt.attn.weights
-        d_out = _heads_view(_linear_backward(_heads_merge(a @ v), lay.wo, g.wo, g.bo, dy), n, heads)
-        da = d_out @ v.transpose(0, 1, 3, 2)
-        # softmax rows: dS = A * (dA - rowsum(dA * A))
-        dscores = a * (da - (da * a).sum(axis=-1, keepdims=True))
-        dq = _heads_merge(dscores @ k * s)
-        dk = _heads_merge(dscores.transpose(0, 1, 3, 2) @ q * s)
-        dv = _heads_merge(a.transpose(0, 1, 3, 2) @ d_out)
-
-        dx = (_linear_backward(x_in, lay.wq, g.wq, g.bq, dq)
-              + _linear_backward(x_in, lay.wk, g.wk, g.bk, dk)
-              + _linear_backward(x_in, lay.wv, g.wv, g.bv, dv))
+        lt = trace.layers.pop()
+        x_in = (trace.layers[-1].ffn_out if layer else trace.embedded).reshape(ids.size, -1)
+        dx = _layer_backward(p.layers[layer], grads.layers[layer], lt, x_in, dx,
+                             cfg.heads_in_layer(layer))
+        del lt, x_in
 
     # embedding lookup: a row of tok_emb per token id, of pos_emb per position
     np.add.at(grads.tok_emb, trace.ids.ravel(), dx)
@@ -602,6 +631,10 @@ def train_step(
 
     Raises ValueError when the loss or any gradient is not finite, naming
     the first parameter whose gradient is not, before anything is updated.
+    The update is written into the gradient's own vector, which becomes the
+    new (frozen) theta: `-lr * g + theta` is `theta - lr * g` bit for bit, and
+    no third theta-sized array is made. `p` is left as it was; with `lr` 0
+    it is returned itself.
     """
     if not 0 <= lr < math.inf:
         raise ValueError(f"train_step: learning rate must be finite and >= 0, got {lr}")
@@ -612,7 +645,10 @@ def train_step(
     if lr == 0:
         return p, loss
 
-    return p.with_theta(_freeze(p.theta - lr * grads.theta)), loss
+    g = grads.theta
+    g *= -lr
+    g += p.theta
+    return p.with_theta(_freeze(g)), loss
 
 
 def synth_copy_batch(
