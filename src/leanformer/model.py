@@ -495,12 +495,14 @@ def _output_backward(
     """Mean loss and its gradient at `x`, the last (sequences, n, d) output.
 
     The tied logits x @ tok_emb^T and the fused cross-entropy run one chunk
-    of whole sequences at a time in one reused buffer, which then becomes
-    the chunk's logit gradient (softmax - onehot) / positions. Each chunk
-    adds its share of the output projection's gradient to `g_tok_emb`, a
-    block of rows at a time, and writes its rows of the returned
-    (positions, d) gradient; the per-row loss terms are summed once, over
-    the whole batch.
+    of whole sequences at a time in one reused buffer, which is left holding
+    the unnormalised exponentials. The logit gradient (softmax - onehot) /
+    positions is never written out: each chunk adds its share of the output
+    projection's gradient to `g_tok_emb`, a block of rows at a time, from
+    the exponentials and its rows of `x` scaled by 1 / (rowsum * positions),
+    then subtracts the one-hot share at the target rows; its rows of the
+    returned (positions, d) gradient get the same two terms. The per-row
+    loss terms are summed once, over the whole batch.
     """
     b, n, d = x.shape
     vocab = p.tok_emb.shape[0]
@@ -514,12 +516,17 @@ def _output_backward(
         _tied_logits(chunk, p.tok_emb, z)
         z, target = z.reshape(-1, vocab), ids[rows]
         terms[rows], rowsum = _fused_cross_entropy(z, target)
-        z *= (1.0 / (rowsum * ids.size))[:, None]
-        z[np.arange(len(z)), target] -= 1.0 / ids.size
+        # the logit gradient is exp * r - onehot / N, r = 1 / (rowsum * N); it is
+        # linear in exp, so r scales the (rows, d) factors, not the logit block
+        r = (1.0 / (rowsum * ids.size))[:, None]
         xc = chunk.reshape(-1, d)
+        xr = xc * r
         for v in range(0, vocab, _TOK_EMB_GRAD_BLOCK):
-            g_tok_emb[v:v + _TOK_EMB_GRAD_BLOCK] += z[:, v:v + _TOK_EMB_GRAD_BLOCK].T @ xc
-        np.matmul(z, p.tok_emb, out=dx[rows])
+            g_tok_emb[v:v + _TOK_EMB_GRAD_BLOCK] += z[:, v:v + _TOK_EMB_GRAD_BLOCK].T @ xr
+        np.subtract.at(g_tok_emb, target, xc / ids.size)  # ids repeat
+        dxc = np.matmul(z, p.tok_emb, out=dx[rows])
+        dxc *= r
+        dxc -= p.tok_emb[target] / ids.size
     return float(np.sum(terms)) / ids.size, dx
 
 
