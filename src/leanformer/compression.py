@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (LayerParams, ModelConfig, ParamSet, _check_config, _freeze, iter_params,
-                    param_count, param_tensor_count)
+                    param_count, param_sizes, param_tensor_count)
 from .numerics import Matrix
 
 
@@ -251,11 +251,10 @@ def quantize_params(p: ParamSet) -> list[tuple[str, QuantizedTensor]]:
 def _check_layout(who: str, cfg: ModelConfig, quantized: list[tuple[str, QuantizedTensor]]) -> None:
     """Refuse `quantized` unless it holds cfg's tensors: each name and size, in canonical order.
 
-    The count goes first, so no longer config is laid out; the layout is a ParamSet whose
-    elements (dtype `[]`) take no bytes."""
+    The count goes first, so no longer config is laid out; the layout comes from the config's
+    closed forms (`param_sizes`) and builds no arrays."""
     if len(quantized) != param_tensor_count(cfg) or [
-            (name, qt.values.size) for name, qt in quantized] != [
-            (name, a.size) for name, a in iter_params(ParamSet(np.empty(param_count(cfg), []), cfg))]:
+            (name, qt.values.size) for name, qt in quantized] != list(param_sizes(cfg)):
         raise ValueError(f"{who}: tensors do not match the canonical layout")
 
 

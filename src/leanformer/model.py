@@ -120,6 +120,12 @@ class LayerParams:
     b2: np.ndarray | None
 
 
+def _weight_shapes(cfg: ModelConfig, layer: int) -> tuple[tuple[int, int], ...]:
+    """(rows, cols) of `layer`'s six weights in `LayerParams` order; each bias is `cols` long."""
+    d, f, w = cfg.d_model, cfg.d_ff, cfg.attn_width(layer)
+    return (d, w), (d, w), (d, w), (w, d), (d, f), (f, d)
+
+
 @dataclass(frozen=True, eq=False)
 class ParamSet:
     """Every parameter of one model instance in one flat vector `theta`.
@@ -152,14 +158,13 @@ class ParamSet:
     @cached_property
     def layers(self) -> list[LayerParams]:
         theta, cfg = self.theta, self.cfg
-        d, f, bias = cfg.d_model, cfg.d_ff, cfg.use_bias
+        bias = cfg.use_bias
         pos = self.tok_emb.size + self.pos_emb.size
         layers = []
         for i in range(cfg.n_layers):
-            w = cfg.attn_width(i)
             views = []
             # each weight, then the bias that adds to its output columns
-            for rows, cols in ((d, w), (d, w), (d, w), (w, d), (d, f), (f, d)):
+            for rows, cols in _weight_shapes(cfg, i):
                 end = pos + rows * cols
                 views += theta[pos:end].reshape(rows, cols), theta[end:end + cols] if bias else None
                 pos = end + cols * bias
@@ -179,6 +184,18 @@ def iter_params(p: ParamSet) -> Iterator[tuple[str, np.ndarray]]:
         for name, arr in vars(lay).items():
             if arr is not None:
                 yield f"layers.{i}.{name}", arr
+
+
+def param_sizes(cfg: ModelConfig) -> Iterator[tuple[str, int]]:
+    """Yield (name, element count) of each tensor `iter_params` yields, from `cfg` alone: no arrays."""
+    yield "tok_emb", cfg.vocab_size * cfg.d_model
+    yield "pos_emb", cfg.max_seq_len * cfg.d_model
+    names = [f.name for f in fields(LayerParams)]
+    for i in range(cfg.n_layers):
+        for (rows, cols), weight, bias in zip(_weight_shapes(cfg, i), names[::2], names[1::2]):
+            yield f"layers.{i}.{weight}", rows * cols
+            if cfg.use_bias:
+                yield f"layers.{i}.{bias}", cols
 
 
 def param_count_enumerated(p: ParamSet) -> int:
