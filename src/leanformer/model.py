@@ -553,15 +553,14 @@ def _layer_backward(lay: LayerParams, g: LayerParams, lt: LayerTrace, x_in: Matr
 
     `x_in` and `dx` are (sequences * n, ·) rows; the trace's (sequences, n, ·)
     arrays are read as such rows and its heads as (sequences, heads, n, head
-    width) views. Each temporary is dropped after its last reader, so the
-    layer holds its trace and about two of its (rows, d_ff or d) arrays at once.
+    width) views. Each temporary is dropped after its last reader, so beside
+    the trace the layer holds about two of its (rows, d_ff or d) arrays at once.
     """
     n = lt.attn_out.shape[1]
 
     # feed-forward: out = relu(y W1 + b1) W2 + b2
     hidden, y = lt.ffn_hidden.reshape(len(dx), -1), lt.attn_out.reshape(len(dx), -1)
     dz = _linear_backward(hidden, lay.w2, g.w2, g.b2, dx)
-    del dx
     dz *= hidden > 0
     dy = _linear_backward(y, lay.w1, g.w1, g.b1, dz)
     del dz
@@ -627,7 +626,6 @@ def loss_and_grads(
         x_in = (trace.layers[-1].ffn_out if layer else trace.embedded).reshape(ids.size, -1)
         dx = _layer_backward(p.layers[layer], grads.layers[layer], lt, x_in, dx,
                              cfg.heads_in_layer(layer))
-        del lt, x_in
 
     # embedding lookup: a row of tok_emb per token id, of pos_emb per position
     np.add.at(grads.tok_emb, trace.ids.ravel(), dx)
