@@ -328,12 +328,16 @@ def _linear(x: np.ndarray, w: Matrix, b: np.ndarray | None) -> np.ndarray:
     return y
 
 
-def _linear_backward(x: Matrix, w: Matrix, g_w: Matrix, g_b: np.ndarray | None, dy: Matrix) -> Matrix:
-    """Backward of `_linear` over (rows, ·) `x` and `dy`: adds into `g_w` (and `g_b`), returns dx."""
+def _linear_backward(x: Matrix, w: Matrix, g_w: Matrix, g_b: np.ndarray | None, dy: Matrix,
+                     out: Matrix | None = None) -> Matrix:
+    """Backward of `_linear` over (rows, ·) `x` and `dy`: adds into `g_w` (and `g_b`), returns dx.
+
+    dx is written into `out` if given, which may be `x` itself: `x` is read before it.
+    """
     g_w += x.T @ dy
     if g_b is not None:
         g_b += dy.sum(axis=0)
-    return dy @ w.T
+    return np.matmul(dy, w.T, out=out)
 
 
 def _layer(who: str, p: ParamSet, layer: int) -> tuple[LayerParams, int]:
@@ -503,7 +507,7 @@ LOGIT_CHUNK_BYTES = 1 << 20
 # rows of tok_emb's gradient that a chunk adds per product: a block's
 # (rows, d) share is added while still in cache, where a whole (vocab, d)
 # one would be written out and read back for every chunk
-_TOK_EMB_GRAD_BLOCK = 1024
+_TOK_EMB_GRAD_BLOCK = 512
 
 
 def _output_backward(
@@ -553,33 +557,50 @@ def _layer_backward(lay: LayerParams, g: LayerParams, lt: LayerTrace, x_in: Matr
 
     `x_in` and `dx` are (sequences * n, ·) rows; the trace's (sequences, n, ·)
     arrays are read as such rows and its heads as (sequences, heads, n, head
-    width) views. Each temporary is dropped after its last reader, so beside
-    the trace the layer holds about two of its (rows, d_ff or d) arrays at once.
+    width) views. `lt` is consumed: it is taken apart and emptied on entry,
+    so each of its arrays and each temporary is released after its last
+    reader: the FFN output at once, the FFN hidden (which takes the gradient
+    at it) and the attention output once the FFN is done, v, the weights, k
+    and q as the attention backward reads them for the last time.
     """
-    n = lt.attn_out.shape[1]
+    attn, y, hidden = lt.attn, lt.attn_out, lt.ffn_hidden
+    n = y.shape[1]
+    q, k, v = (_heads_view(m, n, heads) for m in (attn.q, attn.k, attn.v))
+    a = attn.weights
+    vars(lt).clear()
+    vars(attn).clear()
 
-    # feed-forward: out = relu(y W1 + b1) W2 + b2
-    hidden, y = lt.ffn_hidden.reshape(len(dx), -1), lt.attn_out.reshape(len(dx), -1)
-    dz = _linear_backward(hidden, lay.w2, g.w2, g.b2, dx)
-    dz *= hidden > 0
+    # feed-forward: out = relu(y W1 + b1) W2 + b2; the gradient at the
+    # hidden layer is written over it once its mask is taken
+    hidden, y = hidden.reshape(len(dx), -1), y.reshape(len(dx), -1)
+    mask = hidden > 0
+    dz = _linear_backward(hidden, lay.w2, g.w2, g.b2, dx, out=hidden)
+    del hidden
+    dz *= mask
+    del mask
     dy = _linear_backward(y, lay.w1, g.w1, g.b1, dz)
-    del dz
+    del dz, y
 
     # attention: y = concat(heads) @ Wo + bo, each head softmax(q k^T s) v
     s = 1.0 / math.sqrt(lay.wq.shape[1] // heads)
-    q, k, v = (_heads_view(m, n, heads) for m in (lt.attn.q, lt.attn.k, lt.attn.v))
-    a = lt.attn.weights
-    d_out = _heads_view(_linear_backward(_heads_merge(a @ v), lay.wo, g.wo, g.bo, dy), n, heads)
-    del dy
-    # softmax rows, in place in dA: dS = (dA - rowsum(dA * A)) * A
+    concat = _heads_merge(a @ v)
+    d_out = _heads_view(_linear_backward(concat, lay.wo, g.wo, g.bo, dy, out=concat), n, heads)
+    del concat, dy
     da = d_out @ v.transpose(0, 1, 3, 2)
+    del v
+    # softmax rows, in place in dA: dS = (dA - rowsum(dA * A)) * A
     da -= (da * a).sum(axis=-1, keepdims=True)
     da *= a
-    dq = _heads_merge(da @ k * s)
-    dk = _heads_merge(da.transpose(0, 1, 3, 2) @ q * s)
-    del da
     dv = _heads_merge(a.transpose(0, 1, 3, 2) @ d_out)
-    del d_out
+    del a, d_out
+    dq = da @ k
+    del k
+    dq *= s
+    dq = _heads_merge(dq)
+    dk = da.transpose(0, 1, 3, 2) @ q
+    del da, q
+    dk *= s
+    dk = _heads_merge(dk)
 
     # (q-term + k-term) + v-term
     dx = _linear_backward(x_in, lay.wq, g.wq, g.bq, dq)
@@ -603,32 +624,35 @@ def loss_and_grads(
     gradient into tok_emb from both the logit matmul and the lookup.
 
     In order: one traced `model_forward`, which stops after the last layer;
-    the last layer's output is kept and the layer traces are dropped; the
-    output stage takes the logits, the loss and their gradient a chunk of
-    sequences at a time (see LOGIT_CHUNK_BYTES); the layers then run again
-    on the embedded input through the same stage calls, so their trace has
-    the same bits; last, each layer is differentiated once for the whole
-    batch, and its trace is dropped when its backward is done. So a chunk of
-    logits and the layer traces are never held at once.
+    only the last layer's output and the checked ids are kept, and the layer
+    traces and the embedded rows are dropped; the output stage takes the
+    logits, the loss and their gradient a chunk of sequences at a time (see
+    LOGIT_CHUNK_BYTES), and the last output is dropped after it; the ids are
+    embedded again and the layers run again through the same stage calls, so
+    the rebuilt rows and trace have the same bits; last, each layer is
+    differentiated once for the whole batch: its trace is popped into
+    `_layer_backward`, which releases each array after its last reader. So a
+    chunk of logits and the layer traces are never held at once.
     """
     _, trace = model_forward(p, cfg, batch, trace=True)
-    n = trace.ids.shape[1]
-    ids = _target_ids("loss_and_grads", targets, trace.ids.shape, p.tok_emb.shape[0])
+    ids = trace.ids
+    n = ids.shape[1]
+    targets = _target_ids("loss_and_grads", targets, ids.shape, p.tok_emb.shape[0])
     grads = p.with_theta(np.zeros_like(p.theta))
     x_final = trace.layers[-1].ffn_out if trace.layers else trace.embedded
-    trace.layers.clear()
-    loss, dx = _output_backward(p, x_final, ids, grads.tok_emb)
+    del trace
+    loss, dx = _output_backward(p, x_final, targets, grads.tok_emb)
     del x_final
 
-    _encode(p, cfg, trace.embedded, trace.layers)
+    embedded, layers = embed(p, ids), []
+    _encode(p, cfg, embedded, layers)
     for layer in reversed(range(cfg.n_layers)):
-        lt = trace.layers.pop()
-        x_in = (trace.layers[-1].ffn_out if layer else trace.embedded).reshape(ids.size, -1)
-        dx = _layer_backward(p.layers[layer], grads.layers[layer], lt, x_in, dx,
+        x_in = (layers[-2].ffn_out if layer else embedded).reshape(ids.size, -1)
+        dx = _layer_backward(p.layers[layer], grads.layers[layer], layers.pop(), x_in, dx,
                              cfg.heads_in_layer(layer))
 
     # embedding lookup: a row of tok_emb per token id, of pos_emb per position
-    np.add.at(grads.tok_emb, trace.ids.ravel(), dx)
+    np.add.at(grads.tok_emb, ids.ravel(), dx)
     grads.pos_emb[:n] += dx.reshape(-1, n, dx.shape[1]).sum(axis=0)
     return loss, grads
 

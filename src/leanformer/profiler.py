@@ -2,7 +2,8 @@
 
 Parameter memory is exact (8 bytes per float64 element); activation memory
 is the closed-form size of the batch-sized arrays the timed (inference)
-forward holds, its logits and its embedded rows; timing is measured with
+forward holds, its logits and its embedded rows, and `train_step_bytes`
+that of a training step's peak; timing is measured with
 warmup and reported through order statistics, with the clock injectable so
 the statistics pipeline is testable without real time.
 """
@@ -17,6 +18,8 @@ from typing import Callable
 
 from .compression import reduce_config
 from .model import (
+    LOGIT_CHUNK_BYTES,
+    _TOK_EMB_GRAD_BLOCK,
     ModelConfig,
     ParamSet,
     model_forward,
@@ -117,23 +120,55 @@ def memory_bytes(cfg: ModelConfig) -> int:
     return BYTES_PER_PARAM * param_count(cfg)
 
 
+def _check_batch(who: str, cfg: ModelConfig, batch_size: int, seq_len: int) -> None:
+    for name, value in (("batch_size", batch_size), ("seq_len", seq_len)):
+        if value < 1:
+            raise ValueError(f"{who}: {name} must be >= 1, got {value}")
+    if seq_len > cfg.max_seq_len:
+        raise ValueError(f"{who}: seq_len {seq_len} exceeds max_seq_len {cfg.max_seq_len}")
+
+
 def activation_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> int:
     """Bytes of the batch-sized arrays the timed forward holds: 8*b*n*(V + d).
 
     The untraced (inference) forward that `time_forward` times holds the
     (b, n, V) logits and the (b, n, d) embedded rows, which each sequence's
     last-layer output overwrites; beside them it holds only one sequence's
-    temporaries. Training holds the trace instead, plus one chunk of logits
-    (`model.LOGIT_CHUNK_BYTES`), and is not accounted here.
+    temporaries. Training holds less (see `train_step_bytes`).
     """
-    for name, value in (("batch_size", batch_size), ("seq_len", seq_len)):
-        if value < 1:
-            raise ValueError(f"activation_bytes: {name} must be >= 1, got {value}")
-    if seq_len > cfg.max_seq_len:
-        raise ValueError(
-            f"activation_bytes: seq_len {seq_len} exceeds max_seq_len {cfg.max_seq_len}"
-        )
+    _check_batch("activation_bytes", cfg, batch_size, seq_len)
     return BYTES_PER_PARAM * batch_size * seq_len * (cfg.vocab_size + cfg.d_model)
+
+
+def train_step_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> int:
+    """Bytes a `train_step` holds at its peak: the gradient, 8*P, plus the larger of two stages.
+
+    The output stage holds one chunk of logits (`model.LOGIT_CHUNK_BYTES` of
+    whole sequences, at least one and at most the batch), one block's share
+    of tok_emb's gradient (`model._TOK_EMB_GRAD_BLOCK` rows), and the last
+    output and its gradient rows. The layer stage holds every layer's trace
+    and the embedded rows, the gradient rows `dx`, and the top layer's
+    backward temporaries, less what that layer has released by then: the
+    larger of the rectifier mask with W2's gradient product (by then the FFN
+    output is gone) and the softmax step's two (b, heads, n, n) arrays (by
+    then the FFN hidden, the attention output and the FFN output are gone).
+    numpy's working buffers, up to 64 KiB, and the per-row vectors are not
+    counted.
+    """
+    _check_batch("train_step_bytes", cfg, batch_size, seq_len)
+    b, n, d, f, vocab = batch_size, seq_len, cfg.d_model, cfg.d_ff, cfg.vocab_size
+    rows, word = b * n, BYTES_PER_PARAM
+    per = min(b, max(1, LOGIT_CHUNK_BYTES // (word * n * vocab)))
+    output = word * (per * n * vocab + min(vocab, _TOK_EMB_GRAD_BLOCK) * d + 2 * rows * d)
+    trace = rows * d + sum(3 * rows * cfg.attn_width(layer) + b * cfg.heads_in_layer(layer) * n * n
+                           + rows * (2 * d + f) for layer in range(cfg.n_layers))
+    layers = word * (trace + rows * d)
+    if cfg.n_layers:
+        weights = b * cfg.heads_in_layer(cfg.n_layers - 1) * n * n
+        mask = rows * f + word * (f * d - rows * d)  # a bool per hidden unit
+        softmax = word * (2 * weights - rows * (2 * d + f))
+        layers += max(0, mask, softmax)
+    return word * param_count(cfg) + max(output, layers)
 
 
 def time_forward(

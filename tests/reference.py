@@ -6,6 +6,7 @@ package. Oracles stay deliberately dumb.
 """
 
 import math
+import tracemalloc
 
 _M64 = (1 << 64) - 1
 
@@ -278,3 +279,13 @@ def trace_element_count(trace):
     for lt in trace.layers:
         arrays += [*vars(lt.attn).values(), lt.attn_out, lt.ffn_hidden, lt.ffn_out]
     return sum(a.size for a in arrays)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """tracemalloc peak, in bytes, of one call `fn(*args, **kwargs)`; its result is dropped."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,5 @@
 """The batched backward: scalar oracle, the shared loss, rectangular batches and the logit array."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -19,12 +17,15 @@ from leanformer.model import (
     synth_copy_batch,
     train_step,
 )
+from leanformer.profiler import train_step_bytes
 
 import reference
 
 TINY = PRESETS["tiny"]
 BIASED_2L = ModelConfig(vocab_size=9, max_seq_len=5, d_model=6, n_heads=3, d_ff=7, n_layers=2,
                         use_bias=True)
+# paper-baseline with three layers: the layer stage outweighs the output stage
+BASELINE_3L = ModelConfig(vocab_size=3990, max_seq_len=10, d_model=32, n_heads=8, d_ff=128, n_layers=3)
 # structurally pruned: narrower heads, and a different head count per layer
 PRUNED = ModelConfig(vocab_size=11, max_seq_len=5, d_model=8, n_heads=2, d_ff=6, n_layers=2,
                      head_dim=3, layer_heads=(2, 1))
@@ -130,30 +131,20 @@ class TestLogitBuffer:
         assert logits.shape == (4, 3, BIASED_2L.vocab_size) and logits.dtype == np.float64
         assert logits.flags.c_contiguous
 
-    @pytest.mark.parametrize("name", ["paper-baseline", "paper-reduced"])
-    def test_backward_releases_the_buffer_before_the_layers(self, name):
+    @pytest.mark.parametrize("cfg", [PRESETS["paper-baseline"], PRESETS["paper-reduced"], BASELINE_3L],
+                             ids=["paper-baseline", "paper-reduced", "baseline-3-layer"])
+    def test_backward_releases_the_buffer_before_the_layers(self, cfg):
         # the gradient vector beside either one chunk of logits and a block of its
-        # tok_emb-gradient share, or the trace: never both, and never a second theta;
-        # the slack is two (rows, d) arrays and one (rows, d_ff) one
-        cfg = PRESETS[name]
+        # tok_emb-gradient share, or the traces with one layer's backward
+        # temporaries: never both, and never a second theta; the slack is below
+        # one (b·n, d) array of the d_model 32 configs, so that any such array
+        # held past its last reader fails
         p = init_params(cfg, 1)
         b, n = 32, 10
         batch, targets = synth_copy_batch(1, b, n, cfg.vocab_size)
-        _, trace = model_forward(p, cfg, batch, trace=True)
-        vocab, d = cfg.vocab_size, cfg.d_model
-        per = min(b, max(1, model.LOGIT_CHUNK_BYTES // (8 * n * vocab)))
-        output_stage = 8 * per * n * vocab + 8 * min(vocab, model._TOK_EMB_GRAD_BLOCK) * d
-        bound = (p.theta.nbytes + max(8 * reference.trace_element_count(trace), output_stage)
-                 + 8 * b * n * (cfg.d_ff + 2 * d))
-        del trace
         train_step(p, cfg, batch, targets, 0.05)
-        tracemalloc.start()
-        try:
-            train_step(p, cfg, batch, targets, 0.05)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+        peak = reference.traced_peak(train_step, p, cfg, batch, targets, 0.05)
+        assert peak <= train_step_bytes(cfg, b, n) + 64_000
 
 
 def layer_trace_bytes(lt):
@@ -178,6 +169,8 @@ class TestRerunLayers:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_rerun_trace_is_the_forward_trace(self, case, monkeypatch):
+        # the bytes are read on entry to _layer_backward, which empties the trace
+        # and writes the gradient at the FFN hidden layer over ffn_hidden
         cfg, batch = CASES[case]
         p = random_params(cfg, 4)
         real, seen = model._layer_backward, []

@@ -2,7 +2,6 @@
 
 import json
 import struct
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +13,8 @@ from leanformer.modelfile import (
     MAGIC, VERSION_FLOAT64, VERSION_INT8, load_model, load_quantized_model, save_model,
     save_quantized_model,
 )
+
+from reference import traced_peak
 
 LOADERS = {VERSION_FLOAT64: load_model, VERSION_INT8: load_quantized_model}
 
@@ -27,15 +28,12 @@ def header(version, doc):
 
 def load_peak(load, path):
     """tracemalloc peak of one load, which may raise only ValueError."""
-    tracemalloc.start()
-    try:
-        load(path)
-    except ValueError:
-        pass
-    finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    return peak
+    def load_or_refuse():
+        try:
+            load(path)
+        except ValueError:
+            pass
+    return traced_peak(load_or_refuse)
 
 
 def peak_bound(size):
@@ -161,16 +159,6 @@ def test_mutated_files_raise_only_value_error_within_bounded_memory(
 
 
 SLACK = 64_000  # header, config and ParamSet views
-
-
-def traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-    finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    return peak
 
 
 @pytest.mark.parametrize("name", ["paper-baseline", "paper-reduced"])

@@ -1,6 +1,5 @@
 import json
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from leanformer.model import (
     param_count,
     param_count_enumerated,
     synth_copy_batch,
+    train_step,
 )
 from leanformer.profiler import (
     ResourceReport,
@@ -27,9 +27,10 @@ from leanformer.profiler import (
     profile_model,
     render_comparison,
     time_forward,
+    train_step_bytes,
 )
 
-from reference import trace_element_count
+from reference import trace_element_count, traced_peak
 
 small_configs = st.builds(
     ModelConfig,
@@ -106,12 +107,8 @@ class TestActivationBytes:
         n = min(10, cfg.max_seq_len)
         p = init_params(cfg, 1)
         batch, _ = synth_copy_batch(1, 32, n, cfg.vocab_size)
-        tracemalloc.start()
-        try:
-            _, trace = model_forward(p, cfg, batch, trace=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(model_forward, p, cfg, batch, trace=True)
+        _, trace = model_forward(p, cfg, batch, trace=True)
         assert peak <= 1.05 * 8 * trace_element_count(trace) + 64_000
 
     @pytest.mark.parametrize("name", ["paper-baseline", "paper-reduced"])
@@ -123,12 +120,7 @@ class TestActivationBytes:
         b, n = 32, 10
         p = init_params(cfg, 1)
         batch, _ = synth_copy_batch(1, b, n, cfg.vocab_size)
-        tracemalloc.start()
-        try:
-            model_forward(p, cfg, batch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(model_forward, p, cfg, batch)
         accounted = activation_bytes(cfg, b, n)
         assert accounted <= peak <= accounted + 100_000
 
@@ -139,6 +131,36 @@ class TestActivationBytes:
     def test_seq_len_guard(self):
         with pytest.raises(ValueError, match="seq_len"):
             activation_bytes(PRESETS["tiny"], 1, 99)
+
+
+class TestTrainStepBytes:
+    @pytest.mark.parametrize("cfg", [
+        PRESETS["paper-baseline"],
+        PRESETS["paper-reduced"],
+        ModelConfig(13, 6, 8, 4, 16, 3, use_bias=True),
+        ModelConfig(50, 8, 4, 2, 16, 0),
+    ], ids=["paper-baseline", "paper-reduced", "biased-3-layer", "layerless"])
+    def test_peak_of_a_warm_step_is_the_accounted_bytes(self, cfg):
+        # the presets peak in the output stage, the 3-layer config in the layer
+        # backward; the measured peak may exceed the form by numpy's 64 KiB
+        # working buffer and the per-row vectors, and the form may overstate it
+        # by 16 kB at most
+        b, n = 32, min(10, cfg.max_seq_len)
+        p = init_params(cfg, 1)
+        batch, targets = synth_copy_batch(1, b, n, cfg.vocab_size)
+        train_step(p, cfg, batch, targets, 0.05)
+        accounted = train_step_bytes(cfg, b, n)
+        peak = traced_peak(train_step, p, cfg, batch, targets, 0.05)
+        assert accounted - 16_000 <= peak <= accounted + 96_000
+
+    def test_paper_values(self):
+        # 8P + one 3-sequence chunk + a 512-row share + the last output and dx rows
+        assert train_step_bytes(PRESETS["paper-baseline"], 32, 10) == 2_374_816
+        assert train_step_bytes(PRESETS["paper-reduced"], 32, 10) == 1_641_632
+
+    def test_seq_len_guard(self):
+        with pytest.raises(ValueError, match="train_step_bytes: seq_len 99 exceeds"):
+            train_step_bytes(PRESETS["tiny"], 1, 99)
 
 
 class TestTimeForward:
