@@ -506,30 +506,37 @@ LOGIT_CHUNK_BYTES = 1 << 20
 
 # rows of tok_emb's gradient that a chunk adds per product: a block's
 # (rows, d) share is added while still in cache, where a whole (vocab, d)
-# one would be written out and read back for every chunk
-_TOK_EMB_GRAD_BLOCK = 512
+# one would be written out and read back for every chunk. One share is held
+# beside a chunk of logits at the output stage's peak: 256 rows hold it to
+# 65,536 B at d = 32, half of what 512 held, for 2-3% more step time
+_TOK_EMB_GRAD_BLOCK = 256
 
 
 def _output_backward(
     p: ParamSet, x: np.ndarray, ids: np.ndarray, g_tok_emb: Matrix
 ) -> tuple[float, Matrix]:
-    """Mean loss and its gradient at `x`, the last (sequences, n, d) output.
+    """Mean loss and its gradient at `x`, the last (sequences, n, d) output, which it consumes.
 
     The tied logits x @ tok_emb^T and the fused cross-entropy run one chunk
     of whole sequences at a time in one reused buffer, which is left holding
     the unnormalised exponentials. The logit gradient (softmax - onehot) /
-    positions is never written out: each chunk adds its share of the output
-    projection's gradient to `g_tok_emb`, a block of rows at a time, from
+    positions is never written out. The one-hot share of the output
+    projection's gradient, x / positions at the target rows, is subtracted
+    from `g_tok_emb` once, for the whole batch, before the first chunk.
+    Then each chunk adds its softmax share, a block of rows at a time, from
     the exponentials and its rows of `x` scaled by 1 / (rowsum * positions),
-    then subtracts the one-hot share at the target rows; its rows of the
-    returned (positions, d) gradient get the same two terms. The per-row
-    loss terms are summed once, over the whole batch.
+    and writes its rows of the (positions, d) gradient at `x` over those
+    rows of `x`, which it has read for the last time: the returned gradient
+    is `x`'s own buffer, so `x` must be C-contiguous and the caller's to
+    give up. The per-row loss terms are summed once, over the whole batch.
     """
     b, n, d = x.shape
     vocab = p.tok_emb.shape[0]
+    dx = x.reshape(-1, d)  # a view: x is contiguous
+    np.subtract.at(g_tok_emb, ids, dx / ids.size)  # ids repeat
     per = min(b, max(1, LOGIT_CHUNK_BYTES // (8 * n * vocab)))
     buf = np.empty((per, n, vocab))
-    terms, dx = np.empty(ids.size), np.empty((ids.size, d))
+    terms = np.empty(ids.size)
     for s in range(0, b, per):
         chunk = x[s:s + per]
         rows = slice(s * n, (s + len(chunk)) * n)
@@ -540,11 +547,10 @@ def _output_backward(
         # the logit gradient is exp * r - onehot / N, r = 1 / (rowsum * N); it is
         # linear in exp, so r scales the (rows, d) factors, not the logit block
         r = (1.0 / (rowsum * ids.size))[:, None]
-        xc = chunk.reshape(-1, d)
-        xr = xc * r
+        xr = dx[rows] * r
         for v in range(0, vocab, _TOK_EMB_GRAD_BLOCK):
             g_tok_emb[v:v + _TOK_EMB_GRAD_BLOCK] += z[:, v:v + _TOK_EMB_GRAD_BLOCK].T @ xr
-        np.subtract.at(g_tok_emb, target, xc / ids.size)  # ids repeat
+        # xr was the chunk's last read of its rows of x
         dxc = np.matmul(z, p.tok_emb, out=dx[rows])
         dxc *= r
         dxc -= p.tok_emb[target] / ids.size
@@ -627,7 +633,8 @@ def loss_and_grads(
     only the last layer's output and the checked ids are kept, and the layer
     traces and the embedded rows are dropped; the output stage takes the
     logits, the loss and their gradient a chunk of sequences at a time (see
-    LOGIT_CHUNK_BYTES), and the last output is dropped after it; the ids are
+    LOGIT_CHUNK_BYTES), and writes the gradient at the last output over the
+    last output itself, so one (positions, d) array serves as both; the ids are
     embedded again and the layers run again through the same stage calls, so
     the rebuilt rows and trace have the same bits; last, each layer is
     differentiated once for the whole batch: its trace is popped into
@@ -642,7 +649,7 @@ def loss_and_grads(
     x_final = trace.layers[-1].ffn_out if trace.layers else trace.embedded
     del trace
     loss, dx = _output_backward(p, x_final, targets, grads.tok_emb)
-    del x_final
+    del x_final  # dx is its buffer
 
     embedded, layers = embed(p, ids), []
     _encode(p, cfg, embedded, layers)

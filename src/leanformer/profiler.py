@@ -3,7 +3,8 @@
 Parameter memory is exact (8 bytes per float64 element); activation memory
 is the closed-form size of the batch-sized arrays the timed (inference)
 forward holds, its logits and its embedded rows, and `train_step_bytes`
-that of a training step's peak; timing is measured with
+that of a training step's peak; `forward_flops` counts the forward's
+matrix-product FLOPs in closed form; timing is measured with
 warmup and reported through order statistics, with the clock injectable so
 the statistics pipeline is testable without real time.
 """
@@ -61,6 +62,8 @@ class ResourceReport:
     label: str
     param_count: int
     activation_bytes: int
+    train_step_bytes: int
+    forward_flops: int
     timing: TimingStats
 
     @property
@@ -73,6 +76,8 @@ class ResourceReport:
             "param_count": self.param_count,
             "param_bytes": self.param_bytes,
             "activation_bytes": self.activation_bytes,
+            "train_step_bytes": self.train_step_bytes,
+            "forward_flops": self.forward_flops,
             "time_median_s": self.timing.median,
         }
 
@@ -82,6 +87,8 @@ class ResourceReport:
             "param_count": self.param_count,
             "param_bytes": self.param_bytes,
             "activation_bytes": self.activation_bytes,
+            "train_step_bytes": self.train_step_bytes,
+            "forward_flops": self.forward_flops,
             "timing": self.timing.to_json(),
         }
 
@@ -146,9 +153,9 @@ def train_step_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> int:
     The output stage holds one chunk of logits (`model.LOGIT_CHUNK_BYTES` of
     whole sequences, at least one and at most the batch), one block's share
     of tok_emb's gradient (`model._TOK_EMB_GRAD_BLOCK` rows), and the last
-    output and its gradient rows. The layer stage holds every layer's trace
-    and the embedded rows, the gradient rows `dx`, and the top layer's
-    backward temporaries, less what that layer has released by then: the
+    output, whose rows its gradient overwrites. The layer stage holds every
+    layer's trace and the embedded rows, the gradient rows `dx`, and the top
+    layer's backward temporaries, less what that layer has released by then: the
     larger of the rectifier mask with W2's gradient product (by then the FFN
     output is gone) and the softmax step's two (b, heads, n, n) arrays (by
     then the FFN hidden, the attention output and the FFN output are gone).
@@ -159,7 +166,7 @@ def train_step_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> int:
     b, n, d, f, vocab = batch_size, seq_len, cfg.d_model, cfg.d_ff, cfg.vocab_size
     rows, word = b * n, BYTES_PER_PARAM
     per = min(b, max(1, LOGIT_CHUNK_BYTES // (word * n * vocab)))
-    output = word * (per * n * vocab + min(vocab, _TOK_EMB_GRAD_BLOCK) * d + 2 * rows * d)
+    output = word * (per * n * vocab + min(vocab, _TOK_EMB_GRAD_BLOCK) * d + rows * d)
     trace = rows * d + sum(3 * rows * cfg.attn_width(layer) + b * cfg.heads_in_layer(layer) * n * n
                            + rows * (2 * d + f) for layer in range(cfg.n_layers))
     layers = word * (trace + rows * d)
@@ -169,6 +176,22 @@ def train_step_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> int:
         softmax = word * (2 * weights - rows * (2 * d + f))
         layers += max(0, mask, softmax)
     return word * param_count(cfg) + max(output, layers)
+
+
+def forward_flops(cfg: ModelConfig, batch_size: int, seq_len: int) -> int:
+    """FLOPs of one forward's matrix products: 2bn(dV + sum over layers of (4dw + 2nw + 2df)).
+
+    Per position, a layer of attention width w takes its Q, K, V and output
+    projections (4dw), its scores and their weighted sum of values (2nw, over
+    all heads) and its two FFN products (2df); the tied logits take dV. The
+    softmax, the rectifier, the bias adds and the embedding lookup are not
+    counted.
+    """
+    _check_batch("forward_flops", cfg, batch_size, seq_len)
+    n, d = seq_len, cfg.d_model
+    per_position = d * cfg.vocab_size + sum(
+        (4 * d + 2 * n) * cfg.attn_width(layer) + 2 * d * cfg.d_ff for layer in range(cfg.n_layers))
+    return 2 * batch_size * n * per_position
 
 
 def time_forward(
@@ -217,6 +240,8 @@ def profile_model(
         label=label,
         param_count=param_count(cfg),
         activation_bytes=activation_bytes(cfg, batch_size, seq_len),
+        train_step_bytes=train_step_bytes(cfg, batch_size, seq_len),
+        forward_flops=forward_flops(cfg, batch_size, seq_len),
         timing=time_forward(p, cfg, batch_size, seq_len, reps, warmup, clock),
     )
 

@@ -90,9 +90,19 @@ class TestLogitChunks:
         monkeypatch.setattr(model, "LOGIT_CHUNK_BYTES", per * 8 * len(batch[0]) * cfg.vocab_size)
         # tok_emb's gradient in blocks of 4 rows, the last one partial
         monkeypatch.setattr(model, "_TOK_EMB_GRAD_BLOCK", 4)
+        real, shared = model._output_backward, []
+
+        def spy(p, x, *rest):
+            loss, dx = real(p, x, *rest)
+            shared.append(np.shares_memory(dx, x))
+            return loss, dx
+
+        monkeypatch.setattr(model, "_output_backward", spy)
         p = random_params(cfg, 3)
         targets = shifted_targets(batch, cfg.vocab_size)
         loss, grads = loss_and_grads(p, cfg, batch, targets)
+        # the gradient at the last output is written over the last output's rows
+        assert shared == [True]
         assert loss == batch_loss(p, cfg, batch, targets)
         _, ref_grads = reference.loss_and_grads(p, cfg, batch, targets)
         want = np.concatenate([np.ravel(ref_grads[name]) for name, _ in iter_params(grads)])

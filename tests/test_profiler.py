@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import leanformer.model as model
 from leanformer.model import (
     ModelConfig,
     PRESETS,
@@ -23,6 +24,7 @@ from leanformer.profiler import (
     activation_bytes,
     compare,
     config_search,
+    forward_flops,
     memory_bytes,
     profile_model,
     render_comparison,
@@ -154,13 +156,45 @@ class TestTrainStepBytes:
         assert accounted - 16_000 <= peak <= accounted + 96_000
 
     def test_paper_values(self):
-        # 8P + one 3-sequence chunk + a 512-row share + the last output and dx rows
-        assert train_step_bytes(PRESETS["paper-baseline"], 32, 10) == 2_374_816
-        assert train_step_bytes(PRESETS["paper-reduced"], 32, 10) == 1_641_632
+        # 8P + one 3-sequence chunk + a 256-row share + the last output, which dx overwrites
+        assert train_step_bytes(PRESETS["paper-baseline"], 32, 10) == 2_228_224
+        assert train_step_bytes(PRESETS["paper-reduced"], 32, 10) == 1_567_904
 
     def test_seq_len_guard(self):
         with pytest.raises(ValueError, match="train_step_bytes: seq_len 99 exceeds"):
             train_step_bytes(PRESETS["tiny"], 1, 99)
+
+
+class TestForwardFlops:
+    @pytest.mark.parametrize("cfg", [
+        PRESETS["paper-baseline"],
+        PRESETS["paper-reduced"],
+        ModelConfig(13, 6, 8, 4, 16, 3, use_bias=True),
+        ModelConfig(11, 5, 8, 2, 6, 3, head_dim=3, layer_heads=(4, 2, 1)),
+    ], ids=["paper-baseline", "paper-reduced", "biased-3-layer", "pruned-heads"])
+    def test_is_the_sum_of_a_real_forwards_products(self, cfg, monkeypatch):
+        # every product of the forward goes through numerics.matmul; each costs 2·m·k·n
+        real, flops = model.matmul, []
+
+        def counted(a, b, out=None):
+            c = real(a, b, out=out)
+            flops.append(2 * c.size * a.shape[-1])
+            return c
+
+        monkeypatch.setattr(model, "matmul", counted)
+        b, n = 32, min(10, cfg.max_seq_len)
+        batch, _ = synth_copy_batch(1, b, n, cfg.vocab_size)
+        model_forward(init_params(cfg, 1), cfg, batch)
+        assert sum(flops) == forward_flops(cfg, b, n)
+
+    def test_paper_values(self):
+        # 133,017,600 per table2 op, which runs both presets on one 32 x 10 batch
+        assert forward_flops(PRESETS["paper-baseline"], 32, 10) == 89_989_120
+        assert forward_flops(PRESETS["paper-reduced"], 32, 10) == 43_028_480
+
+    def test_seq_len_guard(self):
+        with pytest.raises(ValueError, match="forward_flops: seq_len 99 exceeds"):
+            forward_flops(PRESETS["tiny"], 1, 99)
 
 
 class TestTimeForward:
@@ -248,14 +282,15 @@ class TestCompare:
         doc = compare(_mk_report("base", 10), _mk_report("v", 5)).to_json()
         assert set(doc) == {"baseline", "variant", "ratios", "reductions_pct"}
         for side in ("baseline", "variant"):
-            assert set(doc[side]) == {"label", "param_count", "param_bytes",
-                                      "activation_bytes", "timing"}
+            assert set(doc[side]) == {"label", "param_count", "param_bytes", "activation_bytes",
+                                      "train_step_bytes", "forward_flops", "timing"}
             assert set(doc[side]["timing"]) == {"median_s", "mean_s", "min_s",
                                                 "reps", "warmup"}
 
 
 def _mk_report(label, count, act=1000, median=0.5):
     return ResourceReport(label=label, param_count=count, activation_bytes=act,
+                          train_step_bytes=2 * act, forward_flops=3 * act,
                           timing=TimingStats((median,), warmup=0))
 
 
@@ -316,23 +351,25 @@ class TestProfileModel:
 PAPER_COMPARISON_JSON = {
     "baseline": {
         "label": "paper-baseline", "param_count": 140288, "param_bytes": 1122304,
-        "activation_bytes": 10296320,
+        "activation_bytes": 10296320, "train_step_bytes": 2228224, "forward_flops": 89989120,
         "timing": {"median_s": 0.01295, "mean_s": 0.01285, "min_s": 0.012,
                    "reps": 4, "warmup": 1},
     },
     "variant": {
         "label": "paper-reduced", "param_count": 67072, "param_bytes": 536576,
-        "activation_bytes": 10255360,
+        "activation_bytes": 10255360, "train_step_bytes": 1567904, "forward_flops": 43028480,
         "timing": {"median_s": 0.0088, "mean_s": 0.008725, "min_s": 0.0081,
                    "reps": 4, "warmup": 1},
     },
     "ratios": {
         "param_count": 0.4781021897810219, "param_bytes": 0.4781021897810219,
-        "activation_bytes": 0.9960218796618597, "time_median_s": 0.6795366795366796,
+        "activation_bytes": 0.9960218796618597, "train_step_bytes": 0.7036563648897058,
+        "forward_flops": 0.4781520254893036, "time_median_s": 0.6795366795366796,
     },
     "reductions_pct": {
         "param_count": 52.18978102189781, "param_bytes": 52.18978102189781,
-        "activation_bytes": 0.39781203381402674, "time_median_s": 32.04633204633204,
+        "activation_bytes": 0.39781203381402674, "train_step_bytes": 29.634363511029417,
+        "forward_flops": 52.18479745106964, "time_median_s": 32.04633204633204,
     },
 }
 
