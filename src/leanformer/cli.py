@@ -14,8 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+import time
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
+
+import numpy as np
 
 from . import compression, modelfile, profiler
 from .model import (
@@ -110,16 +113,27 @@ def cmd_compare(args) -> int:
 def cmd_train(args) -> int:
     if args.iters < 1:
         raise ValueError(f"--iters must be >= 1, got {args.iters}")
+    if args.jsonl:
+        _check_output(args.jsonl)
     cfg = _load_config(args.config)
     seq_len = min(cfg.max_seq_len, 10) if args.seq is None else args.seq
     if seq_len > cfg.max_seq_len:
         raise ValueError(f"--seq {seq_len} exceeds max_seq_len {cfg.max_seq_len}")
     batch, targets = synth_copy_batch(args.seed, args.batch, seq_len, cfg.vocab_size)
-    with _sized_by(args.config):
+    jsonl = open(args.jsonl, "w", encoding="utf-8") if args.jsonl else nullcontext()
+    with _sized_by(args.config), jsonl as records:
         params = init_params(cfg, args.seed)
         losses = []
         for it in range(1, args.iters + 1):
-            params, loss = train_step(params, cfg, batch, targets, args.lr)
+            start = time.perf_counter()
+            new, loss = train_step(params, cfg, batch, targets, args.lr)
+            seconds = time.perf_counter() - start
+            if records:
+                # the step's length in gradient units; undefined at lr 0
+                norm = float(np.linalg.norm(new.theta - params.theta)) / args.lr if args.lr else None
+                records.write(json.dumps({"iter": it, "loss": loss, "step_s": seconds,
+                                          "update_norm": norm}) + "\n")
+            params = new
             losses.append(loss)
             print(f"iter {it}: loss {loss:.6f}")
     if losses[-1] < losses[0]:
@@ -205,6 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", type=int, default=None, help="default: min(10, max_seq_len)")
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jsonl", default=None,
+                   help="also write one JSON record per step: iteration, loss, step seconds, update norm")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compress", help="apply a compression pass to a saved model")

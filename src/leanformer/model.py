@@ -302,22 +302,11 @@ class AttentionTrace:
 
 
 @dataclass
-class LayerTrace:
-    """One layer's activations for a batch, each array led by a sequence axis."""
-
-    attn: AttentionTrace  # q, k, v (sequences, n, width); weights (sequences, heads, n, n)
-    attn_out: np.ndarray
-    ffn_hidden: np.ndarray
-    ffn_out: np.ndarray
-
-
-@dataclass
-class ForwardTrace:
-    """Every intermediate activation of one batch's forward pass."""
+class Checkpoints:
+    """What a traced forward keeps of a batch for the backward: no stage's internals."""
 
     ids: np.ndarray  # the checked (sequences, n) token ids
-    embedded: np.ndarray  # (sequences, n, d)
-    layers: list[LayerTrace]
+    outputs: list[np.ndarray]  # each layer's (sequences, n, d) output, first layer first
 
 
 def _linear(x: np.ndarray, w: Matrix, b: np.ndarray | None) -> np.ndarray:
@@ -381,19 +370,21 @@ def attention_forward(
     return _linear(concat, lay.wo, lay.bo), AttentionTrace(q=q, k=k, v=v, weights=weights)
 
 
-def _ffn(p: ParamSet, layer: int, x: Matrix) -> tuple[Matrix, Matrix]:
+def _ffn_hidden(p: ParamSet, layer: int, x: Matrix) -> Matrix:
+    """The feed-forward block's hidden layer relu(x W1 + b1)."""
     lay, _ = _layer("ffn_forward", p, layer)
     if x.ndim < 2 or x.shape[-1] != lay.w1.shape[0]:
         raise ValueError(f"ffn_forward: input shape {tuple(x.shape)} does not match d_model {lay.w1.shape[0]}")
     # the rectifier works in the fresh product: no second array of the batch's size
     hidden = _linear(x, lay.w1, lay.b1)
-    relu(hidden, out=hidden)
-    return hidden, _linear(hidden, lay.w2, lay.b2)
+    return relu(hidden, out=hidden)
 
 
 def ffn_forward(p: ParamSet, layer: int, x: Matrix) -> Matrix:
     """Position-wise feed-forward block: relu(x W1 + b1) W2 + b2."""
-    return _ffn(p, layer, x)[1]
+    hidden = _ffn_hidden(p, layer, x)
+    lay = p.layers[layer]
+    return _linear(hidden, lay.w2, lay.b2)
 
 
 def _tied_logits(x: np.ndarray, tok_emb: Matrix, out: np.ndarray) -> None:
@@ -406,44 +397,83 @@ def _tied_logits(x: np.ndarray, tok_emb: Matrix, out: np.ndarray) -> None:
         matmul(xs, tok_emb.T, out=o)
 
 
-def _encode(p: ParamSet, cfg: ModelConfig, x: np.ndarray,
-            layers: list[LayerTrace] | None = None) -> np.ndarray:
-    """The last layer's output for `x`, (..., n, d); appends each layer's trace to `layers` if given."""
-    for layer in range(cfg.n_layers):
-        y, attn = attention_forward(p, layer, x, cfg.heads_in_layer(layer))
-        hidden, x = _ffn(p, layer, y)
-        if layers is not None:
-            layers.append(LayerTrace(attn, y, hidden, x))
-    return x
+# The one byte budget of a training step's chunks: the output stage takes
+# the tied logits and their cross-entropy, and the backward recomputes and
+# differentiates each layer, this many bytes' worth of whole sequences at a
+# time, and at least one sequence. 640 KiB holds two sequences of logits
+# of the paper presets at n = 10
+STEP_CHUNK_BYTES = 5 << 17
+
+
+def _chunk_sequences(b: int, sequence_bytes: int) -> int:
+    """The most whole sequences of `sequence_bytes` each within STEP_CHUNK_BYTES: 1 to `b`."""
+    return min(b, max(1, STEP_CHUNK_BYTES // sequence_bytes))
+
+
+def _layer_sequence_bytes(cfg: ModelConfig, layer: int, n: int) -> int:
+    """Bytes one sequence of n positions adds to `_layer_backward`'s peak on `layer`.
+
+    It sizes the layer's chunks, in the forward (which holds less) and in
+    the backward: the largest of four steps of the backward, each over what
+    is alive there of the recomputed q, k, v, attention weights, attention
+    output and FFN hidden layer and of their gradients, plus layer 0's
+    re-embedded input.
+    """
+    d, f, w, heads = cfg.d_model, cfg.d_ff, cfg.attn_width(layer), cfg.heads_in_layer(layer)
+    scores = heads * n * n
+    peak = max(8 * (3 * n * w + scores + n * (d + f)) + n * f,  # the rectifier's bool mask beside all six
+               8 * (5 * n * w + scores + n * d),  # the head outputs again, and their merged copy
+               8 * (3 * n * w + 3 * scores),  # the softmax backward: dA, dA * A and A beside q, k, dO
+               8 * (5 * n * w + 2 * scores))  # dV and its merged copy beside q, k, A, dA, dO
+    return peak + (8 * n * d if layer == 0 else 0)
+
+
+def _layer_forward(p: ParamSet, cfg: ModelConfig, layer: int, x: np.ndarray) -> np.ndarray:
+    """Layer `layer`'s output for `x`, (..., n, d); no stage's internals outlive the stage."""
+    return ffn_forward(p, layer, attention_forward(p, layer, x, cfg.heads_in_layer(layer))[0])
 
 
 def model_forward(
     p: ParamSet, cfg: ModelConfig, batch: Sequence[Sequence[int]], *, trace: bool = False
-) -> tuple[np.ndarray | None, ForwardTrace | None]:
+) -> tuple[np.ndarray | None, Checkpoints | None]:
     """Run the full encoder over a (sequences, n) batch of token ids.
 
     Untraced (inference), returns the logits as one C-contiguous
-    (sequences, n, vocab) array and None. With `trace` (what the backward
-    reads), stops after the last layer and returns None and one
-    ForwardTrace for the batch: `loss_and_grads` takes the logits itself, a
-    chunk at a time. Layers compose as x <- ffn(attention(x)) with no
-    residual paths; the logits are x against the transposed token embedding.
-    The whole batch passes `embed`'s checks first. Traced, each stage runs
-    once per layer on the whole (sequences, n, d) stack, and what it returns
-    is the trace. Untraced, the same stages run a sequence at a time, and each
-    last-layer output is written over its embedded rows, which the logits read.
+    (sequences, n, vocab) array and None. With `trace` (the checkpoint
+    forward `loss_and_grads` runs), stops after the last layer and returns
+    None and the batch's Checkpoints: the checked ids and each layer's
+    output, and no q, k, v, attention weights or FFN hidden layer, which the
+    backward recomputes a chunk at a time. Layers compose as
+    x <- ffn(attention(x)) with no residual paths; the logits are x against
+    the transposed token embedding. The whole batch passes `embed`'s checks
+    first. Traced, each layer runs on (sequences, n, d) stacks, a chunk of
+    whole sequences at a time (the chunks the backward recomputes, sized by
+    STEP_CHUNK_BYTES), into its output array; the embedded rows die with
+    the first layer. Untraced, the same stages run a sequence at a time, and
+    each last-layer output is written over its embedded rows, which the
+    logits read.
     """
     _check_config("model_forward", cfg, p)
     ids = _id_array("model_forward", "batch", batch)
     if ids.ndim != 2 or len(ids) == 0:
         raise ValueError("model_forward: batch must be a non-empty (sequences, n) array of token ids")
-    embedded = embed(p, ids)
     if trace:
-        layers: list[LayerTrace] = []
-        _encode(p, cfg, embedded, layers)
-        return None, ForwardTrace(ids=ids, embedded=embedded, layers=layers)
+        b, n = ids.shape
+        x, outputs = embed(p, ids), []
+        for layer in range(cfg.n_layers):
+            per = _chunk_sequences(b, _layer_sequence_bytes(cfg, layer, n))
+            out = np.empty_like(x)
+            for s in range(0, b, per):
+                out[s:s + per] = _layer_forward(p, cfg, layer, x[s:s + per])
+            x = out
+            outputs.append(out)
+        return None, Checkpoints(ids=ids, outputs=outputs)
+    embedded = embed(p, ids)
     for s, x in enumerate(embedded):
-        embedded[s] = _encode(p, cfg, x)
+        for layer in range(cfg.n_layers):
+            x = _layer_forward(p, cfg, layer, x)
+        embedded[s] = x
+    del x  # the last sequence's output is not held beside the logits
     # after the layers: each sequence's product streams all of tok_emb, evicting the layer weights
     logits = np.empty((*ids.shape, p.tok_emb.shape[0]))
     _tied_logits(embedded, p.tok_emb, logits)
@@ -499,16 +529,11 @@ def _heads_merge(t: np.ndarray) -> Matrix:
     return t.transpose(0, 2, 1, 3).reshape(b * n, h * dh)
 
 
-# The most logit bytes `loss_and_grads` holds at once: it takes the tied
-# logits and their cross-entropy this many bytes' worth of whole sequences
-# at a time, and at least one sequence
-LOGIT_CHUNK_BYTES = 1 << 20
-
 # rows of tok_emb's gradient that a chunk adds per product: a block's
 # (rows, d) share is added while still in cache, where a whole (vocab, d)
 # one would be written out and read back for every chunk. One share is held
 # beside a chunk of logits at the output stage's peak: 256 rows hold it to
-# 65,536 B at d = 32, half of what 512 held, for 2-3% more step time
+# 65,536 B at d = 32
 _TOK_EMB_GRAD_BLOCK = 256
 
 
@@ -518,23 +543,24 @@ def _output_backward(
     """Mean loss and its gradient at `x`, the last (sequences, n, d) output, which it consumes.
 
     The tied logits x @ tok_emb^T and the fused cross-entropy run one chunk
-    of whole sequences at a time in one reused buffer, which is left holding
-    the unnormalised exponentials. The logit gradient (softmax - onehot) /
-    positions is never written out. The one-hot share of the output
-    projection's gradient, x / positions at the target rows, is subtracted
-    from `g_tok_emb` once, for the whole batch, before the first chunk.
-    Then each chunk adds its softmax share, a block of rows at a time, from
-    the exponentials and its rows of `x` scaled by 1 / (rowsum * positions),
-    and writes its rows of the (positions, d) gradient at `x` over those
-    rows of `x`, which it has read for the last time: the returned gradient
-    is `x`'s own buffer, so `x` must be C-contiguous and the caller's to
-    give up. The per-row loss terms are summed once, over the whole batch.
+    of whole sequences at a time (STEP_CHUNK_BYTES of logits) in one reused
+    buffer, which is left holding the unnormalised exponentials. The logit
+    gradient (softmax - onehot) / positions is never written out. The one-hot
+    share of the output projection's gradient, x / positions at the target
+    rows, is subtracted from `g_tok_emb` once, for the whole batch, before
+    the first chunk. Then each chunk adds its softmax share, a block of rows
+    at a time, from the exponentials and its rows of `x` scaled by
+    1 / (rowsum * positions), and writes its rows of the (positions, d)
+    gradient at `x` over those rows of `x`, which it has read for the last
+    time: the returned gradient is `x`'s own buffer, so `x` must be
+    C-contiguous and the caller's to give up. The per-row loss terms are
+    summed once, over the whole batch.
     """
     b, n, d = x.shape
     vocab = p.tok_emb.shape[0]
     dx = x.reshape(-1, d)  # a view: x is contiguous
     np.subtract.at(g_tok_emb, ids, dx / ids.size)  # ids repeat
-    per = min(b, max(1, LOGIT_CHUNK_BYTES // (8 * n * vocab)))
+    per = _chunk_sequences(b, 8 * n * vocab)
     buf = np.empty((per, n, vocab))
     terms = np.empty(ids.size)
     for s in range(0, b, per):
@@ -551,40 +577,46 @@ def _output_backward(
         for v in range(0, vocab, _TOK_EMB_GRAD_BLOCK):
             g_tok_emb[v:v + _TOK_EMB_GRAD_BLOCK] += z[:, v:v + _TOK_EMB_GRAD_BLOCK].T @ xr
         # xr was the chunk's last read of its rows of x
+        del xr
         dxc = np.matmul(z, p.tok_emb, out=dx[rows])
         dxc *= r
-        dxc -= p.tok_emb[target] / ids.size
+        onehot = p.tok_emb[target]
+        onehot /= ids.size
+        dxc -= onehot
+        del onehot  # before the next chunk's rows
     return float(np.sum(terms)) / ids.size, dx
 
 
-def _layer_backward(lay: LayerParams, g: LayerParams, lt: LayerTrace, x_in: Matrix,
-                    dx: Matrix, heads: int) -> Matrix:
-    """One layer's backward for the batch: adds into `g` and returns the gradient at `x_in`.
+def _layer_backward(p: ParamSet, g: LayerParams, layer: int, x: np.ndarray, dx: Matrix) -> None:
+    """Recompute `layer` on a chunk of sequences and differentiate it: adds into `g`, writes over `dx`.
 
-    `x_in` and `dx` are (sequences * n, ·) rows; the trace's (sequences, n, ·)
-    arrays are read as such rows and its heads as (sequences, heads, n, head
-    width) views. `lt` is consumed: it is taken apart and emptied on entry,
-    so each of its arrays and each temporary is released after its last
-    reader: the FFN output at once, the FFN hidden (which takes the gradient
-    at it) and the attention output once the FFN is done, v, the weights, k
-    and q as the attention backward reads them for the last time.
+    `x` is the chunk's (sequences, n, d) input and `dx` the gradient at the
+    layer's output, as (sequences * n, d) rows; the gradient at `x` is
+    written over `dx`, which the FFN backward has read for the last time.
+    The stages run as in the forward, so the recomputed arrays have the
+    forward's bits; the FFN output, which no backward reads, is not
+    recomputed. Each array and temporary is released after its last reader:
+    the FFN hidden layer and the attention output, which take the gradients
+    at them, once the FFN backward is done, then v, the weights, k and q as
+    the attention backward reads them for the last time.
     """
-    attn, y, hidden = lt.attn, lt.attn_out, lt.ffn_hidden
-    n = y.shape[1]
+    lay, heads = p.layers[layer], p.cfg.heads_in_layer(layer)
+    n = x.shape[1]
+    y, attn = attention_forward(p, layer, x, heads)
+    hidden = _ffn_hidden(p, layer, y)
     q, k, v = (_heads_view(m, n, heads) for m in (attn.q, attn.k, attn.v))
     a = attn.weights
-    vars(lt).clear()
-    vars(attn).clear()
+    del attn
 
-    # feed-forward: out = relu(y W1 + b1) W2 + b2; the gradient at the
-    # hidden layer is written over it once its mask is taken
-    hidden, y = hidden.reshape(len(dx), -1), y.reshape(len(dx), -1)
+    # feed-forward: out = relu(y W1 + b1) W2 + b2; the gradients at the
+    # hidden layer and at y are written over them once they are read
+    x, hidden, y = (m.reshape(len(dx), -1) for m in (x, hidden, y))
     mask = hidden > 0
     dz = _linear_backward(hidden, lay.w2, g.w2, g.b2, dx, out=hidden)
     del hidden
     dz *= mask
     del mask
-    dy = _linear_backward(y, lay.w1, g.w1, g.b1, dz)
+    dy = _linear_backward(y, lay.w1, g.w1, g.b1, dz, out=y)
     del dz, y
 
     # attention: y = concat(heads) @ Wo + bo, each head softmax(q k^T s) v
@@ -609,12 +641,11 @@ def _layer_backward(lay: LayerParams, g: LayerParams, lt: LayerTrace, x_in: Matr
     dk = _heads_merge(dk)
 
     # (q-term + k-term) + v-term
-    dx = _linear_backward(x_in, lay.wq, g.wq, g.bq, dq)
+    _linear_backward(x, lay.wq, g.wq, g.bq, dq, out=dx)
     del dq
-    dx += _linear_backward(x_in, lay.wk, g.wk, g.bk, dk)
+    dx += _linear_backward(x, lay.wk, g.wk, g.bk, dk)
     del dk
-    dx += _linear_backward(x_in, lay.wv, g.wv, g.bv, dv)
-    return dx
+    dx += _linear_backward(x, lay.wv, g.wv, g.bv, dv)
 
 
 def loss_and_grads(
@@ -629,34 +660,38 @@ def loss_and_grads(
     gradients carry the same averaging. The tied output projection sends
     gradient into tok_emb from both the logit matmul and the lookup.
 
-    In order: one traced `model_forward`, which stops after the last layer;
-    only the last layer's output and the checked ids are kept, and the layer
-    traces and the embedded rows are dropped; the output stage takes the
-    logits, the loss and their gradient a chunk of sequences at a time (see
-    LOGIT_CHUNK_BYTES), and writes the gradient at the last output over the
-    last output itself, so one (positions, d) array serves as both; the ids are
-    embedded again and the layers run again through the same stage calls, so
-    the rebuilt rows and trace have the same bits; last, each layer is
-    differentiated once for the whole batch: its trace is popped into
-    `_layer_backward`, which releases each array after its last reader. So a
-    chunk of logits and the layer traces are never held at once.
+    Checkpointed reverse mode (Chen et al. 2016) over whole sequences,
+    which are independent in this model. In order: one checkpoint
+    `model_forward` (trace=True), which keeps the checked ids and each
+    layer's output; then the gradient vector is allocated; the output stage
+    takes the logits, the loss and their gradient a chunk of sequences at a
+    time, and writes the gradient at the last output, dx, over the last
+    output itself; then each layer, from the top down, is recomputed from
+    its input checkpoint (layer 0 embeds its chunk's ids again) and
+    differentiated a chunk of sequences at a time, each chunk writing the
+    gradient at its input over its rows of dx, and each checkpoint is
+    dropped once its layer is done. Every chunk holds at most
+    STEP_CHUNK_BYTES' worth of whole sequences, so the peak is the gradient,
+    the checkpoints and one chunk. The recompute runs the forward's stage
+    calls on the same chunks, so it has the forward's bits, and the loss is
+    `batch_loss`'s.
     """
-    _, trace = model_forward(p, cfg, batch, trace=True)
-    ids = trace.ids
-    n = ids.shape[1]
+    _, checkpoints = model_forward(p, cfg, batch, trace=True)
+    ids, outputs = checkpoints.ids, checkpoints.outputs
+    b, n = ids.shape
     targets = _target_ids("loss_and_grads", targets, ids.shape, p.tok_emb.shape[0])
     grads = p.with_theta(np.zeros_like(p.theta))
-    x_final = trace.layers[-1].ffn_out if trace.layers else trace.embedded
-    del trace
-    loss, dx = _output_backward(p, x_final, targets, grads.tok_emb)
-    del x_final  # dx is its buffer
+    x = outputs.pop() if outputs else embed(p, ids)
+    loss, dx = _output_backward(p, x, targets, grads.tok_emb)
+    del x  # dx is its buffer
 
-    embedded, layers = embed(p, ids), []
-    _encode(p, cfg, embedded, layers)
     for layer in reversed(range(cfg.n_layers)):
-        x_in = (layers[-2].ffn_out if layer else embedded).reshape(ids.size, -1)
-        dx = _layer_backward(p.layers[layer], grads.layers[layer], layers.pop(), x_in, dx,
-                             cfg.heads_in_layer(layer))
+        x = outputs.pop() if layer else None
+        per = _chunk_sequences(b, _layer_sequence_bytes(cfg, layer, n))
+        for s in range(0, b, per):
+            chunk = x[s:s + per] if layer else embed(p, ids[s:s + per])
+            _layer_backward(p, grads.layers[layer], layer, chunk, dx[s * n:(s + len(chunk)) * n])
+        del chunk  # a view: x dies when the next layer's input replaces it
 
     # embedding lookup: a row of tok_emb per token id, of pos_emb per position
     np.add.at(grads.tok_emb, ids.ravel(), dx)

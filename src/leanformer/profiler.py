@@ -3,7 +3,8 @@
 Parameter memory is exact (8 bytes per float64 element); activation memory
 is the closed-form size of the batch-sized arrays the timed (inference)
 forward holds, its logits and its embedded rows, and `train_step_bytes`
-that of a training step's peak; `forward_flops` counts the forward's
+that of a training step's peak (`train_step_stage_bytes` that of each of its
+two stages); `forward_flops` counts the forward's
 matrix-product FLOPs in closed form; timing is measured with
 warmup and reported through order statistics, with the clock injectable so
 the statistics pipeline is testable without real time.
@@ -19,8 +20,9 @@ from typing import Callable
 
 from .compression import reduce_config
 from .model import (
-    LOGIT_CHUNK_BYTES,
     _TOK_EMB_GRAD_BLOCK,
+    _chunk_sequences,
+    _layer_sequence_bytes,
     ModelConfig,
     ParamSet,
     model_forward,
@@ -150,32 +152,41 @@ def activation_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> int:
 def train_step_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> int:
     """Bytes a `train_step` holds at its peak: the gradient, 8*P, plus the larger of two stages.
 
-    The output stage holds one chunk of logits (`model.LOGIT_CHUNK_BYTES` of
-    whole sequences, at least one and at most the batch), one block's share
-    of tok_emb's gradient (`model._TOK_EMB_GRAD_BLOCK` rows), and the last
-    output, whose rows its gradient overwrites. The layer stage holds every
-    layer's trace and the embedded rows, the gradient rows `dx`, and the top
-    layer's backward temporaries, less what that layer has released by then: the
-    larger of the rectifier mask with W2's gradient product (by then the FFN
-    output is gone) and the softmax step's two (b, heads, n, n) arrays (by
-    then the FFN hidden, the attention output and the FFN output are gone).
-    numpy's working buffers, up to 64 KiB, and the per-row vectors are not
-    counted.
+    `train_step_stage_bytes` gives the two stages. The checkpoint forward runs
+    before the gradient exists, on chunks of the same size, and holds less.
     """
     _check_batch("train_step_bytes", cfg, batch_size, seq_len)
-    b, n, d, f, vocab = batch_size, seq_len, cfg.d_model, cfg.d_ff, cfg.vocab_size
-    rows, word = b * n, BYTES_PER_PARAM
-    per = min(b, max(1, LOGIT_CHUNK_BYTES // (word * n * vocab)))
-    output = word * (per * n * vocab + min(vocab, _TOK_EMB_GRAD_BLOCK) * d + rows * d)
-    trace = rows * d + sum(3 * rows * cfg.attn_width(layer) + b * cfg.heads_in_layer(layer) * n * n
-                           + rows * (2 * d + f) for layer in range(cfg.n_layers))
-    layers = word * (trace + rows * d)
-    if cfg.n_layers:
-        weights = b * cfg.heads_in_layer(cfg.n_layers - 1) * n * n
-        mask = rows * f + word * (f * d - rows * d)  # a bool per hidden unit
-        softmax = word * (2 * weights - rows * (2 * d + f))
-        layers += max(0, mask, softmax)
-    return word * param_count(cfg) + max(output, layers)
+    return BYTES_PER_PARAM * param_count(cfg) + max(train_step_stage_bytes(cfg, batch_size, seq_len))
+
+
+def train_step_stage_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> tuple[int, int]:
+    """Bytes the output stage and the layer stage of a `train_step` hold beside the gradient.
+
+    Both hold (b, n, d) arrays, 8*b*n*d bytes each, beside one chunk of at
+    most `model.STEP_CHUNK_BYTES` of whole sequences (at least one, at most
+    the batch). The output stage holds the checkpoints of layers 0 to L-2 and
+    the last output, whose rows its gradient overwrites (a layerless model's
+    embedded rows), beside the larger of the batch's scaled rows for the
+    one-hot share and one chunk: its logits, its scaled (rows, d) factors and
+    one block's share of tok_emb's gradient (`model._TOK_EMB_GRAD_BLOCK`
+    rows). The backward of layer l holds the checkpoints of layers 0 to l-1
+    and the gradient rows beside one chunk of `model._layer_sequence_bytes`
+    per sequence and W2's (d_ff, d) gradient product; the layer stage is its
+    largest layer, and 0 without layers. numpy's working buffers, up to
+    64 KiB, and the per-row vectors are not counted.
+    """
+    _check_batch("train_step_stage_bytes", cfg, batch_size, seq_len)
+    b, n, d, vocab = batch_size, seq_len, cfg.d_model, cfg.vocab_size
+    word = BYTES_PER_PARAM
+    kept = word * b * n * d
+    per = _chunk_sequences(b, word * n * vocab)
+    chunk = word * (per * n * (vocab + d) + min(vocab, _TOK_EMB_GRAD_BLOCK) * d)
+    output = max(1, cfg.n_layers) * kept + max(kept, chunk)
+    layers = 0
+    for layer in range(cfg.n_layers):
+        seq = _layer_sequence_bytes(cfg, layer, n)
+        layers = max(layers, (layer + 1) * kept + _chunk_sequences(b, seq) * seq + word * cfg.d_ff * d)
+    return output, layers
 
 
 def forward_flops(cfg: ModelConfig, batch_size: int, seq_len: int) -> int:

@@ -273,14 +273,6 @@ def loss_and_grads(params, cfg, batch, targets):
     return loss, g
 
 
-def trace_element_count(trace):
-    """Activation elements a ForwardTrace holds, logits aside: the memory-accounting oracle."""
-    arrays = [trace.embedded]
-    for lt in trace.layers:
-        arrays += [*vars(lt.attn).values(), lt.attn_out, lt.ffn_hidden, lt.ffn_out]
-    return sum(a.size for a in arrays)
-
-
 def traced_peak(fn, *args, **kwargs):
     """tracemalloc peak, in bytes, of one call `fn(*args, **kwargs)`; its result is dropped."""
     tracemalloc.start()
@@ -289,3 +281,42 @@ def traced_peak(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def stage_peaks(fn, *args, **kwargs):
+    """tracemalloc peaks of one call `fn(*args, **kwargs)`, whole and per training stage.
+
+    Returns a dict: "step" is the call's peak, as `traced_peak` gives it;
+    "forward", "output" and "layers" are the most bytes traced while
+    `model.model_forward`, `model._output_backward` and any one
+    `model._layer_backward` call ran (0 for a stage that did not run). Each
+    stage's wrapper folds the peak so far into the step's and restarts the
+    count on entry, so it sees only what is held during its own run.
+    """
+    import leanformer.model as model
+
+    peaks = {"step": 0, "forward": 0, "output": 0, "layers": 0}
+    stages = {"forward": "model_forward", "output": "_output_backward", "layers": "_layer_backward"}
+    real = {stage: getattr(model, name) for stage, name in stages.items()}
+
+    def staged(stage):
+        def run(*a, **k):
+            peaks["step"] = max(peaks["step"], tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            try:
+                return real[stage](*a, **k)
+            finally:
+                peaks[stage] = max(peaks[stage], tracemalloc.get_traced_memory()[1])
+        return run
+
+    for stage, name in stages.items():
+        setattr(model, name, staged(stage))
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        peaks["step"] = max(peaks["step"], tracemalloc.get_traced_memory()[1])
+        return peaks
+    finally:
+        tracemalloc.stop()
+        for stage, name in stages.items():
+            setattr(model, name, real[stage])

@@ -14,6 +14,7 @@ from leanformer.model import (
     iter_params,
     loss_and_grads,
     model_forward,
+    param_count,
     synth_copy_batch,
     train_step,
 )
@@ -87,7 +88,7 @@ class TestLogitChunks:
     def test_chunked_logits_keep_the_loss_and_the_oracle_gradient(self, case, chunk, monkeypatch):
         cfg, batch = CASES[case]
         per = CHUNKS[chunk](len(batch))
-        monkeypatch.setattr(model, "LOGIT_CHUNK_BYTES", per * 8 * len(batch[0]) * cfg.vocab_size)
+        monkeypatch.setattr(model, "STEP_CHUNK_BYTES", per * 8 * len(batch[0]) * cfg.vocab_size)
         # tok_emb's gradient in blocks of 4 rows, the last one partial
         monkeypatch.setattr(model, "_TOK_EMB_GRAD_BLOCK", 4)
         real, shared = model._output_backward, []
@@ -133,6 +134,33 @@ class TestOneLoss:
             loss_and_grads(p, TINY, [[1, 2, 3]], [[1, 2, 11]])
 
 
+class TestLayerChunks:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("chunk", sorted(CHUNKS))
+    def test_chunked_layers_keep_the_loss_and_the_oracle_gradient(self, case, chunk, monkeypatch):
+        cfg, batch = CASES[case]
+        b, n = len(batch), len(batch[0])
+        per = CHUNKS[chunk](b)
+        monkeypatch.setattr(model, "STEP_CHUNK_BYTES", per * model._layer_sequence_bytes(cfg, 0, n))
+        real, seen = model._layer_backward, []
+
+        def spy(p, g, layer, x, dx):
+            seen.append((layer, len(x)))
+            return real(p, g, layer, x, dx)
+
+        monkeypatch.setattr(model, "_layer_backward", spy)
+        p = random_params(cfg, 3)
+        targets = shifted_targets(batch, cfg.vocab_size)
+        loss, grads = loss_and_grads(p, cfg, batch, targets)
+        # the top layer first; layer 0 in chunks of `per` sequences, the last one partial
+        assert [layer for layer, _ in seen] == sorted((layer for layer, _ in seen), reverse=True)
+        assert [size for layer, size in seen if layer == 0] == [per] * (b // per) + [b % per] * (b % per > 0)
+        assert loss == batch_loss(p, cfg, batch, targets)
+        _, ref_grads = reference.loss_and_grads(p, cfg, batch, targets)
+        want = np.concatenate([np.ravel(ref_grads[name]) for name, _ in iter_params(grads)])
+        assert rel_err(grads.theta, want) <= 1e-12
+
+
 class TestLogitBuffer:
     def test_logits_are_one_contiguous_array_the_traces_view(self):
         p = init_params(BIASED_2L, 0)
@@ -144,11 +172,11 @@ class TestLogitBuffer:
     @pytest.mark.parametrize("cfg", [PRESETS["paper-baseline"], PRESETS["paper-reduced"], BASELINE_3L],
                              ids=["paper-baseline", "paper-reduced", "baseline-3-layer"])
     def test_backward_releases_the_buffer_before_the_layers(self, cfg):
-        # the gradient vector beside either one chunk of logits and a block of its
-        # tok_emb-gradient share, or the traces with one layer's backward
-        # temporaries: never both, and never a second theta; the slack is below
-        # one (b·n, d) array of the d_model 32 configs, so that any such array
-        # held past its last reader fails
+        # the gradient vector and the checkpoints beside either one chunk of
+        # logits and a block of its tok_emb-gradient share, or one chunk of a
+        # layer's recompute and backward temporaries: never both, and never a
+        # second theta; the slack is below one (b·n, d) array of the d_model
+        # 32 configs, so that any such array held past its last reader fails
         p = init_params(cfg, 1)
         b, n = 32, 10
         batch, targets = synth_copy_batch(1, b, n, cfg.vocab_size)
@@ -157,11 +185,7 @@ class TestLogitBuffer:
         assert peak <= train_step_bytes(cfg, b, n) + 64_000
 
 
-def layer_trace_bytes(lt):
-    return [a.tobytes() for a in (*vars(lt.attn).values(), lt.attn_out, lt.ffn_hidden, lt.ffn_out)]
-
-
-class TestRerunLayers:
+class TestCheckpoints:
     def test_one_traced_forward_per_step(self, monkeypatch):
         # perfbench's train-copy split reads the one model_forward span inside loss_and_grads
         real, calls = model.model_forward, []
@@ -178,21 +202,55 @@ class TestRerunLayers:
         assert calls == [{"trace": True}] * 2
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_rerun_trace_is_the_forward_trace(self, case, monkeypatch):
-        # the bytes are read on entry to _layer_backward, which empties the trace
-        # and writes the gradient at the FFN hidden layer over ffn_hidden
+    @pytest.mark.parametrize("budget", [None, 1], ids=["default-chunks", "one-sequence-chunks"])
+    def test_recomputed_stages_are_the_forwards(self, case, budget, monkeypatch):
+        # the forward runs each layer up, the backward recomputes it down, over
+        # the same chunks and from the same inputs: every stage array has the
+        # forward's bits
         cfg, batch = CASES[case]
+        if budget is not None:
+            monkeypatch.setattr(model, "STEP_CHUNK_BYTES", budget)
+        calls = []
+
+        def recorded(name):
+            real = getattr(model, name)
+
+            def run(p, layer, x, *rest):
+                result = real(p, layer, x, *rest)
+                out, attn = result if name == "attention_forward" else (result, None)
+                arrays = [x, out] + ([] if attn is None else list(vars(attn).values()))
+                calls.append((name, layer, [a.tobytes() for a in arrays]))
+                return result
+            return run
+
+        for name in ("attention_forward", "_ffn_hidden"):
+            monkeypatch.setattr(model, name, recorded(name))
         p = random_params(cfg, 4)
-        real, seen = model._layer_backward, []
-
-        def spy(lay, g, lt, *rest):
-            seen.append(layer_trace_bytes(lt))
-            return real(lay, g, lt, *rest)
-
-        monkeypatch.setattr(model, "_layer_backward", spy)
         loss_and_grads(p, cfg, batch, shifted_targets(batch, cfg.vocab_size))
-        _, trace = model_forward(p, cfg, batch, trace=True)
-        assert seen[::-1] == [layer_trace_bytes(lt) for lt in trace.layers]
+        half = len(calls) // 2
+        forward, backward = calls[:half], calls[half:]
+        assert [layer for _, layer, _ in forward] == sorted(layer for _, layer, _ in forward)
+        assert [layer for _, layer, _ in backward] == sorted((layer for _, layer, _ in backward), reverse=True)
+        assert sorted(forward) == sorted(backward)
+
+    def test_peak_grows_with_depth_by_parameters_and_checkpoints_only(self):
+        # each layer adds its parameters to the gradient and one (b, n, d)
+        # checkpoint, and nothing else: no stage holds more than one chunk
+        b, n = 32, 10
+        peaks = {}
+        for n_layers in (1, 3, 6):
+            cfg = ModelConfig(3990, 10, 32, 8, 128, n_layers)
+            p = init_params(cfg, 1)
+            batch, targets = synth_copy_batch(1, b, n, cfg.vocab_size)
+            train_step(p, cfg, batch, targets, 0.05)
+            peaks[n_layers] = (reference.traced_peak(train_step, p, cfg, batch, targets, 0.05),
+                               8 * param_count(cfg))
+        peak_1, params_1 = peaks[1]
+        for n_layers in (3, 6):
+            peak, params = peaks[n_layers]
+            grown = params - params_1 + (n_layers - 1) * 8 * b * n * 32
+            assert abs(peak - peak_1 - grown) <= 64_000
+        assert peaks[6][0] < 3_260_000
 
 
 class TestInPlaceUpdate:
@@ -297,8 +355,8 @@ class TestNonFiniteTraining:
         p = init_params(TINY, 3)
         batch, targets = synth_copy_batch(3, 4, 4, TINY.vocab_size)
         hot = p.with_theta(p.theta * 1e60)
-        _, trace = model_forward(hot, TINY, batch, trace=True)
-        assert np.all(np.isfinite(trace.layers[-1].ffn_out[0]))
+        _, checkpoints = model_forward(hot, TINY, batch, trace=True)
+        assert np.all(np.isfinite(checkpoints.outputs[-1][0]))
         logits, _ = model_forward(hot, TINY, batch)
         assert not np.all(np.isfinite(np.concatenate(logits)))
         with pytest.raises(ValueError, match="train_step: loss is nan"):

@@ -175,6 +175,30 @@ class TestTrain:
             main(["train", "--config", "tiny", "--iters", "many"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("lr", ["0.05", "0"])
+    def test_jsonl_has_one_record_per_step_and_stdout_is_unchanged(self, lr, tmp_path, capsys):
+        command = ["train", "--config", "small", "--iters", "4", "--lr", lr]
+        code = main(command)
+        plain = capsys.readouterr()
+        path = tmp_path / "steps.jsonl"
+        assert main(command + ["--jsonl", str(path)]) == code
+        assert capsys.readouterr() == plain
+        records = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+        assert [sorted(r) for r in records] == [["iter", "loss", "step_s", "update_norm"]] * 4
+        assert [r["iter"] for r in records] == [1, 2, 3, 4]
+        assert [f"iter {r['iter']}: loss {r['loss']:.6f}" for r in records] == plain.out.splitlines()
+        assert all(r["step_s"] > 0 for r in records)
+        # ||theta' - theta|| / lr is the gradient's norm; no step is taken at lr 0
+        norms = [r["update_norm"] for r in records]
+        assert norms == [None] * 4 if lr == "0" else all(0 < norm < 1 for norm in norms)
+
+    def test_jsonl_into_a_directory_exit_2_before_training(self, tmp_path, capsys):
+        code = main(["train", "--config", "tiny", "--jsonl", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == f"error: {tmp_path}: is a directory\n"
+        assert "iter" not in out
+
 
 class TestCompress:
     @pytest.fixture

@@ -242,7 +242,7 @@ class TestForward:
         tokens = [2, 5, 8]
         logits, _ = model_forward(p, cfg, [tokens])
         assert np.array_equal(logits[0], embed(p, tokens) @ p.tok_emb.T)
-        assert model_forward(p, cfg, [tokens], trace=True)[1].layers == []
+        assert model_forward(p, cfg, [tokens], trace=True)[1].outputs == []
 
     def test_deterministic_bitwise(self):
         cfg = ModelConfig(15, 6, 8, 2, 16, 2)
@@ -288,9 +288,9 @@ class TestForward:
         logits, trace = model_forward(p, cfg, batch)
         assert trace is None
         # the traced forward stops at the last layer: the backward takes the logits itself
-        traced, trace = model_forward(p, cfg, batch, trace=True)
+        traced, checkpoints = model_forward(p, cfg, batch, trace=True)
         assert traced is None
-        tied = np.array([matmul(x, p.tok_emb.T) for x in trace.layers[-1].ffn_out])
+        tied = np.array([matmul(x, p.tok_emb.T) for x in checkpoints.outputs[-1]])
         assert logits.tobytes() == tied.tobytes()
 
     def test_empty_batch_rejected(self):
@@ -304,41 +304,74 @@ class TestForward:
         with pytest.raises(ValueError, match="model_forward: config .* does not describe params"):
             model_forward(init_params(cfg, 0), dataclasses.replace(cfg, n_heads=8), [[1, 2]])
 
-    def test_trace_rows_are_the_stages_run_on_one_sequence(self):
+    @pytest.mark.parametrize("budget", [None, 1], ids=["default-chunks", "one-sequence-chunks"])
+    def test_checkpoints_and_recompute_are_the_stages_run_on_one_sequence(self, budget, monkeypatch):
+        # the checkpoint forward keeps each layer's output; the backward recomputes
+        # q, k, v, the weights, the attention output and the FFN hidden layer a
+        # chunk at a time: each row is the stage run on its one sequence
         cfg = ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True, head_dim=3, layer_heads=(2, 1))
         p = init_params(cfg, 0).with_theta(rng_uniform_array(5, (param_count(cfg),), -0.5, 0.5))
         batch = [[1, 2, 3, 4, 5], [7, 0, 12, 3, 3], [0, 12, 3, 5, 6]]
         b, n, d = 3, 5, cfg.d_model
-        _, trace = model_forward(p, cfg, batch, trace=True)
-        assert trace.ids.shape == (b, n) and trace.ids.tolist() == batch
-        assert trace.embedded.shape == (b, n, d)
-        for layer, lt in enumerate(trace.layers):
+        if budget is not None:
+            monkeypatch.setattr(model, "STEP_CHUNK_BYTES", budget)
+        _, checkpoints = model_forward(p, cfg, batch, trace=True)
+        assert checkpoints.ids.shape == (b, n) and checkpoints.ids.tolist() == batch
+        assert [out.shape for out in checkpoints.outputs] == [(b, n, d)] * cfg.n_layers
+        assert all(out.flags.c_contiguous for out in checkpoints.outputs)
+
+        recomputed = {layer: [] for layer in range(cfg.n_layers)}
+        real_attention, real_hidden, real_backward = (
+            model.attention_forward, model._ffn_hidden, model._layer_backward)
+
+        def layer_backward(q, g, layer, x, dx):
+            # only the backward's stage calls are recorded
+            def attention(*args):
+                y, attn = real_attention(*args)
+                # copies: the backward writes gradients over some of them
+                recomputed[layer].append([a.copy() for a in (attn.q, attn.k, attn.v, attn.weights, y)])
+                return y, attn
+
+            def hidden(*args):
+                h = real_hidden(*args)
+                recomputed[layer][-1].append(h.copy())
+                return h
+
+            monkeypatch.setattr(model, "attention_forward", attention)
+            monkeypatch.setattr(model, "_ffn_hidden", hidden)
+            try:
+                return real_backward(q, g, layer, x, dx)
+            finally:
+                monkeypatch.setattr(model, "attention_forward", real_attention)
+                monkeypatch.setattr(model, "_ffn_hidden", real_hidden)
+
+        monkeypatch.setattr(model, "_layer_backward", layer_backward)
+        loss_and_grads(p, cfg, batch, batch)
+        for layer, chunks in recomputed.items():
             w, h = cfg.attn_width(layer), cfg.heads_in_layer(layer)
-            assert [lt.attn.q.shape, lt.attn.k.shape, lt.attn.v.shape] == [(b, n, w)] * 3
-            assert lt.attn.weights.shape == (b, h, n, n)
-            assert lt.attn_out.shape == lt.ffn_out.shape == (b, n, d)
-            assert lt.ffn_hidden.shape == (b, n, cfg.d_ff)
+            # the stages' (sequences, ...) arrays, chunks stacked back into the batch
+            q, k, v, weights, y, hidden = (np.concatenate(arrays) for arrays in zip(*chunks))
+            assert [q.shape, k.shape, v.shape] == [(b, n, w)] * 3
+            assert weights.shape == (b, h, n, n)
+            assert y.shape == (b, n, d) and hidden.shape == (b, n, cfg.d_ff)
+            recomputed[layer] = q, k, v, weights, y, hidden
         for s, tokens in enumerate(batch):
             x = embed(p, tokens)
-            assert trace.embedded[s].tobytes() == x.tobytes()
-            for layer, lt in enumerate(trace.layers):
+            for layer, out in enumerate(checkpoints.outputs):
                 lay = p.layers[layer]
                 y, attn = attention_forward(p, layer, x, cfg.heads_in_layer(layer))
                 hidden = relu(matmul(y, lay.w1) + lay.b1)
                 x = ffn_forward(p, layer, y)
-                for name in ("q", "k", "v"):
-                    assert getattr(lt.attn, name)[s].tobytes() == getattr(attn, name).tobytes()
-                assert lt.attn.weights[s].tobytes() == np.array(attn.weights).tobytes()
-                assert lt.attn_out[s].tobytes() == y.tobytes()
-                assert lt.ffn_hidden[s].tobytes() == hidden.tobytes()
-                assert lt.ffn_out[s].tobytes() == x.tobytes()
+                want = [attn.q, attn.k, attn.v, np.array(attn.weights), y, hidden]
+                assert [a[s].tobytes() for a in recomputed[layer]] == [a.tobytes() for a in want]
+                assert out[s].tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
     def test_stage_calls_per_layer(self, trace, monkeypatch):
         # traced, each stage runs once per layer on the whole batch; untraced, once per sequence
         cfg = ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True)
         batch = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
-        calls = {"attention_forward": 0, "_ffn": 0}
+        calls = {"attention_forward": 0, "ffn_forward": 0}
         for name in calls:
             def counted(*args, _stage=getattr(model, name), _name=name):
                 calls[_name] += 1
@@ -346,7 +379,7 @@ class TestForward:
             monkeypatch.setattr(model, name, counted)
         model_forward(init_params(cfg, 0), cfg, batch, trace=trace)
         per_layer = 1 if trace else len(batch)
-        assert calls == {"attention_forward": per_layer * cfg.n_layers, "_ffn": per_layer * cfg.n_layers}
+        assert calls == {"attention_forward": per_layer * cfg.n_layers, "ffn_forward": per_layer * cfg.n_layers}
 
     @pytest.mark.parametrize("name, per_sequence", [("paper-baseline", (23, 8)), ("paper-reduced", (15, 4))],
                              ids=["paper-baseline", "paper-reduced"])

@@ -30,9 +30,10 @@ from leanformer.profiler import (
     render_comparison,
     time_forward,
     train_step_bytes,
+    train_step_stage_bytes,
 )
 
-from reference import trace_element_count, traced_peak
+from reference import stage_peaks, traced_peak
 
 small_configs = st.builds(
     ModelConfig,
@@ -103,15 +104,17 @@ class TestActivationBytes:
         ModelConfig(50, 10, 4, 2, 8, 64),
         ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True),
     ], ids=["paper-baseline", "paper-reduced", "64-layer", "biased-2-layer"])
-    def test_forward_peak_stays_near_the_accounted_bytes(self, cfg):
-        # the traced forward holds its trace plus one layer's stage temporaries,
-        # and no logits, so little is measured beyond the trace's own bytes
-        n = min(10, cfg.max_seq_len)
+    def test_checkpoint_forward_peak_is_the_checkpoints_and_one_chunk(self, cfg):
+        # the traced forward holds the embedded rows, each layer's output, and
+        # one chunk of one layer's stages at a time, and no logits
+        b, n, d = 32, min(10, cfg.max_seq_len), cfg.d_model
         p = init_params(cfg, 1)
-        batch, _ = synth_copy_batch(1, 32, n, cfg.vocab_size)
+        batch, _ = synth_copy_batch(1, b, n, cfg.vocab_size)
         peak = traced_peak(model_forward, p, cfg, batch, trace=True)
-        _, trace = model_forward(p, cfg, batch, trace=True)
-        assert peak <= 1.05 * 8 * trace_element_count(trace) + 64_000
+        kept = 8 * b * n * d
+        chunk = max(model._chunk_sequences(b, seq) * seq
+                    for seq in (model._layer_sequence_bytes(cfg, layer, n) for layer in range(cfg.n_layers)))
+        assert cfg.n_layers * kept <= peak <= (cfg.n_layers + 1) * kept + chunk + 64_000
 
     @pytest.mark.parametrize("name", ["paper-baseline", "paper-reduced"])
     def test_untraced_forward_peak_is_the_logits(self, name):
@@ -135,18 +138,26 @@ class TestActivationBytes:
             activation_bytes(PRESETS["tiny"], 1, 99)
 
 
+TRAIN_STEP_CONFIGS = {
+    "paper-baseline": PRESETS["paper-baseline"],
+    "paper-reduced": PRESETS["paper-reduced"],
+    "biased-3-layer": ModelConfig(13, 6, 8, 4, 16, 3, use_bias=True),
+    "6-layer": ModelConfig(3990, 10, 32, 8, 128, 6),
+    "layerless": ModelConfig(50, 8, 4, 2, 16, 0),
+    "layerless-d16": ModelConfig(50, 10, 16, 4, 64, 0),
+    "layerless-d64": ModelConfig(50, 10, 64, 4, 64, 0),
+}
+
+
 class TestTrainStepBytes:
-    @pytest.mark.parametrize("cfg", [
-        PRESETS["paper-baseline"],
-        PRESETS["paper-reduced"],
-        ModelConfig(13, 6, 8, 4, 16, 3, use_bias=True),
-        ModelConfig(50, 8, 4, 2, 16, 0),
-    ], ids=["paper-baseline", "paper-reduced", "biased-3-layer", "layerless"])
-    def test_peak_of_a_warm_step_is_the_accounted_bytes(self, cfg):
-        # the presets peak in the output stage, the 3-layer config in the layer
-        # backward; the measured peak may exceed the form by numpy's 64 KiB
-        # working buffer and the per-row vectors, and the form may overstate it
-        # by 16 kB at most
+    @pytest.mark.parametrize("name", TRAIN_STEP_CONFIGS)
+    def test_peak_of_a_warm_step_is_the_accounted_bytes(self, name):
+        # the presets and the layerless configs peak in the output stage, the
+        # deeper configs in a layer's backward; the measured peak may exceed the
+        # form by numpy's 64 KiB working buffer and the per-row vectors, and
+        # the form may overstate it by 16 kB at most. A layerless config's one
+        # chunk spans the batch, so its (rows, d) temporaries are batch-sized
+        cfg = TRAIN_STEP_CONFIGS[name]
         b, n = 32, min(10, cfg.max_seq_len)
         p = init_params(cfg, 1)
         batch, targets = synth_copy_batch(1, b, n, cfg.vocab_size)
@@ -155,14 +166,38 @@ class TestTrainStepBytes:
         peak = traced_peak(train_step, p, cfg, batch, targets, 0.05)
         assert accounted - 16_000 <= peak <= accounted + 96_000
 
+    @pytest.mark.parametrize("name", TRAIN_STEP_CONFIGS)
+    def test_each_stage_peaks_at_its_own_term(self, name):
+        # each term against its own stage, in the same window, so a stage that
+        # grows while the other one bounds the step still fails; the forward
+        # runs before the gradient exists and peaks below the step's form
+        cfg = TRAIN_STEP_CONFIGS[name]
+        b, n = 32, min(10, cfg.max_seq_len)
+        p = init_params(cfg, 1)
+        batch, targets = synth_copy_batch(1, b, n, cfg.vocab_size)
+        train_step(p, cfg, batch, targets, 0.05)
+        peaks = stage_peaks(train_step, p, cfg, batch, targets, 0.05)
+        grads = 8 * param_count(cfg)
+        output, layers = train_step_stage_bytes(cfg, b, n)
+        assert grads + output - 16_000 <= peaks["output"] <= grads + output + 96_000
+        if cfg.n_layers:
+            assert grads + layers - 16_000 <= peaks["layers"] <= grads + layers + 96_000
+        else:
+            assert layers == peaks["layers"] == 0
+        assert peaks["forward"] < train_step_bytes(cfg, b, n)
+        assert peaks["step"] == max(peaks.values())
+
     def test_paper_values(self):
-        # 8P + one 3-sequence chunk + a 256-row share + the last output, which dx overwrites
-        assert train_step_bytes(PRESETS["paper-baseline"], 32, 10) == 2_228_224
-        assert train_step_bytes(PRESETS["paper-reduced"], 32, 10) == 1_567_904
+        # 8P + the last output, which dx overwrites, + one 2-sequence chunk of
+        # logits with its scaled rows + a 256-row share
+        assert train_step_bytes(PRESETS["paper-baseline"], 32, 10) == 1_913_280
+        assert train_step_bytes(PRESETS["paper-reduced"], 32, 10) == 1_251_264
 
     def test_seq_len_guard(self):
         with pytest.raises(ValueError, match="train_step_bytes: seq_len 99 exceeds"):
             train_step_bytes(PRESETS["tiny"], 1, 99)
+        with pytest.raises(ValueError, match="train_step_stage_bytes: seq_len 99 exceeds"):
+            train_step_stage_bytes(PRESETS["tiny"], 1, 99)
 
 
 class TestForwardFlops:
@@ -351,24 +386,24 @@ class TestProfileModel:
 PAPER_COMPARISON_JSON = {
     "baseline": {
         "label": "paper-baseline", "param_count": 140288, "param_bytes": 1122304,
-        "activation_bytes": 10296320, "train_step_bytes": 2228224, "forward_flops": 89989120,
+        "activation_bytes": 10296320, "train_step_bytes": 1913280, "forward_flops": 89989120,
         "timing": {"median_s": 0.01295, "mean_s": 0.01285, "min_s": 0.012,
                    "reps": 4, "warmup": 1},
     },
     "variant": {
         "label": "paper-reduced", "param_count": 67072, "param_bytes": 536576,
-        "activation_bytes": 10255360, "train_step_bytes": 1567904, "forward_flops": 43028480,
+        "activation_bytes": 10255360, "train_step_bytes": 1251264, "forward_flops": 43028480,
         "timing": {"median_s": 0.0088, "mean_s": 0.008725, "min_s": 0.0081,
                    "reps": 4, "warmup": 1},
     },
     "ratios": {
         "param_count": 0.4781021897810219, "param_bytes": 0.4781021897810219,
-        "activation_bytes": 0.9960218796618597, "train_step_bytes": 0.7036563648897058,
+        "activation_bytes": 0.9960218796618597, "train_step_bytes": 0.6539889613647767,
         "forward_flops": 0.4781520254893036, "time_median_s": 0.6795366795366796,
     },
     "reductions_pct": {
         "param_count": 52.18978102189781, "param_bytes": 52.18978102189781,
-        "activation_bytes": 0.39781203381402674, "train_step_bytes": 29.634363511029417,
+        "activation_bytes": 0.39781203381402674, "train_step_bytes": 34.60110386352233,
         "forward_flops": 52.18479745106964, "time_median_s": 32.04633204633204,
     },
 }
