@@ -428,11 +428,6 @@ def _layer_sequence_bytes(cfg: ModelConfig, layer: int, n: int) -> int:
     return peak + (8 * n * d if layer == 0 else 0)
 
 
-def _layer_forward(p: ParamSet, cfg: ModelConfig, layer: int, x: np.ndarray) -> np.ndarray:
-    """Layer `layer`'s output for `x`, (..., n, d); no stage's internals outlive the stage."""
-    return ffn_forward(p, layer, attention_forward(p, layer, x, cfg.heads_in_layer(layer))[0])
-
-
 def model_forward(
     p: ParamSet, cfg: ModelConfig, batch: Sequence[Sequence[int]], *, trace: bool = False
 ) -> tuple[np.ndarray | None, Checkpoints | None]:
@@ -446,37 +441,36 @@ def model_forward(
     backward recomputes a chunk at a time. Layers compose as
     x <- ffn(attention(x)) with no residual paths; the logits are x against
     the transposed token embedding. The whole batch passes `embed`'s checks
-    first. Traced, each layer runs on (sequences, n, d) stacks, a chunk of
-    whole sequences at a time (the chunks the backward recomputes, sized by
-    STEP_CHUNK_BYTES), into its output array; the embedded rows die with
-    the first layer. Untraced, the same stages run a sequence at a time, and
-    each last-layer output is written over its embedded rows, which the
-    logits read.
+    first. Both passes run one loop over the layers, which hands each
+    layer's stages one choice of rows at a time. Untraced, the rows are each
+    sequence, an (n, d) matrix, whose output is written back over its own
+    embedded rows, which the logits read. Traced, they are (sequences, n, d)
+    stacks sized by STEP_CHUNK_BYTES, the chunks the backward recomputes,
+    and each layer writes into a fresh array, its checkpoint.
     """
     _check_config("model_forward", cfg, p)
     ids = _id_array("model_forward", "batch", batch)
     if ids.ndim != 2 or len(ids) == 0:
         raise ValueError("model_forward: batch must be a non-empty (sequences, n) array of token ids")
-    if trace:
-        b, n = ids.shape
-        x, outputs = embed(p, ids), []
-        for layer in range(cfg.n_layers):
+    b, n = ids.shape
+    x, outputs = embed(p, ids), []
+    for layer in range(cfg.n_layers):
+        if trace:
             per = _chunk_sequences(b, _layer_sequence_bytes(cfg, layer, n))
-            out = np.empty_like(x)
-            for s in range(0, b, per):
-                out[s:s + per] = _layer_forward(p, cfg, layer, x[s:s + per])
-            x = out
+            rows, out = [slice(s, s + per) for s in range(0, b, per)], np.empty_like(x)
             outputs.append(out)
+        else:
+            rows, out = range(b), x
+        heads = cfg.heads_in_layer(layer)
+        for r in rows:
+            out[r] = ffn_forward(p, layer, attention_forward(p, layer, x[r], heads)[0])
+        x = out
+        del rows  # so the untraced pass holds nothing of the loop's beside its logits
+    if trace:
         return None, Checkpoints(ids=ids, outputs=outputs)
-    embedded = embed(p, ids)
-    for s, x in enumerate(embedded):
-        for layer in range(cfg.n_layers):
-            x = _layer_forward(p, cfg, layer, x)
-        embedded[s] = x
-    del x  # the last sequence's output is not held beside the logits
     # after the layers: each sequence's product streams all of tok_emb, evicting the layer weights
     logits = np.empty((*ids.shape, p.tok_emb.shape[0]))
-    _tied_logits(embedded, p.tok_emb, logits)
+    _tied_logits(x, p.tok_emb, logits)
     return logits, None
 
 
@@ -496,14 +490,15 @@ def _fused_cross_entropy(z: Matrix, ids: np.ndarray) -> tuple[np.ndarray, np.nda
     """Cross-entropy of each row of `z` against `ids`, worked out in `z` itself.
 
     One max, one exp and one row sum: a row's term is
-    log(rowsum) - shifted[target]. Returns the per-row terms and row sums;
-    `z` is left holding the unnormalised exponentials.
+    log(rowsum) - shifted[target], written over the picked entries, so at
+    most three row vectors are alive at once. Returns the per-row terms and
+    row sums; `z` is left holding the unnormalised exponentials.
     """
     z -= z.max(axis=1, keepdims=True)
     picked = z[np.arange(ids.size), ids]
     np.exp(z, out=z)
     rowsum = z.sum(axis=1)
-    return np.log(rowsum) - picked, rowsum
+    return np.subtract(np.log(rowsum), picked, out=picked), rowsum
 
 
 def batch_loss(
@@ -539,7 +534,7 @@ _TOK_EMB_GRAD_BLOCK = 256
 
 def _output_backward(
     p: ParamSet, x: np.ndarray, ids: np.ndarray, g_tok_emb: Matrix
-) -> tuple[float, Matrix]:
+) -> tuple[float, np.ndarray]:
     """Mean loss and its gradient at `x`, the last (sequences, n, d) output, which it consumes.
 
     The tied logits x @ tok_emb^T and the fused cross-entropy run one chunk
@@ -550,16 +545,15 @@ def _output_backward(
     rows, is subtracted from `g_tok_emb` once, for the whole batch, before
     the first chunk. Then each chunk adds its softmax share, a block of rows
     at a time, from the exponentials and its rows of `x` scaled by
-    1 / (rowsum * positions), and writes its rows of the (positions, d)
-    gradient at `x` over those rows of `x`, which it has read for the last
-    time: the returned gradient is `x`'s own buffer, so `x` must be
+    1 / (rowsum * positions), and writes its sequences of the gradient at
+    `x` over those sequences of `x`, which it has read for the last time:
+    the returned (sequences, n, d) gradient is `x` itself, so `x` must be
     C-contiguous and the caller's to give up. The per-row loss terms are
     summed once, over the whole batch.
     """
     b, n, d = x.shape
     vocab = p.tok_emb.shape[0]
-    dx = x.reshape(-1, d)  # a view: x is contiguous
-    np.subtract.at(g_tok_emb, ids, dx / ids.size)  # ids repeat
+    np.subtract.at(g_tok_emb, ids, x.reshape(-1, d) / ids.size)  # ids repeat
     per = _chunk_sequences(b, 8 * n * vocab)
     buf = np.empty((per, n, vocab))
     terms = np.empty(ids.size)
@@ -568,31 +562,33 @@ def _output_backward(
         rows = slice(s * n, (s + len(chunk)) * n)
         z = buf[:len(chunk)]
         _tied_logits(chunk, p.tok_emb, z)
-        z, target = z.reshape(-1, vocab), ids[rows]
+        # views: x is contiguous
+        z, target, chunk = z.reshape(-1, vocab), ids[rows], chunk.reshape(-1, d)
         terms[rows], rowsum = _fused_cross_entropy(z, target)
         # the logit gradient is exp * r - onehot / N, r = 1 / (rowsum * N); it is
         # linear in exp, so r scales the (rows, d) factors, not the logit block
         r = (1.0 / (rowsum * ids.size))[:, None]
-        xr = dx[rows] * r
+        xr = chunk * r
         for v in range(0, vocab, _TOK_EMB_GRAD_BLOCK):
             g_tok_emb[v:v + _TOK_EMB_GRAD_BLOCK] += z[:, v:v + _TOK_EMB_GRAD_BLOCK].T @ xr
         # xr was the chunk's last read of its rows of x
         del xr
-        dxc = np.matmul(z, p.tok_emb, out=dx[rows])
+        dxc = np.matmul(z, p.tok_emb, out=chunk)
         dxc *= r
         onehot = p.tok_emb[target]
         onehot /= ids.size
         dxc -= onehot
-        del onehot  # before the next chunk's rows
-    return float(np.sum(terms)) / ids.size, dx
+        del onehot, rowsum, r  # before the next chunk's rows
+    return float(np.sum(terms)) / ids.size, x
 
 
-def _layer_backward(p: ParamSet, g: LayerParams, layer: int, x: np.ndarray, dx: Matrix) -> None:
+def _layer_backward(p: ParamSet, g: LayerParams, layer: int, x: np.ndarray, dx: np.ndarray) -> None:
     """Recompute `layer` on a chunk of sequences and differentiate it: adds into `g`, writes over `dx`.
 
     `x` is the chunk's (sequences, n, d) input and `dx` the gradient at the
-    layer's output, as (sequences * n, d) rows; the gradient at `x` is
-    written over `dx`, which the FFN backward has read for the last time.
+    layer's output, a C-contiguous (sequences, n, d) block, worked on as
+    rows; the gradient at `x` is written over `dx`, which the FFN backward
+    has read for the last time.
     The stages run as in the forward, so the recomputed arrays have the
     forward's bits; the FFN output, which no backward reads, is not
     recomputed. Each array and temporary is released after its last reader:
@@ -610,12 +606,13 @@ def _layer_backward(p: ParamSet, g: LayerParams, layer: int, x: np.ndarray, dx: 
 
     # feed-forward: out = relu(y W1 + b1) W2 + b2; the gradients at the
     # hidden layer and at y are written over them once they are read
-    x, hidden, y = (m.reshape(len(dx), -1) for m in (x, hidden, y))
-    mask = hidden > 0
+    x, hidden, y, dx = (m.reshape(-1, m.shape[-1]) for m in (x, hidden, y, dx))
+    dead = hidden <= 0
     dz = _linear_backward(hidden, lay.w2, g.w2, g.b2, dx, out=hidden)
     del hidden
-    dz *= mask
-    del mask
+    # zero the gradient at the rectifier's dead units in place: no float copy of a mask
+    np.multiply(dz, 0.0, out=dz, where=dead)
+    del dead
     dy = _linear_backward(y, lay.w1, g.w1, g.b1, dz, out=y)
     del dz, y
 
@@ -666,36 +663,36 @@ def loss_and_grads(
     layer's output; then the gradient vector is allocated; the output stage
     takes the logits, the loss and their gradient a chunk of sequences at a
     time, and writes the gradient at the last output, dx, over the last
-    output itself; then each layer, from the top down, is recomputed from
-    its input checkpoint (layer 0 embeds its chunk's ids again) and
-    differentiated a chunk of sequences at a time, each chunk writing the
-    gradient at its input over its rows of dx, and each checkpoint is
-    dropped once its layer is done. Every chunk holds at most
-    STEP_CHUNK_BYTES' worth of whole sequences, so the peak is the gradient,
-    the checkpoints and one chunk. The recompute runs the forward's stage
-    calls on the same chunks, so it has the forward's bits, and the loss is
-    `batch_loss`'s.
+    output itself, a (sequences, n, d) array; then each layer, from the top
+    down, is recomputed from its input checkpoint (layer 0 embeds its
+    chunk's ids again) and differentiated a chunk of sequences at a time,
+    each chunk writing the gradient at its input over its sequences of dx,
+    and each checkpoint is dropped once its layer is done; the embedding
+    gradients are added from dx as it stands, by token id and by position.
+    Every chunk holds at most STEP_CHUNK_BYTES' worth of whole sequences, so
+    the peak is the gradient, the checkpoints and one chunk. The recompute
+    runs the forward's stage calls on the same chunks, so it has the
+    forward's bits, and the loss is `batch_loss`'s.
     """
     _, checkpoints = model_forward(p, cfg, batch, trace=True)
     ids, outputs = checkpoints.ids, checkpoints.outputs
     b, n = ids.shape
     targets = _target_ids("loss_and_grads", targets, ids.shape, p.tok_emb.shape[0])
     grads = p.with_theta(np.zeros_like(p.theta))
-    x = outputs.pop() if outputs else embed(p, ids)
-    loss, dx = _output_backward(p, x, targets, grads.tok_emb)
-    del x  # dx is its buffer
+    # dx is the last output's own buffer
+    loss, dx = _output_backward(p, outputs.pop() if outputs else embed(p, ids), targets, grads.tok_emb)
 
     for layer in reversed(range(cfg.n_layers)):
         x = outputs.pop() if layer else None
         per = _chunk_sequences(b, _layer_sequence_bytes(cfg, layer, n))
         for s in range(0, b, per):
             chunk = x[s:s + per] if layer else embed(p, ids[s:s + per])
-            _layer_backward(p, grads.layers[layer], layer, chunk, dx[s * n:(s + len(chunk)) * n])
+            _layer_backward(p, grads.layers[layer], layer, chunk, dx[s:s + per])
         del chunk  # a view: x dies when the next layer's input replaces it
 
     # embedding lookup: a row of tok_emb per token id, of pos_emb per position
-    np.add.at(grads.tok_emb, ids.ravel(), dx)
-    grads.pos_emb[:n] += dx.reshape(-1, n, dx.shape[1]).sum(axis=0)
+    np.add.at(grads.tok_emb, ids, dx)
+    grads.pos_emb[:n] += dx.sum(axis=0)
     return loss, grads
 
 

@@ -167,20 +167,22 @@ def train_step_stage_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> t
     the batch). The output stage holds the checkpoints of layers 0 to L-2 and
     the last output, whose rows its gradient overwrites (a layerless model's
     embedded rows), beside the larger of the batch's scaled rows for the
-    one-hot share and one chunk: its logits, its scaled (rows, d) factors and
-    one block's share of tok_emb's gradient (`model._TOK_EMB_GRAD_BLOCK`
-    rows). The backward of layer l holds the checkpoints of layers 0 to l-1
-    and the gradient rows beside one chunk of `model._layer_sequence_bytes`
-    per sequence and W2's (d_ff, d) gradient product; the layer stage is its
-    largest layer, and 0 without layers. numpy's working buffers, up to
-    64 KiB, and the per-row vectors are not counted.
+    one-hot share and one chunk: its logits, the batch's loss terms, its
+    scaled (rows, d) factors with their two row vectors (the row sums and
+    scales) and one block's share of tok_emb's gradient
+    (`model._TOK_EMB_GRAD_BLOCK` rows); the cross-entropy before them holds
+    at most three row vectors. The backward of layer l holds the checkpoints
+    of layers 0 to l-1 and the gradient rows beside one chunk of
+    `model._layer_sequence_bytes` per sequence and W2's (d_ff, d) gradient
+    product; the layer stage is its largest layer, and 0 without layers.
+    numpy's working buffers, up to 64 KiB, are not counted.
     """
     _check_batch("train_step_stage_bytes", cfg, batch_size, seq_len)
     b, n, d, vocab = batch_size, seq_len, cfg.d_model, cfg.vocab_size
     word = BYTES_PER_PARAM
     kept = word * b * n * d
-    per = _chunk_sequences(b, word * n * vocab)
-    chunk = word * (per * n * (vocab + d) + min(vocab, _TOK_EMB_GRAD_BLOCK) * d)
+    rows = _chunk_sequences(b, word * n * vocab) * n
+    chunk = word * (rows * (vocab + d + 2) + b * n + min(vocab, _TOK_EMB_GRAD_BLOCK) * d)
     output = max(1, cfg.n_layers) * kept + max(kept, chunk)
     layers = 0
     for layer in range(cfg.n_layers):

@@ -366,20 +366,30 @@ class TestForward:
                 assert [a[s].tobytes() for a in recomputed[layer]] == [a.tobytes() for a in want]
                 assert out[s].tobytes() == x.tobytes()
 
-    @pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
-    def test_stage_calls_per_layer(self, trace, monkeypatch):
-        # traced, each stage runs once per layer on the whole batch; untraced, once per sequence
+    @pytest.mark.parametrize("trace, budget", [(True, None), (True, 1), (False, None)],
+                             ids=["traced", "traced-one-sequence-chunks", "untraced"])
+    def test_stage_calls_per_layer(self, trace, budget, monkeypatch):
+        # traced, each stage runs once per layer per chunk, on (sequences, n, d)
+        # stacks: the whole batch by default, a stack of one sequence at a
+        # one-sequence budget; untraced, once per sequence on its (n, d)
+        # matrix, never on a stack of one, which costs the timed forward time
         cfg = ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True)
         batch = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
-        calls = {"attention_forward": 0, "ffn_forward": 0}
-        for name in calls:
-            def counted(*args, _stage=getattr(model, name), _name=name):
-                calls[_name] += 1
-                return _stage(*args)
-            monkeypatch.setattr(model, name, counted)
+        b, n, d = 3, 3, cfg.d_model
+        if budget is not None:
+            monkeypatch.setattr(model, "STEP_CHUNK_BYTES", budget)
+        shapes = {"attention_forward": [], "ffn_forward": []}
+        for name in shapes:
+            def recorded(p, layer, x, *args, _stage=getattr(model, name), _name=name):
+                shapes[_name].append(x.shape)
+                return _stage(p, layer, x, *args)
+            monkeypatch.setattr(model, name, recorded)
         model_forward(init_params(cfg, 0), cfg, batch, trace=trace)
-        per_layer = 1 if trace else len(batch)
-        assert calls == {"attention_forward": per_layer * cfg.n_layers, "ffn_forward": per_layer * cfg.n_layers}
+        if not trace:
+            want = [(n, d)] * b
+        else:
+            want = [(b, n, d)] if budget is None else [(1, n, d)] * b
+        assert shapes == {"attention_forward": want * cfg.n_layers, "ffn_forward": want * cfg.n_layers}
 
     @pytest.mark.parametrize("name, per_sequence", [("paper-baseline", (23, 8)), ("paper-reduced", (15, 4))],
                              ids=["paper-baseline", "paper-reduced"])

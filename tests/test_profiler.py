@@ -146,19 +146,26 @@ TRAIN_STEP_CONFIGS = {
     "layerless": ModelConfig(50, 8, 4, 2, 16, 0),
     "layerless-d16": ModelConfig(50, 10, 16, 4, 64, 0),
     "layerless-d64": ModelConfig(50, 10, 64, 4, 64, 0),
+    "small": PRESETS["small"],
+    "layerless-d1": ModelConfig(4, 10, 1, 1, 4, 0),
 }
+# each config at batch 32, and three small-vocabulary ones at a batch whose
+# logit chunks span thousands of rows, so the per-row vectors count; at
+# d_model 1 they outweigh the (rows, d) factors
+TRAIN_STEP_BATCHES = [pytest.param(name, 32, id=name) for name in TRAIN_STEP_CONFIGS] + [
+    ("small", 256), ("layerless-d16", 256), ("layerless-d1", 2048)]
 
 
 class TestTrainStepBytes:
-    @pytest.mark.parametrize("name", TRAIN_STEP_CONFIGS)
-    def test_peak_of_a_warm_step_is_the_accounted_bytes(self, name):
+    @pytest.mark.parametrize("name, b", TRAIN_STEP_BATCHES)
+    def test_peak_of_a_warm_step_is_the_accounted_bytes(self, name, b):
         # the presets and the layerless configs peak in the output stage, the
         # deeper configs in a layer's backward; the measured peak may exceed the
-        # form by numpy's 64 KiB working buffer and the per-row vectors, and
-        # the form may overstate it by 16 kB at most. A layerless config's one
-        # chunk spans the batch, so its (rows, d) temporaries are batch-sized
+        # form by numpy's 64 KiB working buffer, and the form may overstate it
+        # by 16 kB at most. A layerless config's one chunk spans the batch at
+        # batch 32, so its (rows, d) temporaries are batch-sized
         cfg = TRAIN_STEP_CONFIGS[name]
-        b, n = 32, min(10, cfg.max_seq_len)
+        n = min(10, cfg.max_seq_len)
         p = init_params(cfg, 1)
         batch, targets = synth_copy_batch(1, b, n, cfg.vocab_size)
         train_step(p, cfg, batch, targets, 0.05)
@@ -166,13 +173,13 @@ class TestTrainStepBytes:
         peak = traced_peak(train_step, p, cfg, batch, targets, 0.05)
         assert accounted - 16_000 <= peak <= accounted + 96_000
 
-    @pytest.mark.parametrize("name", TRAIN_STEP_CONFIGS)
-    def test_each_stage_peaks_at_its_own_term(self, name):
+    @pytest.mark.parametrize("name, b", TRAIN_STEP_BATCHES)
+    def test_each_stage_peaks_at_its_own_term(self, name, b):
         # each term against its own stage, in the same window, so a stage that
         # grows while the other one bounds the step still fails; the forward
         # runs before the gradient exists and peaks below the step's form
         cfg = TRAIN_STEP_CONFIGS[name]
-        b, n = 32, min(10, cfg.max_seq_len)
+        n = min(10, cfg.max_seq_len)
         p = init_params(cfg, 1)
         batch, targets = synth_copy_batch(1, b, n, cfg.vocab_size)
         train_step(p, cfg, batch, targets, 0.05)
@@ -189,9 +196,10 @@ class TestTrainStepBytes:
 
     def test_paper_values(self):
         # 8P + the last output, which dx overwrites, + one 2-sequence chunk of
-        # logits with its scaled rows + a 256-row share
-        assert train_step_bytes(PRESETS["paper-baseline"], 32, 10) == 1_913_280
-        assert train_step_bytes(PRESETS["paper-reduced"], 32, 10) == 1_251_264
+        # logits with its scaled rows and their two row vectors + the batch's
+        # loss terms + a 256-row share
+        assert train_step_bytes(PRESETS["paper-baseline"], 32, 10) == 1_916_160
+        assert train_step_bytes(PRESETS["paper-reduced"], 32, 10) == 1_254_144
 
     def test_seq_len_guard(self):
         with pytest.raises(ValueError, match="train_step_bytes: seq_len 99 exceeds"):
@@ -386,24 +394,24 @@ class TestProfileModel:
 PAPER_COMPARISON_JSON = {
     "baseline": {
         "label": "paper-baseline", "param_count": 140288, "param_bytes": 1122304,
-        "activation_bytes": 10296320, "train_step_bytes": 1913280, "forward_flops": 89989120,
+        "activation_bytes": 10296320, "train_step_bytes": 1916160, "forward_flops": 89989120,
         "timing": {"median_s": 0.01295, "mean_s": 0.01285, "min_s": 0.012,
                    "reps": 4, "warmup": 1},
     },
     "variant": {
         "label": "paper-reduced", "param_count": 67072, "param_bytes": 536576,
-        "activation_bytes": 10255360, "train_step_bytes": 1251264, "forward_flops": 43028480,
+        "activation_bytes": 10255360, "train_step_bytes": 1254144, "forward_flops": 43028480,
         "timing": {"median_s": 0.0088, "mean_s": 0.008725, "min_s": 0.0081,
                    "reps": 4, "warmup": 1},
     },
     "ratios": {
         "param_count": 0.4781021897810219, "param_bytes": 0.4781021897810219,
-        "activation_bytes": 0.9960218796618597, "train_step_bytes": 0.6539889613647767,
+        "activation_bytes": 0.9960218796618597, "train_step_bytes": 0.6545090180360722,
         "forward_flops": 0.4781520254893036, "time_median_s": 0.6795366795366796,
     },
     "reductions_pct": {
         "param_count": 52.18978102189781, "param_bytes": 52.18978102189781,
-        "activation_bytes": 0.39781203381402674, "train_step_bytes": 34.60110386352233,
+        "activation_bytes": 0.39781203381402674, "train_step_bytes": 34.54909819639278,
         "forward_flops": 52.18479745106964, "time_median_s": 32.04633204633204,
     },
 }
