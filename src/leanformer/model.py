@@ -364,8 +364,11 @@ def attention_forward(
     concat = np.empty(q.shape)
     for h in range(heads):
         cols = slice(h * dh, (h + 1) * dh)
-        a = softmax_rows(matmul(q[..., cols], k[..., cols].swapaxes(-1, -2)) * scale,
-                         out=weights[..., h, :, :])
+        # the softmax works in the contiguous product, then fills the head's
+        # block: an op on the strided block would cost numpy working buffers
+        a = matmul(q[..., cols], k[..., cols].swapaxes(-1, -2))
+        a *= scale
+        weights[..., h, :, :] = softmax_rows(a, out=a)
         matmul(a, v[..., cols], out=concat[..., cols])
     return _linear(concat, lay.wo, lay.bo), AttentionTrace(q=q, k=k, v=v, weights=weights)
 
@@ -414,17 +417,17 @@ def _layer_sequence_bytes(cfg: ModelConfig, layer: int, n: int) -> int:
     """Bytes one sequence of n positions adds to `_layer_backward`'s peak on `layer`.
 
     It sizes the layer's chunks, in the forward (which holds less) and in
-    the backward: the largest of four steps of the backward, each over what
-    is alive there of the recomputed q, k, v, attention weights, attention
-    output and FFN hidden layer and of their gradients, plus layer 0's
-    re-embedded input.
+    the backward: the larger of two steps of the backward, plus layer 0's
+    re-embedded input. The FFN step holds the recomputed q, k, v, attention
+    weights, attention output and FFN hidden layer and the rectifier's mask.
+    The attention step holds q, k, v, the weights and dO, which is written
+    over the recomputed head outputs, beside either dy or one head's dA, the
+    product dA * A and its row sums; the recompute's softmax holds no more.
     """
     d, f, w, heads = cfg.d_model, cfg.d_ff, cfg.attn_width(layer), cfg.heads_in_layer(layer)
     scores = heads * n * n
     peak = max(8 * (3 * n * w + scores + n * (d + f)) + n * f,  # the rectifier's bool mask beside all six
-               8 * (5 * n * w + scores + n * d),  # the head outputs again, and their merged copy
-               8 * (3 * n * w + 3 * scores),  # the softmax backward: dA, dA * A and A beside q, k, dO
-               8 * (5 * n * w + 2 * scores))  # dV and its merged copy beside q, k, A, dA, dO
+               8 * (4 * n * w + scores + max(n * d, 2 * n * n + n)))  # q, k, v, A, dO beside dy or one head's dA
     return peak + (8 * n * d if layer == 0 else 0)
 
 
@@ -445,8 +448,9 @@ def model_forward(
     layer's stages one choice of rows at a time. Untraced, the rows are each
     sequence, an (n, d) matrix, whose output is written back over its own
     embedded rows, which the logits read. Traced, they are (sequences, n, d)
-    stacks sized by STEP_CHUNK_BYTES, the chunks the backward recomputes,
-    and each layer writes into a fresh array, its checkpoint.
+    stacks sized by STEP_CHUNK_BYTES, the chunks the backward recomputes;
+    layer 0 writes over the embedded rows and each later layer into a fresh
+    array, so each layer's output, its checkpoint, is one array of its own.
     """
     _check_config("model_forward", cfg, p)
     ids = _id_array("model_forward", "batch", batch)
@@ -457,7 +461,8 @@ def model_forward(
     for layer in range(cfg.n_layers):
         if trace:
             per = _chunk_sequences(b, _layer_sequence_bytes(cfg, layer, n))
-            rows, out = [slice(s, s + per) for s in range(0, b, per)], np.empty_like(x)
+            # layer 0's input is no checkpoint: the backward embeds its ids again
+            rows, out = [slice(s, s + per) for s in range(0, b, per)], np.empty_like(x) if layer else x
             outputs.append(out)
         else:
             rows, out = range(b), x
@@ -511,17 +516,6 @@ def batch_loss(
     logits, _ = model_forward(p, cfg, batch)
     ids = _target_ids("batch_loss", targets, logits.shape[:2], logits.shape[2])
     return float(np.sum(_fused_cross_entropy(logits.reshape(ids.size, -1), ids)[0])) / ids.size
-
-
-def _heads_view(m: np.ndarray, n: int, heads: int) -> np.ndarray:
-    """(sequences, n, heads * dh) or its rows as a (sequences, heads, n, dh) view."""
-    return m.reshape(-1, n, heads, m.shape[-1] // heads).transpose(0, 2, 1, 3)
-
-
-def _heads_merge(t: np.ndarray) -> Matrix:
-    """Inverse of `_heads_view`: (sequences, heads, n, dh) to (sequences * n, heads * dh)."""
-    b, h, n, dh = t.shape
-    return t.transpose(0, 2, 1, 3).reshape(b * n, h * dh)
 
 
 # rows of tok_emb's gradient that a chunk adds per product: a block's
@@ -591,17 +585,20 @@ def _layer_backward(p: ParamSet, g: LayerParams, layer: int, x: np.ndarray, dx: 
     has read for the last time.
     The stages run as in the forward, so the recomputed arrays have the
     forward's bits; the FFN output, which no backward reads, is not
-    recomputed. Each array and temporary is released after its last reader:
-    the FFN hidden layer and the attention output, which take the gradients
-    at them, once the FFN backward is done, then v, the weights, k and q as
-    the attention backward reads them for the last time.
+    recomputed. Attention is differentiated on the forward's head blocks:
+    head h is the column block c = h*dh:(h+1)*dh of the (sequences, n, w)
+    q, k, v and head outputs, with weights a[:, h]. Each gradient is written
+    over an array that is read for the last time: the ones at the FFN hidden
+    layer and at the attention output over them, dO over the recomputed head
+    outputs, and each head's dV over v[..., c], its dQ over dO[..., c] and
+    its dK over k[..., c]. So the input-gradient products read the
+    gradients at q, k and v as rows of those buffers, and no gradient takes
+    an array of its own. Each array is released after its last reader.
     """
     lay, heads = p.layers[layer], p.cfg.heads_in_layer(layer)
-    n = x.shape[1]
     y, attn = attention_forward(p, layer, x, heads)
     hidden = _ffn_hidden(p, layer, y)
-    q, k, v = (_heads_view(m, n, heads) for m in (attn.q, attn.k, attn.v))
-    a = attn.weights
+    q, k, v, a = attn.q, attn.k, attn.v, attn.weights
     del attn
 
     # feed-forward: out = relu(y W1 + b1) W2 + b2; the gradients at the
@@ -616,33 +613,34 @@ def _layer_backward(p: ParamSet, g: LayerParams, layer: int, x: np.ndarray, dx: 
     dy = _linear_backward(y, lay.w1, g.w1, g.b1, dz, out=y)
     del dz, y
 
-    # attention: y = concat(heads) @ Wo + bo, each head softmax(q k^T s) v
-    s = 1.0 / math.sqrt(lay.wq.shape[1] // heads)
-    concat = _heads_merge(a @ v)
-    d_out = _heads_view(_linear_backward(concat, lay.wo, g.wo, g.bo, dy, out=concat), n, heads)
-    del concat, dy
-    da = d_out @ v.transpose(0, 1, 3, 2)
-    del v
-    # softmax rows, in place in dA: dS = (dA - rowsum(dA * A)) * A
-    da -= (da * a).sum(axis=-1, keepdims=True)
-    da *= a
-    dv = _heads_merge(a.transpose(0, 1, 3, 2) @ d_out)
-    del a, d_out
-    dq = da @ k
-    del k
-    dq *= s
-    dq = _heads_merge(dq)
-    dk = da.transpose(0, 1, 3, 2) @ q
-    del da, q
-    dk *= s
-    dk = _heads_merge(dk)
+    # attention: y = concat(heads) @ Wo + bo, head h's block softmax(q_h k_h^T s) v_h
+    w = q.shape[-1]
+    dh = w // heads
+    blocks = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
+    d_out = np.empty_like(q)
+    for h, c in enumerate(blocks):
+        np.matmul(a[:, h], v[..., c], out=d_out[..., c])  # the forward's head output
+    _linear_backward(d_out.reshape(-1, w), lay.wo, g.wo, g.bo, dy, out=d_out.reshape(-1, w))
+    del dy
+    for h, c in enumerate(blocks):
+        da = d_out[..., c] @ v[..., c].swapaxes(1, 2)
+        np.matmul(a[:, h].swapaxes(1, 2), d_out[..., c], out=v[..., c])  # dV
+        # softmax rows, in place in dA: dS = (dA - rowsum(dA * A)) * A
+        da -= (da * a[:, h]).sum(axis=-1, keepdims=True)
+        da *= a[:, h]
+        np.matmul(da, k[..., c], out=d_out[..., c])  # dQ / s
+        np.matmul(da.swapaxes(1, 2), q[..., c], out=k[..., c])  # dK / s
+    del a, q, da
+    s = 1.0 / math.sqrt(dh)
+    d_out *= s
+    k *= s
 
     # (q-term + k-term) + v-term
-    _linear_backward(x, lay.wq, g.wq, g.bq, dq, out=dx)
-    del dq
-    dx += _linear_backward(x, lay.wk, g.wk, g.bk, dk)
-    del dk
-    dx += _linear_backward(x, lay.wv, g.wv, g.bv, dv)
+    _linear_backward(x, lay.wq, g.wq, g.bq, d_out.reshape(-1, w), out=dx)
+    del d_out
+    dx += _linear_backward(x, lay.wk, g.wk, g.bk, k.reshape(-1, w))
+    del k
+    dx += _linear_backward(x, lay.wv, g.wv, g.bv, v.reshape(-1, w))
 
 
 def loss_and_grads(

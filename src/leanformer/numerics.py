@@ -46,14 +46,15 @@ def softmax_rows(m: Matrix, out: Matrix | None = None) -> Matrix:
     """Softmax along the last axis of a matrix or a stack, the max subtracted first.
 
     The subtraction is required for numerical stability and makes the
-    result invariant to adding a constant to a row. `out`, when given,
-    receives the result and is returned.
+    result invariant to adding a constant to a row. `out`, when given (`m`
+    itself included), is worked in, receives the result and is returned;
+    beside it only row vectors and numpy's working buffers are made.
     """
     if m.ndim < 2 or m.shape[-1] < 1:
         raise ValueError(f"softmax_rows: expected a non-empty 2-D or stacked array, got shape {m.shape}")
-    e = m - m.max(axis=-1, keepdims=True)
+    e = np.subtract(m, m.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    return np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
 def relu(m: Matrix, out: Matrix | None = None) -> Matrix:

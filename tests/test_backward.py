@@ -30,6 +30,8 @@ BASELINE_3L = ModelConfig(vocab_size=3990, max_seq_len=10, d_model=32, n_heads=8
 # structurally pruned: narrower heads, and a different head count per layer
 PRUNED = ModelConfig(vocab_size=11, max_seq_len=5, d_model=8, n_heads=2, d_ff=6, n_layers=2,
                      head_dim=3, layer_heads=(2, 1))
+# four heads of width 2 in each of two layers: the backward's head blocks past the third
+FOUR_HEADS = ModelConfig(vocab_size=9, max_seq_len=4, d_model=8, n_heads=4, d_ff=8, n_layers=2)
 
 
 def random_params(cfg, seed):
@@ -56,6 +58,7 @@ CASES = {
     "tiny": (TINY, [[1, 2, 3, 4], [5, 6, 7, 0]]),
     "biased-2-layer": (BIASED_2L, [[1, 2, 3, 4, 5], [8, 0, 2, 2, 1], [3, 3, 3, 3, 3]]),
     "pruned-heads": (PRUNED, [[1, 2, 3, 4], [4, 5, 6, 7], [7, 8, 9, 10], [9, 10, 0, 1]]),
+    "4-head-2-layer": (FOUR_HEADS, [[1, 2, 3, 4], [5, 6, 7, 8], [0, 3, 6, 2]]),
 }
 
 
@@ -159,6 +162,16 @@ class TestLayerChunks:
         _, ref_grads = reference.loss_and_grads(p, cfg, batch, targets)
         want = np.concatenate([np.ravel(ref_grads[name]) for name, _ in iter_params(grads)])
         assert rel_err(grads.theta, want) <= 1e-12
+
+
+    @pytest.mark.parametrize("name, sequence_bytes, per", [("paper-baseline", 30_720, 21),
+                                                            ("paper-reduced", 15_360, 42)])
+    def test_preset_layer_chunks(self, name, sequence_bytes, per):
+        # the FFN step and the re-embedded input bound both presets; train-copy's
+        # gradient bits follow these chunks, which the presets' step peak, bounded
+        # by the output stage, does not show
+        assert model._layer_sequence_bytes(PRESETS[name], 0, 10) == sequence_bytes
+        assert model._chunk_sequences(256, sequence_bytes) == per
 
 
 class TestLogitBuffer:

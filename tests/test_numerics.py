@@ -133,6 +133,14 @@ class TestSoftmax:
         m = rng_uniform_array(6, (3, 4, 5), -3.0, 3.0)
         assert softmax_rows(m).tobytes() == np.array([softmax_rows(s) for s in m]).tobytes()
 
+    def test_out_is_worked_in_with_the_fresh_results_bits(self):
+        m = rng_uniform_array(7, (3, 4, 5), -3.0, 3.0)
+        want, before = softmax_rows(m), m.copy()
+        out = np.empty_like(m)
+        assert softmax_rows(m, out=out) is out and out.tobytes() == want.tobytes()
+        assert m.tobytes() == before.tobytes()
+        assert softmax_rows(m, out=m) is m and m.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("shape", [(5,), (3, 0), (2, 3, 0)])
     def test_no_rows_refused(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):

@@ -148,21 +148,32 @@ TRAIN_STEP_CONFIGS = {
     "layerless-d64": ModelConfig(50, 10, 64, 4, 64, 0),
     "small": PRESETS["small"],
     "layerless-d1": ModelConfig(4, 10, 1, 1, 4, 0),
+    # many heads and pruned heads: layer stages where the attention backward
+    # holds about as much as the FFN backward, or more
+    "16-head": ModelConfig(100, 10, 32, 16, 32, 2),
+    "pruned-heads": ModelConfig(11, 5, 8, 2, 6, 3, head_dim=3, layer_heads=(4, 2, 1)),
 }
 # each config at batch 32, and three small-vocabulary ones at a batch whose
 # logit chunks span thousands of rows, so the per-row vectors count; at
-# d_model 1 they outweigh the (rows, d) factors
+# d_model 1 they outweigh the (rows, d) factors. The many- and pruned-head
+# configs also at batch 256, where their layer 0 runs in more than one chunk
 TRAIN_STEP_BATCHES = [pytest.param(name, 32, id=name) for name in TRAIN_STEP_CONFIGS] + [
-    ("small", 256), ("layerless-d16", 256), ("layerless-d1", 2048)]
+    ("small", 256), ("layerless-d16", 256), ("layerless-d1", 2048), ("16-head", 256), ("pruned-heads", 256)]
+
+
+def against(what, peak, form):
+    """An assert message: the measured peak, the form it is held to and their signed difference."""
+    return f"{what}: measured {peak:,} B, form {form:,} B, difference {peak - form:+,} B"
 
 
 class TestTrainStepBytes:
     @pytest.mark.parametrize("name, b", TRAIN_STEP_BATCHES)
     def test_peak_of_a_warm_step_is_the_accounted_bytes(self, name, b):
         # the presets and the layerless configs peak in the output stage, the
-        # deeper configs in a layer's backward; the measured peak may exceed the
-        # form by numpy's 64 KiB working buffer, and the form may overstate it
-        # by 16 kB at most. A layerless config's one chunk spans the batch at
+        # deeper configs and pruned-heads in a layer's backward, 16-head in one
+        # or the other by batch; the measured peak may exceed the form by numpy's
+        # working buffers, up to 64 KiB each, and the form may overstate it by
+        # 16 kB at most. A layerless config's one chunk spans the batch at
         # batch 32, so its (rows, d) temporaries are batch-sized
         cfg = TRAIN_STEP_CONFIGS[name]
         n = min(10, cfg.max_seq_len)
@@ -171,7 +182,7 @@ class TestTrainStepBytes:
         train_step(p, cfg, batch, targets, 0.05)
         accounted = train_step_bytes(cfg, b, n)
         peak = traced_peak(train_step, p, cfg, batch, targets, 0.05)
-        assert accounted - 16_000 <= peak <= accounted + 96_000
+        assert accounted - 16_000 <= peak <= accounted + 96_000, against("step", peak, accounted)
 
     @pytest.mark.parametrize("name, b", TRAIN_STEP_BATCHES)
     def test_each_stage_peaks_at_its_own_term(self, name, b):
@@ -186,13 +197,16 @@ class TestTrainStepBytes:
         peaks = stage_peaks(train_step, p, cfg, batch, targets, 0.05)
         grads = 8 * param_count(cfg)
         output, layers = train_step_stage_bytes(cfg, b, n)
-        assert grads + output - 16_000 <= peaks["output"] <= grads + output + 96_000
+        step = train_step_bytes(cfg, b, n)
+        assert grads + output - 16_000 <= peaks["output"] <= grads + output + 96_000, \
+            against("output stage", peaks["output"], grads + output)
         if cfg.n_layers:
-            assert grads + layers - 16_000 <= peaks["layers"] <= grads + layers + 96_000
+            assert grads + layers - 16_000 <= peaks["layers"] <= grads + layers + 96_000, \
+                against("layer stage", peaks["layers"], grads + layers)
         else:
-            assert layers == peaks["layers"] == 0
-        assert peaks["forward"] < train_step_bytes(cfg, b, n)
-        assert peaks["step"] == max(peaks.values())
+            assert layers == peaks["layers"] == 0, against("layer stage", peaks["layers"], layers)
+        assert peaks["forward"] < step, against("checkpoint forward", peaks["forward"], step)
+        assert peaks["step"] == max(peaks.values()), f"stage peaks {peaks}"
 
     def test_paper_values(self):
         # 8P + the last output, which dx overwrites, + one 2-sequence chunk of
