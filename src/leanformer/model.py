@@ -438,10 +438,10 @@ def model_forward(
 
     Untraced (inference), returns the logits as one C-contiguous
     (sequences, n, vocab) array and None. With `trace` (the checkpoint
-    forward `loss_and_grads` runs), stops after the last layer and returns
-    None and the batch's Checkpoints: the checked ids and each layer's
-    output, and no q, k, v, attention weights or FFN hidden layer, which the
-    backward recomputes a chunk at a time. Layers compose as
+    forward of `loss_and_grads` and `batch_loss`), stops after the last
+    layer and returns None and the batch's Checkpoints: the checked ids and
+    each layer's output, and no logits, q, k, v, attention weights or FFN
+    hidden layer, which later stages take a chunk at a time. Layers compose as
     x <- ffn(attention(x)) with no residual paths; the logits are x against
     the transposed token embedding. The whole batch passes `embed`'s checks
     first. Both passes run one loop over the layers, which hands each
@@ -491,31 +491,17 @@ def _target_ids(who: str, targets: Sequence, shape: tuple[int, ...], vocab: int)
     return ids
 
 
-def _fused_cross_entropy(z: Matrix, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-entropy of each row of `z` against `ids`, worked out in `z` itself.
-
-    One max, one exp and one row sum: a row's term is
-    log(rowsum) - shifted[target], written over the picked entries, so at
-    most three row vectors are alive at once. Returns the per-row terms and
-    row sums; `z` is left holding the unnormalised exponentials.
-    """
-    z -= z.max(axis=1, keepdims=True)
-    picked = z[np.arange(ids.size), ids]
-    np.exp(z, out=z)
-    rowsum = z.sum(axis=1)
-    return np.subtract(np.log(rowsum), picked, out=picked), rowsum
-
-
 def batch_loss(
     p: ParamSet,
     cfg: ModelConfig,
     batch: Sequence[Sequence[int]],
     targets: Sequence[Sequence[int]],
 ) -> float:
-    """Mean cross-entropy over every position in the batch (no gradients)."""
-    logits, _ = model_forward(p, cfg, batch)
-    ids = _target_ids("batch_loss", targets, logits.shape[:2], logits.shape[2])
-    return float(np.sum(_fused_cross_entropy(logits.reshape(ids.size, -1), ids)[0])) / ids.size
+    """Mean cross-entropy over every position in the batch: `loss_and_grads`' pass with no gradient."""
+    _, checkpoints = model_forward(p, cfg, batch, trace=True)
+    ids, outputs = checkpoints.ids, checkpoints.outputs
+    targets = _target_ids("batch_loss", targets, ids.shape, p.tok_emb.shape[0])
+    return _output_backward(p, outputs[-1] if outputs else embed(p, ids), targets, None)[0]
 
 
 # rows of tok_emb's gradient that a chunk adds per product: a block's
@@ -527,13 +513,16 @@ _TOK_EMB_GRAD_BLOCK = 256
 
 
 def _output_backward(
-    p: ParamSet, x: np.ndarray, ids: np.ndarray, g_tok_emb: Matrix
+    p: ParamSet, x: np.ndarray, ids: np.ndarray, g_tok_emb: Matrix | None
 ) -> tuple[float, np.ndarray]:
     """Mean loss and its gradient at `x`, the last (sequences, n, d) output, which it consumes.
 
-    The tied logits x @ tok_emb^T and the fused cross-entropy run one chunk
-    of whole sequences at a time (STEP_CHUNK_BYTES of logits) in one reused
-    buffer, which is left holding the unnormalised exponentials. The logit
+    The tied logits x @ tok_emb^T and their cross-entropy (one max, exp and
+    row sum; a row's term log(rowsum) - shifted[target] goes into the batch's
+    terms, summed once) run one chunk of whole sequences at a time
+    (STEP_CHUNK_BYTES of logits) in one reused buffer, which is left holding
+    the unnormalised exponentials. `g_tok_emb` None means the loss alone,
+    and `x` is returned as it was. Otherwise the logit
     gradient (softmax - onehot) / positions is never written out. The one-hot
     share of the output projection's gradient, x / positions at the target
     rows, is subtracted from `g_tok_emb` once, for the whole batch, before
@@ -542,12 +531,12 @@ def _output_backward(
     1 / (rowsum * positions), and writes its sequences of the gradient at
     `x` over those sequences of `x`, which it has read for the last time:
     the returned (sequences, n, d) gradient is `x` itself, so `x` must be
-    C-contiguous and the caller's to give up. The per-row loss terms are
-    summed once, over the whole batch.
+    C-contiguous and the caller's to give up.
     """
     b, n, d = x.shape
     vocab = p.tok_emb.shape[0]
-    np.subtract.at(g_tok_emb, ids, x.reshape(-1, d) / ids.size)  # ids repeat
+    if g_tok_emb is not None:
+        np.subtract.at(g_tok_emb, ids, x.reshape(-1, d) / ids.size)  # ids repeat
     per = _chunk_sequences(b, 8 * n * vocab)
     buf = np.empty((per, n, vocab))
     terms = np.empty(ids.size)
@@ -558,7 +547,13 @@ def _output_backward(
         _tied_logits(chunk, p.tok_emb, z)
         # views: x is contiguous
         z, target, chunk = z.reshape(-1, vocab), ids[rows], chunk.reshape(-1, d)
-        terms[rows], rowsum = _fused_cross_entropy(z, target)
+        z -= z.max(axis=1, keepdims=True)
+        terms[rows] = z[np.arange(target.size), target]
+        np.exp(z, out=z)
+        rowsum = z.sum(axis=1)
+        terms[rows] = np.log(rowsum) - terms[rows]
+        if g_tok_emb is None:
+            continue
         # the logit gradient is exp * r - onehot / N, r = 1 / (rowsum * N); it is
         # linear in exp, so r scales the (rows, d) factors, not the logit block
         r = (1.0 / (rowsum * ids.size))[:, None]
@@ -670,7 +665,7 @@ def loss_and_grads(
     Every chunk holds at most STEP_CHUNK_BYTES' worth of whole sequences, so
     the peak is the gradient, the checkpoints and one chunk. The recompute
     runs the forward's stage calls on the same chunks, so it has the
-    forward's bits, and the loss is `batch_loss`'s.
+    forward's bits; `batch_loss` is the same pass with no gradient.
     """
     _, checkpoints = model_forward(p, cfg, batch, trace=True)
     ids, outputs = checkpoints.ids, checkpoints.outputs

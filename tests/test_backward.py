@@ -117,11 +117,22 @@ class TestLogitChunks:
 
 class TestOneLoss:
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_loss_and_grads_reports_batch_loss_exactly(self, case):
+    def test_loss_and_grads_reports_batch_loss_exactly(self, case, monkeypatch):
+        # at the default budget and in one-sequence chunks; no loss reads the
+        # untraced logits, and a plain log-softmax of them agrees
         cfg, batch = CASES[case]
         p = random_params(cfg, 2)
         targets = shifted_targets(batch, cfg.vocab_size)
-        assert loss_and_grads(p, cfg, batch, targets)[0] == batch_loss(p, cfg, batch, targets)
+        loss = batch_loss(p, cfg, batch, targets)
+        assert loss_and_grads(p, cfg, batch, targets)[0] == loss
+        monkeypatch.setattr(model, "STEP_CHUNK_BYTES", 1)
+        assert batch_loss(p, cfg, batch, targets) == loss
+        assert loss_and_grads(p, cfg, batch, targets)[0] == loss
+        z = model_forward(p, cfg, batch)[0].reshape(-1, cfg.vocab_size)
+        top = z.max(axis=1)
+        logsumexp = top + np.log(np.exp(z - top[:, None]).sum(axis=1))
+        plain = float(np.mean(logsumexp - z[np.arange(len(z)), np.ravel(targets)]))
+        assert abs(loss - plain) <= 1e-13 * abs(plain)
 
     def test_on_the_paper_baseline(self):
         cfg = PRESETS["paper-baseline"]

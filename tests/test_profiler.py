@@ -10,6 +10,7 @@ import leanformer.model as model
 from leanformer.model import (
     ModelConfig,
     PRESETS,
+    batch_loss,
     embed,
     init_params,
     model_forward,
@@ -207,6 +208,23 @@ class TestTrainStepBytes:
             assert layers == peaks["layers"] == 0, against("layer stage", peaks["layers"], layers)
         assert peaks["forward"] < step, against("checkpoint forward", peaks["forward"], step)
         assert peaks["step"] == max(peaks.values()), f"stage peaks {peaks}"
+
+    @pytest.mark.parametrize("name, b", TRAIN_STEP_BATCHES)
+    def test_batch_loss_peaks_within_the_larger_stage(self, name, b):
+        # the loss alone runs the checkpoint forward and the output stage
+        # without the gradient: no more than the larger stage, in the same
+        # window, and on the presets below a tenth of the untraced forward's
+        cfg = TRAIN_STEP_CONFIGS[name]
+        n = min(10, cfg.max_seq_len)
+        p = init_params(cfg, 1)
+        batch, targets = synth_copy_batch(1, b, n, cfg.vocab_size)
+        batch_loss(p, cfg, batch, targets)
+        peak = traced_peak(batch_loss, p, cfg, batch, targets)
+        form = max(train_step_stage_bytes(cfg, b, n))
+        assert peak <= form + 96_000, against("batch_loss", peak, form)
+        if name.startswith("paper-"):
+            untraced = activation_bytes(cfg, b, n)
+            assert peak < untraced / 10, against("batch_loss", peak, untraced)
 
     def test_paper_values(self):
         # 8P + the last output, which dx overwrites, + one 2-sequence chunk of
