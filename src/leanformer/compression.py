@@ -231,10 +231,9 @@ def quantize_tensor(m: Matrix) -> QuantizedTensor:
             break
         scale = again
 
-    # round half away from zero, then clamp, in one buffer
+    # round half away from zero: add half a step, clamp, and the int8 cast truncates toward zero
     q = a / scale
     q += np.copysign(0.5, q)
-    np.trunc(q, out=q)
     np.clip(q, -127, 127, out=q)
     return QuantizedTensor(q.astype(np.int8), scale)
 

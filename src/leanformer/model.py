@@ -298,7 +298,7 @@ class AttentionTrace:
     q: np.ndarray  # (..., n, width), as are k and v; "..." is the input's stack shape
     k: np.ndarray
     v: np.ndarray
-    weights: np.ndarray  # (..., heads, n, n)
+    weights: np.ndarray  # (heads, ..., n, n): weights[h] is head h's C-contiguous block
 
 
 @dataclass
@@ -347,6 +347,7 @@ def attention_forward(
     with scores scaled by 1/sqrt(head width), and the concatenated head
     outputs go through the output projection. Leading axes are independent
     sequences: each slice's result is the 2-D call's on that slice, bit for bit.
+    The weights are head-major, (heads, ..., n, n): head h's softmax runs in its block weights[h].
     """
     lay, own = _layer("attention_forward", p, layer)
     d = lay.wq.shape[0]
@@ -360,15 +361,13 @@ def attention_forward(
 
     scale = 1.0 / math.sqrt(dh)
     n = x.shape[-2]
-    weights = np.empty((*x.shape[:-2], heads, n, n))
+    weights = np.empty((heads, *x.shape[:-2], n, n))
     concat = np.empty(q.shape)
     for h in range(heads):
         cols = slice(h * dh, (h + 1) * dh)
-        # the softmax works in the contiguous product, then fills the head's
-        # block: an op on the strided block would cost numpy working buffers
-        a = matmul(q[..., cols], k[..., cols].swapaxes(-1, -2))
+        a = matmul(q[..., cols], k[..., cols].swapaxes(-1, -2), out=weights[h])
         a *= scale
-        weights[..., h, :, :] = softmax_rows(a, out=a)
+        softmax_rows(a, out=a)
         matmul(a, v[..., cols], out=concat[..., cols])
     return _linear(concat, lay.wo, lay.bo), AttentionTrace(q=q, k=k, v=v, weights=weights)
 
@@ -422,7 +421,7 @@ def _layer_sequence_bytes(cfg: ModelConfig, layer: int, n: int) -> int:
     weights, attention output and FFN hidden layer and the rectifier's mask.
     The attention step holds q, k, v, the weights and dO, which is written
     over the recomputed head outputs, beside either dy or one head's dA, the
-    product dA * A and its row sums; the recompute's softmax holds no more.
+    product dA * A and its row sums; the recompute's softmax works in A.
     """
     d, f, w, heads = cfg.d_model, cfg.d_ff, cfg.attn_width(layer), cfg.heads_in_layer(layer)
     scores = heads * n * n
@@ -501,7 +500,9 @@ def batch_loss(
     _, checkpoints = model_forward(p, cfg, batch, trace=True)
     ids, outputs = checkpoints.ids, checkpoints.outputs
     targets = _target_ids("batch_loss", targets, ids.shape, p.tok_emb.shape[0])
-    return _output_backward(p, outputs[-1] if outputs else embed(p, ids), targets, None)[0]
+    x = outputs[-1] if outputs else embed(p, ids)
+    del checkpoints, outputs  # the loss reads only the last output
+    return _output_backward(p, x, targets, None)[0]
 
 
 # rows of tok_emb's gradient that a chunk adds per product: a block's
@@ -582,7 +583,7 @@ def _layer_backward(p: ParamSet, g: LayerParams, layer: int, x: np.ndarray, dx: 
     forward's bits; the FFN output, which no backward reads, is not
     recomputed. Attention is differentiated on the forward's head blocks:
     head h is the column block c = h*dh:(h+1)*dh of the (sequences, n, w)
-    q, k, v and head outputs, with weights a[:, h]. Each gradient is written
+    q, k, v and head outputs, with weights a[h]. Each gradient is written
     over an array that is read for the last time: the ones at the FFN hidden
     layer and at the attention output over them, dO over the recomputed head
     outputs, and each head's dV over v[..., c], its dQ over dO[..., c] and
@@ -614,15 +615,15 @@ def _layer_backward(p: ParamSet, g: LayerParams, layer: int, x: np.ndarray, dx: 
     blocks = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
     d_out = np.empty_like(q)
     for h, c in enumerate(blocks):
-        np.matmul(a[:, h], v[..., c], out=d_out[..., c])  # the forward's head output
+        np.matmul(a[h], v[..., c], out=d_out[..., c])  # the forward's head output
     _linear_backward(d_out.reshape(-1, w), lay.wo, g.wo, g.bo, dy, out=d_out.reshape(-1, w))
     del dy
     for h, c in enumerate(blocks):
         da = d_out[..., c] @ v[..., c].swapaxes(1, 2)
-        np.matmul(a[:, h].swapaxes(1, 2), d_out[..., c], out=v[..., c])  # dV
+        np.matmul(a[h].swapaxes(1, 2), d_out[..., c], out=v[..., c])  # dV
         # softmax rows, in place in dA: dS = (dA - rowsum(dA * A)) * A
-        da -= (da * a[:, h]).sum(axis=-1, keepdims=True)
-        da *= a[:, h]
+        da -= (da * a[h]).sum(axis=-1, keepdims=True)
+        da *= a[h]
         np.matmul(da, k[..., c], out=d_out[..., c])  # dQ / s
         np.matmul(da.swapaxes(1, 2), q[..., c], out=k[..., c])  # dK / s
     del a, q, da

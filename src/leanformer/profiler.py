@@ -176,9 +176,9 @@ def train_step_stage_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> t
     `model._layer_sequence_bytes` per sequence and W2's (d_ff, d) gradient
     product; the layer stage is its largest layer, and 0 without layers.
     numpy's working buffers, up to 64 KiB each, are not counted: numpy makes
-    one for each operand that an elementwise op broadcasts along rows or
-    reads strided, such as the row sums of the stacked softmax's divide,
-    the bias adds and a head's weights in the softmax backward.
+    one for each operand that an elementwise op broadcasts along rows, such
+    as the row max and row sums of the stacked softmax's subtract and divide,
+    the bias adds and the output stage's row-max subtract.
     """
     _check_batch("train_step_stage_bytes", cfg, batch_size, seq_len)
     b, n, d, vocab = batch_size, seq_len, cfg.d_model, cfg.vocab_size

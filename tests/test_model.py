@@ -181,6 +181,19 @@ class TestAttention:
         for w in trace.weights:
             assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
 
+    def test_stack_weights_are_head_major_blocks(self):
+        # on a (sequences, n, d) stack the weights are (heads, sequences, n, n):
+        # each head's block is C-contiguous and holds each sequence's 2-D weights
+        cfg = ModelConfig(9, 5, 12, 3, 8, 1, use_bias=True)
+        p = init_params(cfg, 0).with_theta(rng_uniform_array(2, (param_count(cfg),), -0.5, 0.5))
+        x = rng_uniform_array(3, (4, 5, 12), -1.0, 1.0)
+        _, trace = attention_forward(p, 0, x, 3)
+        assert trace.weights.shape == (3, 4, 5, 5)
+        assert all(w.flags.c_contiguous for w in trace.weights)
+        for j, xs in enumerate(x):
+            _, alone = attention_forward(p, 0, xs, 3)
+            assert trace.weights[:, j].tobytes() == alone.weights.tobytes()
+
     def test_shape_mismatch(self):
         p = init_params(TINY, 0)
         with pytest.raises(ValueError, match="does not match"):
@@ -347,12 +360,14 @@ class TestForward:
 
         monkeypatch.setattr(model, "_layer_backward", layer_backward)
         loss_and_grads(p, cfg, batch, batch)
+        # each stage's sequence axis: the weights are head-major, (heads, sequences, n, n)
+        axes = (0, 0, 0, 1, 0, 0)
         for layer, chunks in recomputed.items():
             w, h = cfg.attn_width(layer), cfg.heads_in_layer(layer)
-            # the stages' (sequences, ...) arrays, chunks stacked back into the batch
-            q, k, v, weights, y, hidden = (np.concatenate(arrays) for arrays in zip(*chunks))
+            # the stages' arrays, chunks stacked back into the batch
+            q, k, v, weights, y, hidden = (np.concatenate(arrays, axis) for arrays, axis in zip(zip(*chunks), axes))
             assert [q.shape, k.shape, v.shape] == [(b, n, w)] * 3
-            assert weights.shape == (b, h, n, n)
+            assert weights.shape == (h, b, n, n)
             assert y.shape == (b, n, d) and hidden.shape == (b, n, cfg.d_ff)
             recomputed[layer] = q, k, v, weights, y, hidden
         for s, tokens in enumerate(batch):
@@ -363,7 +378,8 @@ class TestForward:
                 hidden = relu(matmul(y, lay.w1) + lay.b1)
                 x = ffn_forward(p, layer, y)
                 want = [attn.q, attn.k, attn.v, np.array(attn.weights), y, hidden]
-                assert [a[s].tobytes() for a in recomputed[layer]] == [a.tobytes() for a in want]
+                got = [np.take(a, s, axis) for a, axis in zip(recomputed[layer], axes)]
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
                 assert out[s].tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("trace, budget", [(True, None), (True, 1), (False, None)],

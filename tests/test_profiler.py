@@ -226,6 +226,31 @@ class TestTrainStepBytes:
             untraced = activation_bytes(cfg, b, n)
             assert peak < untraced / 10, against("batch_loss", peak, untraced)
 
+    def test_batch_loss_drops_the_checkpoints_it_never_reads(self):
+        # the loss reads only the last output: on a deep model the output stage
+        # holds no other layer's checkpoint, so the checkpoint forward bounds it
+        cfg = TRAIN_STEP_CONFIGS["6-layer"]
+        p = init_params(cfg, 1)
+        batch, targets = synth_copy_batch(1, 32, 10, cfg.vocab_size)
+        batch_loss(p, cfg, batch, targets)
+        forward = traced_peak(model_forward, p, cfg, batch, trace=True)
+        peak = traced_peak(batch_loss, p, cfg, batch, targets)
+        assert peak <= forward + 16_000, against("batch_loss", peak, forward)
+
+    def test_softmax_backward_reads_each_heads_weights_in_place(self):
+        # each head's weights are one contiguous block, which the softmax
+        # backward's products read with no numpy working buffer: the layer
+        # stage of the pruned heads at batch 256, in several chunks, stays
+        # within 16 kB of its form
+        cfg = TRAIN_STEP_CONFIGS["pruned-heads"]
+        b, n = 256, cfg.max_seq_len
+        p = init_params(cfg, 1)
+        batch, targets = synth_copy_batch(1, b, n, cfg.vocab_size)
+        train_step(p, cfg, batch, targets, 0.05)
+        peaks = stage_peaks(train_step, p, cfg, batch, targets, 0.05)
+        form = 8 * param_count(cfg) + train_step_stage_bytes(cfg, b, n)[1]
+        assert peaks["layers"] <= form + 16_000, against("layer stage", peaks["layers"], form)
+
     def test_paper_values(self):
         # 8P + the last output, which dx overwrites, + one 2-sequence chunk of
         # logits with its scaled rows and their two row vectors + the batch's
