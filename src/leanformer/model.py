@@ -392,8 +392,10 @@ def ffn_forward(p: ParamSet, layer: int, x: Matrix) -> Matrix:
 def _tied_logits(x: np.ndarray, tok_emb: Matrix, out: np.ndarray) -> None:
     """Each sequence's logits `x[s] @ tok_emb^T` into `out[s]`, one product per sequence.
 
-    The one place the tied output product is taken, so training and
-    inference give every row the same bits.
+    Training's tied product, on the strided view tok_emb^T. The untraced
+    forward runs it on its first sequences and, on larger batches, the
+    same product against a contiguous copy of tok_emb^T on the rest; on
+    the paper presets at n >= 2 those rows have this product's bits.
     """
     for o, xs in zip(out, x):
         matmul(xs, tok_emb.T, out=o)
@@ -450,6 +452,17 @@ def model_forward(
     stacks sized by STEP_CHUNK_BYTES, the chunks the backward recomputes;
     layer 0 writes over the embedded rows and each later layer into a fresh
     array, so each layer's output, its checkpoint, is one array of its own.
+
+    Untraced, each sequence's logits are one product against a (d, vocab)
+    right operand. BLAS packs a C-contiguous one much faster than the
+    strided view tok_emb^T, and a copy of it fits in the rows of the first
+    s = ceil(d / n) sequences of the fresh logits, so it adds no bytes.
+    With b >= 3s sequences the forward copies tok_emb^T there, runs
+    sequences b-1 down to s against the copy, then sequences 0 to s-1
+    against the strided view, as `_tied_logits` does, overwriting the copy
+    last. Below 3s the copy costs more than it saves (at n = 10 the
+    paper-baseline forward breaks even near b = 12-14, paper-reduced near
+    b = 4) and every sequence reads the strided view.
     """
     _check_config("model_forward", cfg, p)
     ids = _id_array("model_forward", "batch", batch)
@@ -474,7 +487,15 @@ def model_forward(
         return None, Checkpoints(ids=ids, outputs=outputs)
     # after the layers: each sequence's product streams all of tok_emb, evicting the layer weights
     logits = np.empty((*ids.shape, p.tok_emb.shape[0]))
-    _tied_logits(x, p.tok_emb, logits)
+    held = -(-cfg.d_model // n)  # the first sequences, whose logit rows hold tok_emb^T
+    if b >= 3 * held:
+        emb_t = logits.reshape(-1)[:p.tok_emb.size].reshape(p.tok_emb.shape[::-1])
+        emb_t[...] = p.tok_emb.T
+        for s in reversed(range(held, b)):
+            matmul(x[s], emb_t, out=logits[s])
+    else:
+        held = b
+    _tied_logits(x[:held], p.tok_emb, logits[:held])
     return logits, None
 
 

@@ -143,7 +143,9 @@ def activation_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> int:
     The untraced (inference) forward that `time_forward` times holds the
     (b, n, V) logits and the (b, n, d) embedded rows, which each sequence's
     last-layer output overwrites; beside them it holds only one sequence's
-    temporaries. `batch_loss` and training hold less (see `train_step_bytes`).
+    temporaries. The contiguous copy of tok_emb^T that its tied products
+    read on larger batches lies in the logits' first rows, so it adds no
+    term. `batch_loss` and training hold less (see `train_step_bytes`).
     """
     _check_batch("activation_bytes", cfg, batch_size, seq_len)
     return BYTES_PER_PARAM * batch_size * seq_len * (cfg.vocab_size + cfg.d_model)

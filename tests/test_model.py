@@ -423,6 +423,86 @@ class TestForward:
         model_forward(init_params(cfg, 0), cfg, batch)
         assert (calls["matmul"], calls["softmax_rows"]) == tuple(32 * c for c in per_sequence)
 
+    @staticmethod
+    def tied_calls(p, monkeypatch) -> list:
+        """Spy on `model.matmul`: (right operand, out) of each tied product, in call order."""
+        calls, real = [], model.matmul
+
+        def spied(a, b, out=None):
+            if b.shape == p.tok_emb.shape[::-1]:
+                calls.append((b, out))
+            return real(a, b, out=out)
+
+        monkeypatch.setattr(model, "matmul", spied)
+        return calls
+
+    @staticmethod
+    def strided(b, p) -> bool:
+        """Whether `b` is the view `p.tok_emb.T` itself, not a copy of it."""
+        return b.ctypes.data == p.tok_emb.ctypes.data and b.strides == p.tok_emb.T.strides
+
+    def test_untraced_tied_products_read_a_copy_in_the_logits(self, monkeypatch):
+        # paper-baseline at 32 x 10: tok_emb^T, C-contiguous, fills the first
+        # ceil(32 / 10) = 4 sequences' rows; sequences 31 down to 4 read it,
+        # then 0 to 3 read the strided view, overwriting the copy
+        cfg = PRESETS["paper-baseline"]
+        p = init_params(cfg, 0)
+        calls = self.tied_calls(p, monkeypatch)
+        batch, _ = synth_copy_batch(1, 32, 10, cfg.vocab_size)
+        logits, _ = model_forward(p, cfg, batch)
+        assert len(calls) == 32
+        for b, _ in calls[:28]:
+            assert b.flags.c_contiguous and np.shares_memory(b, logits[:4])
+        assert all(self.strided(b, p) for b, _ in calls[28:])
+        sequences = [next(s for s in range(32) if np.shares_memory(out, logits[s])) for _, out in calls]
+        assert sequences == [*range(31, 3, -1), *range(4)]
+
+    @pytest.mark.parametrize("name, b", [("paper-baseline", 11), ("paper-baseline", 4), ("paper-reduced", 5)])
+    def test_small_batches_read_the_strided_view(self, name, b, monkeypatch):
+        # below 3 * ceil(d / n) sequences the copy costs more than it saves
+        cfg = PRESETS[name]
+        p = init_params(cfg, 0)
+        calls = self.tied_calls(p, monkeypatch)
+        batch, _ = synth_copy_batch(1, b, 10, cfg.vocab_size)
+        model_forward(p, cfg, batch)
+        assert len(calls) == b and all(self.strided(b, p) for b, _ in calls)
+
+    def test_training_tied_products_read_the_strided_view(self, monkeypatch):
+        cfg = PRESETS["paper-baseline"]
+        p = init_params(cfg, 0)
+        calls = self.tied_calls(p, monkeypatch)
+        batch, targets = synth_copy_batch(1, 32, 10, cfg.vocab_size)
+        loss_and_grads(p, cfg, batch, targets)
+        assert len(calls) == 32 and all(self.strided(b, p) for b, _ in calls)
+
+    @staticmethod
+    def logits_and_strided_products(cfg, b, n):
+        p = init_params(cfg, 2)
+        batch, _ = synth_copy_batch(3, b, n, cfg.vocab_size)
+        logits, _ = model_forward(p, cfg, batch)
+        _, checkpoints = model_forward(p, cfg, batch, trace=True)
+        return logits, np.array([matmul(xs, p.tok_emb.T) for xs in checkpoints.outputs[-1]])
+
+    @pytest.mark.parametrize("b", [12, 32])
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    @pytest.mark.parametrize("name", ["paper-baseline", "paper-reduced"])
+    def test_preset_logits_are_the_strided_products(self, name, n, b):
+        # the staged forward perfbench compares with model_forward takes the strided product
+        logits, want = self.logits_and_strided_products(PRESETS[name], b, n)
+        assert logits.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cfg", [PRESETS["small"], ModelConfig(100, 10, 32, 16, 32, 2)],
+                             ids=["small", "16-head"])
+    def test_small_vocabulary_logits_agree_with_the_strided_products(self, cfg):
+        # OpenBLAS's small-matrix kernels may sum in an order set by the
+        # operand layout; the first sequences, which overwrite the copy, take
+        # the strided product itself, so a stale byte of the copy would show
+        b, n = 32, 10
+        logits, want = self.logits_and_strided_products(cfg, b, n)
+        held = -(-cfg.d_model // n)
+        assert logits[:held].tobytes() == want[:held].tobytes()
+        assert np.abs(logits - want).max() <= 1e-15 * np.abs(want).max()
+
     def test_batch_embedding_names_sequence_and_position(self):
         p = init_params(TINY, 0)
         rows = np.array([embed(p, [1, 2]), embed(p, [3, 4])])
