@@ -389,18 +389,6 @@ def ffn_forward(p: ParamSet, layer: int, x: Matrix) -> Matrix:
     return _linear(hidden, lay.w2, lay.b2)
 
 
-def _tied_logits(x: np.ndarray, tok_emb: Matrix, out: np.ndarray) -> None:
-    """Each sequence's logits `x[s] @ tok_emb^T` into `out[s]`, one product per sequence.
-
-    Training's tied product, on the strided view tok_emb^T. The untraced
-    forward runs it on its first sequences and, on larger batches, the
-    same product against a contiguous copy of tok_emb^T on the rest; on
-    the paper presets at n >= 2 those rows have this product's bits.
-    """
-    for o, xs in zip(out, x):
-        matmul(xs, tok_emb.T, out=o)
-
-
 # The one byte budget of a training step's chunks: the output stage takes
 # the tied logits and their cross-entropy, and the backward recomputes and
 # differentiates each layer, this many bytes' worth of whole sequences at a
@@ -459,10 +447,10 @@ def model_forward(
     s = ceil(d / n) sequences of the fresh logits, so it adds no bytes.
     With b >= 3s sequences the forward copies tok_emb^T there, runs
     sequences b-1 down to s against the copy, then sequences 0 to s-1
-    against the strided view, as `_tied_logits` does, overwriting the copy
-    last. Below 3s the copy costs more than it saves (at n = 10 the
-    paper-baseline forward breaks even near b = 12-14, paper-reduced near
-    b = 4) and every sequence reads the strided view.
+    against the strided view itself, overwriting the copy last. Below 3s
+    the copy costs more than it saves (at n = 10 the paper-baseline forward
+    breaks even near b = 12-14, paper-reduced near b = 4) and every
+    sequence reads the strided view.
     """
     _check_config("model_forward", cfg, p)
     ids = _id_array("model_forward", "batch", batch)
@@ -495,7 +483,8 @@ def model_forward(
             matmul(x[s], emb_t, out=logits[s])
     else:
         held = b
-    _tied_logits(x[:held], p.tok_emb, logits[:held])
+    for s in range(held):
+        matmul(x[s], p.tok_emb.T, out=logits[s])
     return logits, None
 
 
@@ -533,6 +522,12 @@ def batch_loss(
 # 65,536 B at d = 32
 _TOK_EMB_GRAD_BLOCK = 256
 
+# columns of a chunk's exponentials that the output backward walks at once,
+# a multiple of _TOK_EMB_GRAD_BLOCK: both tied gradients read each block,
+# tok_emb's share first and then the gradient at x's partial product, while
+# it is still in cache. A vocabulary of at most this many is one block
+_VOCAB_BLOCK = 1024
+
 
 def _output_backward(
     p: ParamSet, x: np.ndarray, ids: np.ndarray, g_tok_emb: Matrix | None
@@ -542,33 +537,34 @@ def _output_backward(
     The tied logits x @ tok_emb^T and their cross-entropy (one max, exp and
     row sum; a row's term log(rowsum) - shifted[target] goes into the batch's
     terms, summed once) run one chunk of whole sequences at a time
-    (STEP_CHUNK_BYTES of logits) in one reused buffer, which is left holding
-    the unnormalised exponentials. `g_tok_emb` None means the loss alone,
-    and `x` is returned as it was. Otherwise the logit
+    (STEP_CHUNK_BYTES of logits): one product of the chunk's (rows, d) rows
+    against the strided view tok_emb^T into one reused (rows, vocab) buffer,
+    which is left holding the unnormalised exponentials. `g_tok_emb` None
+    means the loss alone, and `x` is returned as it was. Otherwise the logit
     gradient (softmax - onehot) / positions is never written out. The one-hot
     share of the output projection's gradient, x / positions at the target
     rows, is subtracted from `g_tok_emb` once, for the whole batch, before
-    the first chunk. Then each chunk adds its softmax share, a block of rows
-    at a time, from the exponentials and its rows of `x` scaled by
-    1 / (rowsum * positions), and writes its sequences of the gradient at
-    `x` over those sequences of `x`, which it has read for the last time:
-    the returned (sequences, n, d) gradient is `x` itself, so `x` must be
+    the first chunk. Then each chunk scales its rows of `x` by
+    1 / (rowsum * positions), the last read of those rows, and walks the
+    exponentials' columns in blocks of _VOCAB_BLOCK: each block adds its
+    softmax share to `g_tok_emb`, _TOK_EMB_GRAD_BLOCK rows at a time, then
+    its partial product with its rows of tok_emb to the gradient at the
+    chunk's rows, which the first block writes over those rows of `x`. The
+    returned (sequences, n, d) gradient is `x` itself, so `x` must be
     C-contiguous and the caller's to give up.
     """
     b, n, d = x.shape
     vocab = p.tok_emb.shape[0]
     if g_tok_emb is not None:
         np.subtract.at(g_tok_emb, ids, x.reshape(-1, d) / ids.size)  # ids repeat
-    per = _chunk_sequences(b, 8 * n * vocab)
-    buf = np.empty((per, n, vocab))
+    step = _chunk_sequences(b, 8 * n * vocab) * n
+    buf = np.empty((step, vocab))
     terms = np.empty(ids.size)
-    for s in range(0, b, per):
-        chunk = x[s:s + per]
-        rows = slice(s * n, (s + len(chunk)) * n)
-        z = buf[:len(chunk)]
-        _tied_logits(chunk, p.tok_emb, z)
-        # views: x is contiguous
-        z, target, chunk = z.reshape(-1, vocab), ids[rows], chunk.reshape(-1, d)
+    flat = x.reshape(-1, d)  # a view: x is contiguous
+    for s in range(0, ids.size, step):
+        rows = slice(s, s + step)
+        chunk, target = flat[rows], ids[rows]
+        z = matmul(chunk, p.tok_emb.T, out=buf[:len(chunk)])
         z -= z.max(axis=1, keepdims=True)
         terms[rows] = z[np.arange(target.size), target]
         np.exp(z, out=z)
@@ -579,16 +575,20 @@ def _output_backward(
         # the logit gradient is exp * r - onehot / N, r = 1 / (rowsum * N); it is
         # linear in exp, so r scales the (rows, d) factors, not the logit block
         r = (1.0 / (rowsum * ids.size))[:, None]
-        xr = chunk * r
-        for v in range(0, vocab, _TOK_EMB_GRAD_BLOCK):
-            g_tok_emb[v:v + _TOK_EMB_GRAD_BLOCK] += z[:, v:v + _TOK_EMB_GRAD_BLOCK].T @ xr
-        # xr was the chunk's last read of its rows of x
+        xr = chunk * r  # the chunk's last read of its rows of x
+        for v in range(0, vocab, _VOCAB_BLOCK):
+            end = min(v + _VOCAB_BLOCK, vocab)
+            for u in range(v, end, _TOK_EMB_GRAD_BLOCK):
+                g_tok_emb[u:u + _TOK_EMB_GRAD_BLOCK] += z[:, u:u + _TOK_EMB_GRAD_BLOCK].T @ xr
+            if v:
+                chunk += z[:, v:end] @ p.tok_emb[v:end]
+            else:  # over the rows xr has read
+                np.matmul(z[:, v:end], p.tok_emb[v:end], out=chunk)
         del xr
-        dxc = np.matmul(z, p.tok_emb, out=chunk)
-        dxc *= r
+        chunk *= r
         onehot = p.tok_emb[target]
         onehot /= ids.size
-        dxc -= onehot
+        chunk -= onehot
         del onehot, rowsum, r  # before the next chunk's rows
     return float(np.sum(terms)) / ids.size, x
 

@@ -21,6 +21,7 @@ from typing import Callable
 from .compression import reduce_config
 from .model import (
     _TOK_EMB_GRAD_BLOCK,
+    _VOCAB_BLOCK,
     _chunk_sequences,
     _layer_sequence_bytes,
     ModelConfig,
@@ -171,12 +172,15 @@ def train_step_stage_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> t
     embedded rows), beside the larger of the batch's scaled rows for the
     one-hot share and one chunk: its logits, the batch's loss terms, its
     scaled (rows, d) factors with their two row vectors (the row sums and
-    scales) and one block's share of tok_emb's gradient
-    (`model._TOK_EMB_GRAD_BLOCK` rows); the cross-entropy before them holds
-    at most three row vectors. The backward of layer l holds the checkpoints
-    of layers 0 to l-1 and the gradient rows beside one chunk of
-    `model._layer_sequence_bytes` per sequence and W2's (d_ff, d) gradient
-    product; the layer stage is its largest layer, and 0 without layers.
+    scales) and the larger of one block's share of tok_emb's gradient
+    (`model._TOK_EMB_GRAD_BLOCK` rows) and, past the first
+    `model._VOCAB_BLOCK` columns, a block's (rows, d) partial product
+    before it is added to the gradient rows; the two are never held at
+    once. The cross-entropy before them holds at most three row vectors.
+    The backward of layer l holds the checkpoints of layers 0 to l-1 and the
+    gradient rows beside one chunk of `model._layer_sequence_bytes` per
+    sequence and W2's (d_ff, d) gradient product; the layer stage is its
+    largest layer, and 0 without layers.
     numpy's working buffers, up to 64 KiB each, are not counted: numpy makes
     one for each operand that an elementwise op broadcasts along rows, such
     as the row max and row sums of the stacked softmax's subtract and divide,
@@ -187,7 +191,8 @@ def train_step_stage_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> t
     word = BYTES_PER_PARAM
     kept = word * b * n * d
     rows = _chunk_sequences(b, word * n * vocab) * n
-    chunk = word * (rows * (vocab + d + 2) + b * n + min(vocab, _TOK_EMB_GRAD_BLOCK) * d)
+    block = max(min(vocab, _TOK_EMB_GRAD_BLOCK), rows if vocab > _VOCAB_BLOCK else 0)
+    chunk = word * (rows * (vocab + d + 2) + b * n + block * d)
     output = max(1, cfg.n_layers) * kept + max(kept, chunk)
     layers = 0
     for layer in range(cfg.n_layers):

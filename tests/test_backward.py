@@ -89,11 +89,23 @@ class TestLogitChunks:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("chunk", sorted(CHUNKS))
     def test_chunked_logits_keep_the_loss_and_the_oracle_gradient(self, case, chunk, monkeypatch):
+        # the vocabulary in blocks of 8 columns: every case's (9 or 11) ends
+        # in a partial block, whose dx product adds into the first block's
+        self.check_chunked(case, chunk, 8, monkeypatch)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_vocabulary_block_keeps_the_oracle_gradient(self, case, monkeypatch):
+        # 12 columns hold every case's vocabulary: the first block's dx product is the whole one
+        self.check_chunked(case, "all-but-one", 12, monkeypatch)
+
+    @staticmethod
+    def check_chunked(case, chunk, vocab_block, monkeypatch):
         cfg, batch = CASES[case]
         per = CHUNKS[chunk](len(batch))
         monkeypatch.setattr(model, "STEP_CHUNK_BYTES", per * 8 * len(batch[0]) * cfg.vocab_size)
         # tok_emb's gradient in blocks of 4 rows, the last one partial
         monkeypatch.setattr(model, "_TOK_EMB_GRAD_BLOCK", 4)
+        monkeypatch.setattr(model, "_VOCAB_BLOCK", vocab_block)
         real, shared = model._output_backward, []
 
         def spy(p, x, *rest):

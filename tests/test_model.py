@@ -468,12 +468,18 @@ class TestForward:
         assert len(calls) == b and all(self.strided(b, p) for b, _ in calls)
 
     def test_training_tied_products_read_the_strided_view(self, monkeypatch):
+        # one product per output-stage chunk: at 32 x 10 a chunk is two
+        # sequences, 20 rows, each written into the front of the one buffer
         cfg = PRESETS["paper-baseline"]
         p = init_params(cfg, 0)
         calls = self.tied_calls(p, monkeypatch)
         batch, targets = synth_copy_batch(1, 32, 10, cfg.vocab_size)
         loss_and_grads(p, cfg, batch, targets)
-        assert len(calls) == 32 and all(self.strided(b, p) for b, _ in calls)
+        assert len(calls) == 16 and all(self.strided(b, p) for b, _ in calls)
+        buf = calls[0][1].base
+        for _, out in calls:
+            assert out.shape == (20, cfg.vocab_size) and out.flags.c_contiguous
+            assert out.base is buf and out.ctypes.data == buf.ctypes.data
 
     @staticmethod
     def logits_and_strided_products(cfg, b, n):

@@ -251,6 +251,19 @@ class TestTrainStepBytes:
         form = 8 * param_count(cfg) + train_step_stage_bytes(cfg, b, n)[1]
         assert peaks["layers"] <= form + 16_000, against("layer stage", peaks["layers"], form)
 
+    def test_output_stage_counts_a_vocabulary_blocks_partial_product(self):
+        # a chunk of one 512-position sequence against 1,030 words: the second
+        # vocabulary block's (512, 64) partial product outweighs a 256-row
+        # share of tok_emb's gradient by 131,072 B, in the same window
+        cfg = ModelConfig(1030, 512, 64, 4, 64, 0)
+        b, n = 2, 512
+        p = init_params(cfg, 1)
+        batch, targets = synth_copy_batch(1, b, n, cfg.vocab_size)
+        train_step(p, cfg, batch, targets, 0.05)
+        peaks = stage_peaks(train_step, p, cfg, batch, targets, 0.05)
+        form = 8 * param_count(cfg) + train_step_stage_bytes(cfg, b, n)[0]
+        assert form - 16_000 <= peaks["output"] <= form + 96_000, against("output stage", peaks["output"], form)
+
     def test_paper_values(self):
         # 8P + the last output, which dx overwrites, + one 2-sequence chunk of
         # logits with its scaled rows and their two row vectors + the batch's
