@@ -522,11 +522,30 @@ def batch_loss(
 # 65,536 B at d = 32
 _TOK_EMB_GRAD_BLOCK = 256
 
-# columns of a chunk's exponentials that the output backward walks at once,
-# a multiple of _TOK_EMB_GRAD_BLOCK: both tied gradients read each block,
-# tok_emb's share first and then the gradient at x's partial product, while
-# it is still in cache. A vocabulary of at most this many is one block
+# vocabulary rows of a chunk's (vocab, rows) logits that the output stage
+# takes at once, a multiple of _TOK_EMB_GRAD_BLOCK: each block of the logits
+# is one product, and both tied gradients read each block of the
+# exponentials, tok_emb's share first and then the gradient at x's partial
+# product, while it is still in cache. A vocabulary of at most this many is
+# one block
 _VOCAB_BLOCK = 1024
+
+# the output stage takes exp of the logits as they are, with no max
+# subtracted, while max|x|^2 * max|tok_emb|^2, over the rows' norms, is below
+# this limit squared. Then every logit lies in (-300, 300) and each
+# exponential in [e^-300, e^300] ~ [5e-131, 2e130], normal (exp overflows
+# past 709.78). Each squared norm is finite too, so each norm is below
+# sqrt(1.8e308) ~ 1.3e154: a column sum is at most V e^300, its scale
+# 1 / (sum * N) at most e^300, the scaled rows x / (sum * N) below 2.6e284
+# and each partial product with tok_emb's rows below V * 2.6e284, all finite
+# for any vocabulary below 6e23. A squared norm past float64's range reads
+# inf and a NaN reads NaN, and either takes the shifted path
+_SHIFT_FREE_LIMIT = 300.0
+
+
+def _largest_square_norm(m: Matrix) -> float:
+    """The largest squared row norm of `m`, inf past float64's range; NaN propagates."""
+    return float(np.einsum("ij,ij->i", m, m).max())
 
 
 def _output_backward(
@@ -534,62 +553,71 @@ def _output_backward(
 ) -> tuple[float, np.ndarray]:
     """Mean loss and its gradient at `x`, the last (sequences, n, d) output, which it consumes.
 
-    The tied logits x @ tok_emb^T and their cross-entropy (one max, exp and
-    row sum; a row's term log(rowsum) - shifted[target] goes into the batch's
-    terms, summed once) run one chunk of whole sequences at a time
-    (STEP_CHUNK_BYTES of logits): one product of the chunk's (rows, d) rows
-    against the strided view tok_emb^T into one reused (rows, vocab) buffer,
-    which is left holding the unnormalised exponentials. `g_tok_emb` None
-    means the loss alone, and `x` is returned as it was. Otherwise the logit
-    gradient (softmax - onehot) / positions is never written out. The one-hot
-    share of the output projection's gradient, x / positions at the target
-    rows, is subtracted from `g_tok_emb` once, for the whole batch, before
-    the first chunk. Then each chunk scales its rows of `x` by
-    1 / (rowsum * positions), the last read of those rows, and walks the
-    exponentials' columns in blocks of _VOCAB_BLOCK: each block adds its
-    softmax share to `g_tok_emb`, _TOK_EMB_GRAD_BLOCK rows at a time, then
-    its partial product with its rows of tok_emb to the gradient at the
-    chunk's rows, which the first block writes over those rows of `x`. The
-    returned (sequences, n, d) gradient is `x` itself, so `x` must be
-    C-contiguous and the caller's to give up.
+    The tied logits and their cross-entropy (exp, column sum; a position's
+    term log(sum) - logit[target] goes into the batch's terms, summed once)
+    run one chunk of whole sequences at a time (STEP_CHUNK_BYTES of logits).
+    A chunk's logits are vocabulary-major: one reused buffer holds them as a
+    C-contiguous (vocab, rows) block, filled by one product per _VOCAB_BLOCK
+    rows of tok_emb against a C-contiguous (d, rows) copy of the chunk, and
+    left holding the unnormalised exponentials. While the bound
+    max|x| * max|tok_emb| on every logit, over the rows' norms, rules out
+    overflow (_SHIFT_FREE_LIMIT) the logits are exponentiated as they are;
+    past it each column's max is subtracted first. `g_tok_emb` None means the loss
+    alone, and `x` is returned as it was. Otherwise the logit gradient
+    (softmax - onehot) / positions is never written out. The one-hot share
+    of the output projection's gradient, x / positions at the target rows,
+    is subtracted from `g_tok_emb` once, for the whole batch, before the
+    first chunk. Then each chunk scales its rows of `x` by
+    1 / (sum * positions), the last read of those rows, and walks the
+    exponentials in blocks of _VOCAB_BLOCK: each block adds its softmax
+    share to `g_tok_emb`, _TOK_EMB_GRAD_BLOCK rows at a time, then its
+    partial product with its rows of tok_emb to the gradient at the chunk's
+    rows, which the first block writes over those rows of `x`. The returned
+    (sequences, n, d) gradient is `x` itself, so `x` must be C-contiguous
+    and the caller's to give up.
     """
     b, n, d = x.shape
     vocab = p.tok_emb.shape[0]
-    if g_tok_emb is not None:
-        np.subtract.at(g_tok_emb, ids, x.reshape(-1, d) / ids.size)  # ids repeat
-    step = _chunk_sequences(b, 8 * n * vocab) * n
-    buf = np.empty((step, vocab))
-    terms = np.empty(ids.size)
     flat = x.reshape(-1, d)  # a view: x is contiguous
+    shift = not (_largest_square_norm(flat) * _largest_square_norm(p.tok_emb) < _SHIFT_FREE_LIMIT ** 2)
+    if g_tok_emb is not None:
+        np.subtract.at(g_tok_emb, ids, flat / ids.size)  # ids repeat
+    step = _chunk_sequences(b, 8 * n * vocab) * n
+    buf = np.empty(step * vocab)
+    terms = np.empty(ids.size)
     for s in range(0, ids.size, step):
         rows = slice(s, s + step)
         chunk, target = flat[rows], ids[rows]
-        z = matmul(chunk, p.tok_emb.T, out=buf[:len(chunk)])
-        z -= z.max(axis=1, keepdims=True)
-        terms[rows] = z[np.arange(target.size), target]
+        z, ct = buf[:vocab * len(chunk)].reshape(vocab, -1), np.ascontiguousarray(chunk.T)
+        for v in range(0, vocab, _VOCAB_BLOCK):
+            matmul(p.tok_emb[v:v + _VOCAB_BLOCK], ct, out=z[v:v + _VOCAB_BLOCK])
+        del ct
+        if shift:
+            z -= z.max(axis=0)
+        terms[rows] = z[target, np.arange(target.size)]
         np.exp(z, out=z)
-        rowsum = z.sum(axis=1)
-        terms[rows] = np.log(rowsum) - terms[rows]
+        colsum = np.einsum("ij->j", z)
+        terms[rows] = np.log(colsum) - terms[rows]
         if g_tok_emb is None:
             continue
-        # the logit gradient is exp * r - onehot / N, r = 1 / (rowsum * N); it is
+        # the logit gradient is exp * r - onehot / N, r = 1 / (sum * N); it is
         # linear in exp, so r scales the (rows, d) factors, not the logit block
-        r = (1.0 / (rowsum * ids.size))[:, None]
+        r = (1.0 / (colsum * ids.size))[:, None]
         xr = chunk * r  # the chunk's last read of its rows of x
         for v in range(0, vocab, _VOCAB_BLOCK):
             end = min(v + _VOCAB_BLOCK, vocab)
             for u in range(v, end, _TOK_EMB_GRAD_BLOCK):
-                g_tok_emb[u:u + _TOK_EMB_GRAD_BLOCK] += z[:, u:u + _TOK_EMB_GRAD_BLOCK].T @ xr
+                g_tok_emb[u:u + _TOK_EMB_GRAD_BLOCK] += z[u:u + _TOK_EMB_GRAD_BLOCK] @ xr
             if v:
-                chunk += z[:, v:end] @ p.tok_emb[v:end]
+                chunk += z[v:end].T @ p.tok_emb[v:end]
             else:  # over the rows xr has read
-                np.matmul(z[:, v:end], p.tok_emb[v:end], out=chunk)
+                np.matmul(z[v:end].T, p.tok_emb[v:end], out=chunk)
         del xr
         chunk *= r
         onehot = p.tok_emb[target]
         onehot /= ids.size
         chunk -= onehot
-        del onehot, rowsum, r  # before the next chunk's rows
+        del onehot, colsum, r  # before the next chunk's rows
     return float(np.sum(terms)) / ids.size, x
 
 

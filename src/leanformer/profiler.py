@@ -170,13 +170,15 @@ def train_step_stage_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> t
     the batch). The output stage holds the checkpoints of layers 0 to L-2 and
     the last output, whose rows its gradient overwrites (a layerless model's
     embedded rows), beside the larger of the batch's scaled rows for the
-    one-hot share and one chunk: its logits, the batch's loss terms, its
-    scaled (rows, d) factors with their two row vectors (the row sums and
-    scales) and the larger of one block's share of tok_emb's gradient
-    (`model._TOK_EMB_GRAD_BLOCK` rows) and, past the first
-    `model._VOCAB_BLOCK` columns, a block's (rows, d) partial product
-    before it is added to the gradient rows; the two are never held at
-    once. The cross-entropy before them holds at most three row vectors.
+    one-hot share and one chunk: its (vocab, rows) logits, the batch's loss
+    terms, its scaled (rows, d) factors with their two vectors (the column
+    sums and scales) and the larger of one block's share of tok_emb's
+    gradient (`model._TOK_EMB_GRAD_BLOCK` rows) and, past the first
+    `model._VOCAB_BLOCK` rows of tok_emb, a block's (rows, d) partial
+    product before it is added to the gradient rows; the two are never held
+    at once. The chunk's (d, rows) copy, which the logit products read, is
+    dropped before the cross-entropy, which holds at most three vectors, so
+    neither is held at the peak.
     The backward of layer l holds the checkpoints of layers 0 to l-1 and the
     gradient rows beside one chunk of `model._layer_sequence_bytes` per
     sequence and W2's (d_ff, d) gradient product; the layer stage is its
@@ -184,7 +186,8 @@ def train_step_stage_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> t
     numpy's working buffers, up to 64 KiB each, are not counted: numpy makes
     one for each operand that an elementwise op broadcasts along rows, such
     as the row max and row sums of the stacked softmax's subtract and divide,
-    the bias adds and the output stage's row-max subtract.
+    the bias adds and the output stage's column-max subtract, which it takes
+    only when its overflow bound does not rule the max out.
     """
     _check_batch("train_step_stage_bytes", cfg, batch_size, seq_len)
     b, n, d, vocab = batch_size, seq_len, cfg.d_model, cfg.vocab_size

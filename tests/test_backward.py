@@ -160,6 +160,78 @@ class TestOneLoss:
             loss_and_grads(p, TINY, [[1, 2, 3]], [[1, 2, 11]])
 
 
+# layerless, so x is tok_emb + pos_emb: theta x 300 takes the largest logit
+# of synth_copy_batch(3, 4, 10) to 2152, past exp's range (about 709.78)
+HOT = ModelConfig(50, 10, 16, 4, 64, 0)
+
+
+class TestShiftFreeBound:
+    @staticmethod
+    def hot():
+        p = init_params(HOT, 3)
+        batch, targets = synth_copy_batch(3, 4, 10, HOT.vocab_size)
+        return p.with_theta(p.theta * 300), batch, targets
+
+    def test_past_the_limit_the_max_is_subtracted(self):
+        # no floating-point warning: pytest raises every warning as an error
+        p, batch, targets = self.hot()
+        loss, grads = loss_and_grads(p, HOT, batch, targets)
+        ref_loss, ref_grads = reference.loss_and_grads(p, HOT, batch, targets)
+        want = np.concatenate([np.ravel(ref_grads[name]) for name, _ in iter_params(grads)])
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert rel_err(grads.theta, want) <= 1e-12
+        assert batch_loss(p, HOT, batch, targets) == loss
+
+    def test_the_shift_free_path_overflows_past_the_limit(self, monkeypatch):
+        p, batch, targets = self.hot()
+        monkeypatch.setattr(model, "_SHIFT_FREE_LIMIT", np.inf)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            batch_loss(p, HOT, batch, targets)
+
+    def test_a_norm_past_the_square_root_of_the_range_is_shifted(self, monkeypatch):
+        # logits up to 191, but rows of tok_emb near 1e229, whose squared
+        # norm reads inf: the shift-free exponentials (up to e^191) would
+        # overflow the products with tok_emb, so the max is subtracted
+        p = init_params(HOT, 3)
+        batch, _ = synth_copy_batch(3, 2, 5, HOT.vocab_size)
+        x = embed(p, batch) * 8e-227
+        p = p.with_theta(p.theta * 1e230)
+        ids = np.arange(10) * 7 % HOT.vocab_size
+        z = x.reshape(10, -1) @ p.tok_emb.T
+        assert 190 < z.max() < model._SHIFT_FREE_LIMIT
+        g_tok_emb = np.zeros_like(p.tok_emb)
+        loss, dx = model._output_backward(p, x.copy(), ids, g_tok_emb)
+        softmax = np.exp(z - z.max(axis=1, keepdims=True))
+        softmax /= softmax.sum(axis=1, keepdims=True)
+        ref_loss = -np.mean(np.log(softmax[np.arange(10), ids]))
+        softmax[np.arange(10), ids] -= 1
+        softmax /= 10
+        assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+        assert rel_err(dx.reshape(10, -1), softmax @ p.tok_emb) <= 1e-12
+        assert rel_err(g_tok_emb, softmax.T @ x.reshape(10, -1)) <= 1e-12
+        # the same input with tok_emb's squared norm read as 1 overflows
+        real = model._largest_square_norm
+        monkeypatch.setattr(model, "_largest_square_norm", lambda m: min(real(m), 1.0))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            model._output_backward(p, x.copy(), ids, g_tok_emb)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_both_paths_agree_on_the_presets(self, name, monkeypatch):
+        # the presets' logits are far below the limit: the default is the
+        # shift-free path itself, and the shifted one agrees with it
+        cfg = PRESETS[name]
+        p = init_params(cfg, 1)
+        batch, targets = synth_copy_batch(1, 8, min(10, cfg.max_seq_len), cfg.vocab_size)
+        runs = {}
+        for limit in (model._SHIFT_FREE_LIMIT, np.inf, 0.0):
+            monkeypatch.setattr(model, "_SHIFT_FREE_LIMIT", limit)
+            runs[limit] = loss_and_grads(p, cfg, batch, targets)
+        (loss, grads), (free, free_grads), (shifted, shifted_grads) = runs.values()
+        assert loss == free and grads.theta.tobytes() == free_grads.theta.tobytes()
+        assert abs(shifted - loss) <= 1e-15 * abs(shifted)
+        assert rel_err(grads.theta, shifted_grads.theta) <= 1e-15
+
+
 class TestLayerChunks:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("chunk", sorted(CHUNKS))

@@ -467,19 +467,37 @@ class TestForward:
         model_forward(p, cfg, batch)
         assert len(calls) == b and all(self.strided(b, p) for b, _ in calls)
 
-    def test_training_tied_products_read_the_strided_view(self, monkeypatch):
-        # one product per output-stage chunk: at 32 x 10 a chunk is two
-        # sequences, 20 rows, each written into the front of the one buffer
+    def test_training_tied_products_read_vocabulary_blocks(self, monkeypatch):
+        # vocabulary-major logits: at 32 x 10 a chunk is two sequences, 20
+        # rows, and each of its four vocabulary blocks is one product of at
+        # most 1024 rows of tok_emb against the chunk's (d, rows) copy, into
+        # that block's slab of the one (vocab, rows) buffer
         cfg = PRESETS["paper-baseline"]
+        d, vocab = cfg.d_model, cfg.vocab_size
         p = init_params(cfg, 0)
-        calls = self.tied_calls(p, monkeypatch)
-        batch, targets = synth_copy_batch(1, 32, 10, cfg.vocab_size)
+        calls, real = [], model.matmul
+
+        def spied(a, b, out=None):
+            if np.shares_memory(a, p.tok_emb):
+                calls.append((a, b.copy(), b.flags.c_contiguous, out))
+            return real(a, b, out=out)
+
+        monkeypatch.setattr(model, "matmul", spied)
+        batch, targets = synth_copy_batch(1, 32, 10, vocab)
+        x = model_forward(p, cfg, batch, trace=True)[1].outputs[-1].reshape(-1, d)
         loss_and_grads(p, cfg, batch, targets)
-        assert len(calls) == 16 and all(self.strided(b, p) for b, _ in calls)
-        buf = calls[0][1].base
-        for _, out in calls:
-            assert out.shape == (20, cfg.vocab_size) and out.flags.c_contiguous
-            assert out.base is buf and out.ctypes.data == buf.ctypes.data
+        assert len(calls) == 64
+        buf = calls[0][3].base
+        for i, (a, b, b_contiguous, out) in enumerate(calls):
+            chunk, v = divmod(i, 4)
+            v *= 1024
+            rows = min(1024, vocab - v)
+            # a C-contiguous view of tok_emb's rows v to v + rows, not a copy
+            assert a.flags.c_contiguous and a.shape == (rows, d)
+            assert a.ctypes.data == p.tok_emb[v].ctypes.data and a.strides == p.tok_emb.strides
+            assert b_contiguous and b.tobytes() == x[20 * chunk:20 * chunk + 20].T.tobytes()
+            assert out.shape == (rows, 20) and out.flags.c_contiguous and out.base is buf
+            assert out.ctypes.data == buf.ctypes.data + 8 * 20 * v
 
     @staticmethod
     def logits_and_strided_products(cfg, b, n):
