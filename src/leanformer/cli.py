@@ -22,6 +22,7 @@ import numpy as np
 
 from . import compression, modelfile, profiler
 from .model import (
+    GRAD_CHECK_BOUND,
     ModelConfig,
     PRESETS,
     grad_check,
@@ -105,7 +106,8 @@ def cmd_compare(args) -> int:
     result = profiler.compare(reports[0], reports[1])
     print(profiler.render_comparison(result))
     if args.json:
-        Path(args.json).write_text(json.dumps(result.to_json(), indent=2) + "\n", "utf-8")
+        doc = {**result.to_json(), "host": profiler.host_block()}
+        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n", "utf-8")
         print(f"wrote {args.json}")
     return EXIT_OK
 
@@ -185,7 +187,7 @@ def cmd_search(args) -> int:
 def cmd_gradcheck(args) -> int:
     err = grad_check(_load_config(args.config), args.seed, args.eps)
     print(f"max relative error: {err:.3e}")
-    return EXIT_OK if err < 1e-4 else EXIT_CHECK_FAILED
+    return EXIT_OK if err < GRAD_CHECK_BOUND else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

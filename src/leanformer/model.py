@@ -25,6 +25,19 @@ INIT_HI = 0.05
 # finite-differencing every parameter is quadratic-ish; keep it honest
 GRAD_CHECK_MAX_PARAMS = 2000
 
+# grad_check's pass bound on the relative error, and its floor's constant c,
+# the loss's rounding in ulps. A central difference of a loss L computed to
+# relative accuracy eps_f carries a rounding error of about eps_f |L| / eps
+# (Press et al., Numerical Recipes, section 5.7), so it resolves a relative
+# error of 1e-4 only in gradients above eps_f |L| / eps / 1e-4: below that
+# the relative error divides rounding by rounding. The loss, a mean of
+# log-sum-exps over the tied logits, is a few roundings deep, so eps_f is
+# some ulps: c = 8, three bits. At eps 1e-5 the most measured over seeds
+# 0-149 of the grad-checked one-layer configs was 0.7 ulps, so rounding
+# alone moves a gradient at the floor by under 1e-5 relative
+GRAD_CHECK_BOUND = 1e-4
+_LOSS_ROUNDING_ULPS = 8
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -303,10 +316,10 @@ class AttentionTrace:
 
 @dataclass
 class Checkpoints:
-    """What a traced forward keeps of a batch for the backward: no stage's internals."""
+    """What a traced forward keeps for the backward, no stage's internals; `outputs[-1]` feeds the output stage."""
 
     ids: np.ndarray  # the checked (sequences, n) token ids
-    outputs: list[np.ndarray]  # each layer's (sequences, n, d) output, first layer first
+    outputs: list[np.ndarray]  # each layer's (sequences, n, d) output in order; without layers, the embedded rows
 
 
 def _linear(x: np.ndarray, w: Matrix, b: np.ndarray | None) -> np.ndarray:
@@ -439,7 +452,8 @@ def model_forward(
     embedded rows, which the logits read. Traced, they are (sequences, n, d)
     stacks sized by STEP_CHUNK_BYTES, the chunks the backward recomputes;
     layer 0 writes over the embedded rows and each later layer into a fresh
-    array, so each layer's output, its checkpoint, is one array of its own.
+    array, so each layer's output, its checkpoint, is one array of its own;
+    a layerless model's one checkpoint is its embedded rows.
 
     Untraced, each sequence's logits are one product against a (d, vocab)
     right operand. BLAS packs a C-contiguous one much faster than the
@@ -472,7 +486,7 @@ def model_forward(
         x = out
         del rows  # so the untraced pass holds nothing of the loop's beside its logits
     if trace:
-        return None, Checkpoints(ids=ids, outputs=outputs)
+        return None, Checkpoints(ids=ids, outputs=outputs or [x])
     # after the layers: each sequence's product streams all of tok_emb, evicting the layer weights
     logits = np.empty((*ids.shape, p.tok_emb.shape[0]))
     held = -(-cfg.d_model // n)  # the first sequences, whose logit rows hold tok_emb^T
@@ -508,10 +522,9 @@ def batch_loss(
 ) -> float:
     """Mean cross-entropy over every position in the batch: `loss_and_grads`' pass with no gradient."""
     _, checkpoints = model_forward(p, cfg, batch, trace=True)
-    ids, outputs = checkpoints.ids, checkpoints.outputs
-    targets = _target_ids("batch_loss", targets, ids.shape, p.tok_emb.shape[0])
-    x = outputs[-1] if outputs else embed(p, ids)
-    del checkpoints, outputs  # the loss reads only the last output
+    targets = _target_ids("batch_loss", targets, checkpoints.ids.shape, p.tok_emb.shape[0])
+    x = checkpoints.outputs[-1]
+    del checkpoints  # the loss reads only the last checkpoint
     return _output_backward(p, x, targets, None)[0]
 
 
@@ -705,8 +718,8 @@ def loss_and_grads(
     `model_forward` (trace=True), which keeps the checked ids and each
     layer's output; then the gradient vector is allocated; the output stage
     takes the logits, the loss and their gradient a chunk of sequences at a
-    time, and writes the gradient at the last output, dx, over the last
-    output itself, a (sequences, n, d) array; then each layer, from the top
+    time, and writes the gradient at the last checkpoint, dx, over that
+    checkpoint, a (sequences, n, d) array; then each layer, from the top
     down, is recomputed from its input checkpoint (layer 0 embeds its
     chunk's ids again) and differentiated a chunk of sequences at a time,
     each chunk writing the gradient at its input over its sequences of dx,
@@ -722,8 +735,8 @@ def loss_and_grads(
     b, n = ids.shape
     targets = _target_ids("loss_and_grads", targets, ids.shape, p.tok_emb.shape[0])
     grads = p.with_theta(np.zeros_like(p.theta))
-    # dx is the last output's own buffer
-    loss, dx = _output_backward(p, outputs.pop() if outputs else embed(p, ids), targets, grads.tok_emb)
+    # dx is the last checkpoint's own buffer
+    loss, dx = _output_backward(p, outputs.pop(), targets, grads.tok_emb)
 
     for layer in reversed(range(cfg.n_layers)):
         x = outputs.pop() if layer else None
@@ -804,7 +817,10 @@ def grad_check(cfg: ModelConfig, seed: int, eps: float) -> float:
     [-b, b) with b = 0.5 / max(1, n_layers): at the tiny [-0.05, 0.05)
     init scale the deeper gradients sit below the float64 noise floor of
     the difference quotient, while much hotter draws saturate the softmax
-    and bury those gradients instead. Only feasible for small configs;
+    and bury those gradients instead. A gradient below the floor
+    max(1e-8, c |L| 2^-52 / eps / GRAD_CHECK_BOUND), where the difference
+    quotient cannot resolve the bound, is divided by the floor: its error
+    is in effect absolute. Only feasible for small configs;
     raises if the model holds more than GRAD_CHECK_MAX_PARAMS parameters.
     Any NaN relative error (a non-finite loss or gradient) makes it NaN.
     """
@@ -820,11 +836,12 @@ def grad_check(cfg: ModelConfig, seed: int, eps: float) -> float:
     p = _init_uniform(cfg, seed, -bound, bound)
     batch, targets = synth_copy_batch(seed, 2, min(cfg.max_seq_len, 4), cfg.vocab_size)
 
-    _, grads = loss_and_grads(p, cfg, batch, targets)
+    loss, grads = loss_and_grads(p, cfg, batch, targets)
     analytic = grads.theta
     theta = p.theta
     bumped = p.with_theta(theta.copy())
 
+    floor = max(1e-8, _LOSS_ROUNDING_ULPS * abs(loss) * 2.0**-52 / eps / GRAD_CHECK_BOUND)
     errors = np.empty(theta.size)
     for i in range(theta.size):
         bumped.theta[i] = theta[i] + eps
@@ -833,6 +850,6 @@ def grad_check(cfg: ModelConfig, seed: int, eps: float) -> float:
         lo = batch_loss(bumped, cfg, batch, targets)
         bumped.theta[i] = theta[i]
         numeric = (hi - lo) / (2 * eps)
-        denom = max(abs(analytic[i]), abs(numeric), 1e-8)
+        denom = max(abs(analytic[i]), abs(numeric), floor)
         errors[i] = abs(analytic[i] - numeric) / denom
     return float(errors.max())  # unlike Python's max, keeps a NaN

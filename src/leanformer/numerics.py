@@ -74,12 +74,20 @@ def rng_uniform_array(seed: int, shape: tuple[int, ...], lo: float, hi: float) -
     n = int(np.prod(shape, dtype=np.int64)) if shape else 1
     if n < 1:
         raise ValueError(f"rng_uniform_array: empty shape {shape}")
-    # all n mixer inputs are known up front; uint64 array arithmetic wraps mod 2^64
-    steps = np.arange(1, n + 1, dtype=np.uint64)
-    s = np.uint64(operator.index(seed) & _MASK64) + np.uint64(_GAMMA) * steps
-    z = (s ^ (s >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    z = z ^ (z >> np.uint64(31))
-    u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    out = lo + (hi - lo) * u
+    # all n mixer inputs are known up front; uint64 array arithmetic wraps mod 2^64.
+    # The states are mixed in place, beside one shifted copy at a time, so at
+    # most two arrays of n words are held: the states, then the output
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(operator.index(seed) & _MASK64)
+    for shift, mix in ((30, _MIX_A), (27, _MIX_B)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mix)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    out = z.astype(np.float64)
+    # lo + (hi - lo) * u with u = out * 2**-53 (exact), rounded step for step as one expression would be
+    out *= 2.0**-53
+    out *= hi - lo
+    out += lo
     return out.reshape(shape)

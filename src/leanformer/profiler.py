@@ -7,16 +7,21 @@ that of a training step's peak (`train_step_stage_bytes` that of each of its
 two stages); `forward_flops` counts the forward's
 matrix-product FLOPs in closed form; timing is measured with
 warmup and reported through order statistics, with the clock injectable so
-the statistics pipeline is testable without real time.
+the statistics pipeline is testable without real time; `host_block` names
+the host behind a measurement.
 """
 
 from __future__ import annotations
 
+import os
+import platform
 import statistics
 import time
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
+
+import numpy as np
 
 from .compression import reduce_config
 from .model import (
@@ -49,10 +54,14 @@ class TimingStats:
         return statistics.median(self.samples)
 
     def to_json(self) -> dict:
+        # numpy's default percentile: rank q/100 * (n - 1) of the sorted samples, linearly interpolated
+        p10, p90 = np.percentile(self.samples, [10, 90]).tolist()
         return {
             "median_s": self.median,
             "mean_s": statistics.fmean(self.samples),
             "min_s": min(self.samples),
+            "p10_s": p10,
+            "p90_s": p90,
             "reps": len(self.samples),
             "warmup": self.warmup,
         }
@@ -125,6 +134,29 @@ class ComparisonReport:
         }
 
 
+def host_block() -> dict:
+    """The host behind a measurement: Python, numpy and BLAS builds, CPUs and thread variables.
+
+    The keys are those of the benchmark's host block; `malloc` is None, as
+    the package pins no allocator setting.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {k: blas.get(k) for k in ("name", "version", "openblas configuration")}
+    except (TypeError, KeyError):  # numpy before 1.26 prints instead of returning dicts
+        blas = {"name": "unknown"}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "cpu_count": os.cpu_count(),
+        "cpu_affinity": sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "threads": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "malloc": None,
+        "machine": platform.machine(),
+    }
+
+
 def memory_bytes(cfg: ModelConfig) -> int:
     """Parameter memory in bytes: 8 per stored element."""
     return BYTES_PER_PARAM * param_count(cfg)
@@ -167,9 +199,10 @@ def train_step_stage_bytes(cfg: ModelConfig, batch_size: int, seq_len: int) -> t
 
     Both hold (b, n, d) arrays, 8*b*n*d bytes each, beside one chunk of at
     most `model.STEP_CHUNK_BYTES` of whole sequences (at least one, at most
-    the batch). The output stage holds the checkpoints of layers 0 to L-2 and
-    the last output, whose rows its gradient overwrites (a layerless model's
-    embedded rows), beside the larger of the batch's scaled rows for the
+    the batch). The output stage holds the traced forward's max(1, L)
+    checkpoints, the last of which is its input at every depth (a layerless
+    model's one is its embedded rows) and has its rows overwritten by their
+    gradient, beside the larger of the batch's scaled rows for the
     one-hot share and one chunk: its (vocab, rows) logits, the batch's loss
     terms, its scaled (rows, d) factors with their two vectors (the column
     sums and scales) and the larger of one block's share of tok_emb's

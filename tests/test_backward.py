@@ -152,6 +152,23 @@ class TestOneLoss:
         batch, targets = synth_copy_batch(1, 8, 10, cfg.vocab_size)
         assert loss_and_grads(p, cfg, batch, targets)[0] == batch_loss(p, cfg, batch, targets)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_layerless_model_embeds_once_and_keeps_the_oracle_loss(self, seed, monkeypatch):
+        # the embedded rows are the traced forward's one checkpoint and the output stage's input
+        cfg = ModelConfig(50, 10, 16, 4, 64, 0)
+        p = random_params(cfg, seed)
+        batch, _ = synth_copy_batch(seed, 3, cfg.max_seq_len, cfg.vocab_size)
+        targets = shifted_targets(batch, cfg.vocab_size)
+        calls = []
+        monkeypatch.setattr(model, "embed", lambda *args: calls.append(1) or embed(*args))
+        loss = batch_loss(p, cfg, batch, targets)
+        got, grads = loss_and_grads(p, cfg, batch, targets)
+        assert len(calls) == 2 and got == loss
+        ref_loss, ref_grads = reference.loss_and_grads(p, cfg, batch, targets)
+        want = np.concatenate([np.ravel(ref_grads[name]) for name, _ in iter_params(grads)])
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert rel_err(grads.theta, want) <= 1e-12
+
     def test_wrong_target_count_rejected(self):
         p = init_params(TINY, 0)
         with pytest.raises(ValueError, match=r"targets of shape \(1, 2\) for positions of shape \(1, 3\)"):

@@ -99,6 +99,9 @@ class TestCompare:
         assert doc["baseline"]["param_bytes"] == 1_122_304
         assert doc["variant"]["param_bytes"] == 536_576
         assert doc["reductions_pct"]["param_count"] == pytest.approx(52.19, abs=0.01)
+        # the JSON, not the profiler's report, names the host behind its timings
+        assert doc["host"] == profiler.host_block()
+        assert {"p10_s", "p90_s"} <= set(doc["baseline"]["timing"])
 
     def test_identical_configs_zero_reduction(self, capsys):
         code = main(["compare", "--baseline", "tiny", "--variant", "tiny",

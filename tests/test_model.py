@@ -255,7 +255,9 @@ class TestForward:
         tokens = [2, 5, 8]
         logits, _ = model_forward(p, cfg, [tokens])
         assert np.array_equal(logits[0], embed(p, tokens) @ p.tok_emb.T)
-        assert model_forward(p, cfg, [tokens], trace=True)[1].outputs == []
+        # the traced forward's one checkpoint is the embedded rows, the output stage's input
+        (checkpoint,) = model_forward(p, cfg, [tokens], trace=True)[1].outputs
+        assert checkpoint.shape == (1, 3, 4) and checkpoint.tobytes() == embed(p, [tokens]).tobytes()
 
     def test_deterministic_bitwise(self):
         cfg = ModelConfig(15, 6, 8, 2, 16, 2)

@@ -201,6 +201,13 @@ class TestRng:
         grid = rng_uniform_array(99, (1, n), -0.05, 0.05)
         assert np.array_equal(grid.ravel(), arr)
 
+    def test_peak_is_two_arrays_of_the_draws(self):
+        # the states are mixed in place and the output scaled in place: the
+        # states beside one shifted copy, then beside the output, 2 x 8n bytes
+        n = 100_000
+        peak = reference.traced_peak(rng_uniform_array, 5, (n,), -0.05, 0.05)
+        assert 2 * 8 * n <= peak <= 2 * 8 * n + 4096
+
     @given(st.integers(0, 2**64 - 1))
     @settings(max_examples=50, deadline=None)
     def test_stream_matches_oracle(self, seed):

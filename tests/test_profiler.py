@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from leanformer.profiler import (
     compare,
     config_search,
     forward_flops,
+    host_block,
     memory_bytes,
     profile_model,
     render_comparison,
@@ -397,8 +400,27 @@ class TestCompare:
         for side in ("baseline", "variant"):
             assert set(doc[side]) == {"label", "param_count", "param_bytes", "activation_bytes",
                                       "train_step_bytes", "forward_flops", "timing"}
-            assert set(doc[side]["timing"]) == {"median_s", "mean_s", "min_s",
+            assert set(doc[side]["timing"]) == {"median_s", "mean_s", "min_s", "p10_s", "p90_s",
                                                 "reps", "warmup"}
+
+    @pytest.mark.parametrize("samples, p10, p90", [
+        ((0.5,), 0.5, 0.5),
+        # ranks 0.9 and 8.1 of the sorted ten: between 0 and 1, and between 8 and 10
+        ((10.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0), 0.9, 8.2),
+    ], ids=["one-sample", "ten-samples"])
+    def test_percentiles_interpolate_between_ranks(self, samples, p10, p90):
+        timing = TimingStats(samples, warmup=0).to_json()
+        assert timing["p10_s"] == pytest.approx(p10, abs=1e-12)
+        assert timing["p90_s"] == pytest.approx(p90, abs=1e-12)
+
+
+def test_host_block_is_the_benchmarks_schema():
+    # one schema for every record: perfbench/run.py's host block, with no allocator pins
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    assert host_block() == {**run.host_block(None), "malloc": None}
 
 
 def _mk_report(label, count, act=1000, median=0.5):
@@ -466,13 +488,13 @@ PAPER_COMPARISON_JSON = {
         "label": "paper-baseline", "param_count": 140288, "param_bytes": 1122304,
         "activation_bytes": 10296320, "train_step_bytes": 1916160, "forward_flops": 89989120,
         "timing": {"median_s": 0.01295, "mean_s": 0.01285, "min_s": 0.012,
-                   "reps": 4, "warmup": 1},
+                   "p10_s": 0.01224, "p90_s": 0.013380000000000001, "reps": 4, "warmup": 1},
     },
     "variant": {
         "label": "paper-reduced", "param_count": 67072, "param_bytes": 536576,
         "activation_bytes": 10255360, "train_step_bytes": 1254144, "forward_flops": 43028480,
         "timing": {"median_s": 0.0088, "mean_s": 0.008725, "min_s": 0.0081,
-                   "reps": 4, "warmup": 1},
+                   "p10_s": 0.00828, "p90_s": 0.00911, "reps": 4, "warmup": 1},
     },
     "ratios": {
         "param_count": 0.4781021897810219, "param_bytes": 0.4781021897810219,
