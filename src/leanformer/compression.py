@@ -208,8 +208,16 @@ def quantize_tensor(m: Matrix) -> QuantizedTensor:
 
     scale = max|m| / 127 (1.0 for an all-zero tensor, one of `_SMALL_SCALES`
     for a peak of at most 16065 subnormal steps); values are rounded half away
-    from zero and clamped to [-127, 127], which bounds every element's
-    reconstruction error by scale/2.
+    from zero and clamped to [-127, 127]. In exact arithmetic each element x
+    and its dequantized d = fl(v * scale) satisfy |x - d| <= scale/2 + 2**-52 * |d|.
+    Let r = x / scale and q = fl(r), which v rounds. Each k + 1/2 is a float, so
+    |r - v| <= 1/2 (the clamp cuts only q >= 127.5, where r <= 127.5) unless
+    q = k + 1/2, k >= 0 say: then v = k + 1 and r may fall ulp(q)/2 <= 2**-53 * q
+    short of q. fl(v * scale) adds at most 2**-53 * v * scale, and as q + v =
+    2v - 1/2 and |d| >= v * scale * (1 - 2**-53), their sum is below 2**-52 * |d|.
+    (q + 1/2 also rounds up to 1 for the float 2**-54 below 1/2, well within it.)
+    So scale/2 alone fails on half-points: [0.127, 0.0635] gives d = 0.064,
+    5.000000000000004e-4 from 0.0635, against scale/2 = 5e-4.
     """
     a = np.asarray(m, dtype=np.float64)
     # max|a| without an |a| temporary; NaN still propagates
@@ -222,14 +230,14 @@ def quantize_tensor(m: Matrix) -> QuantizedTensor:
         scale = _TINY * next(n for top, n in _SMALL_SCALES if peak / _TINY <= top)
     elif 127.0 * scale == math.inf:  # 127 * scale must dequantize the peak to a finite value
         scale = math.nextafter(scale, 0.0)
-    # Stabilize so quantizing our own dequantized output reproduces the
-    # identical scale: the requantize scale is (127*scale)/127, so iterate
-    # to that mapping's fixed point (in practice zero or one step).
-    for _ in range(4):
-        again = (127.0 * scale) / 127.0
-        if again == scale:
-            break
-        scale = again
+    # Requantizing dequantizes the peak to 127*scale, so its scale is g(scale) =
+    # (127*scale)/127, and one step lands on g's fixed point. With t = fl(127*s),
+    # h = g(s) and t' = fl(127*h), |127*h - t| <= 127*ulp(h)/2. If ulp(h) = ulp(t)/128
+    # that is below ulp(t)/2, so t' = t; else ulp(t) <= 64*ulp(h), and t'/127 is within
+    # ulp(t')/254 < ulp(h)/2 of h (exact for a power-of-two h). So g(h) = h, but for t
+    # of significand 2**52 (the gap below t is half as wide) or 2**53 - 1 (t' may
+    # cross into the next binade), checked directly. n * _TINY scales are exact.
+    scale = (127.0 * scale) / 127.0
 
     # round half away from zero: add half a step, clamp, and the int8 cast truncates toward zero
     q = a / scale
@@ -255,13 +263,6 @@ def _check_layout(who: str, cfg: ModelConfig, quantized: list[tuple[str, Quantiz
     if len(quantized) != param_tensor_count(cfg) or [
             (name, qt.values.size) for name, qt in quantized] != list(param_sizes(cfg)):
         raise ValueError(f"{who}: tensors do not match the canonical layout")
-
-
-def _check_symmetric(where: str, quantized: list[tuple[str, QuantizedTensor]]) -> None:
-    """Refuse the first tensor that holds -128: quantization never writes it, and v2 files may not."""
-    for name, qt in quantized:
-        if qt.values.min() < -127:
-            raise ValueError(f"{where}: tensor {name}: QuantizedTensor: -128 is outside the symmetric range")
 
 
 def dequantize_params(p: ParamSet, quantized: list[tuple[str, QuantizedTensor]]) -> ParamSet:

@@ -484,7 +484,6 @@ def model_forward(
         for r in rows:
             out[r] = ffn_forward(p, layer, attention_forward(p, layer, x[r], heads)[0])
         x = out
-        del rows  # so the untraced pass holds nothing of the loop's beside its logits
     if trace:
         return None, Checkpoints(ids=ids, outputs=outputs or [x])
     # after the layers: each sequence's product streams all of tok_emb, evicting the layer weights
@@ -802,10 +801,9 @@ def synth_copy_batch(
     if vocab_size < 2:
         raise ValueError(f"synth_copy_batch: vocab_size must be >= 2, got {vocab_size}")
     u = rng_uniform_array(seed, (batch_size, seq_len), 0.0, 1.0)
+    # u <= 1 - 2**-53, so fl(u * V) < V: exact when V is a power of two, and
+    # otherwise V * 2**-53 is more than half an ulp of V
     inputs = np.floor(u * vocab_size).astype(np.int64)
-    # floor can only hit vocab_size if u rounds to 1.0, which [0,1) excludes,
-    # but clip anyway so the contract cannot drift
-    np.clip(inputs, 0, vocab_size - 1, out=inputs)
     return inputs, inputs.copy()
 
 

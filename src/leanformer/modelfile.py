@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compression import QuantizedTensor, _check_layout, _check_symmetric, quantized_memory_bytes
+from .compression import QuantizedTensor, _check_layout, quantized_memory_bytes
 from .model import (ModelConfig, ParamSet, _check_config, _check_finite, _freeze, iter_params,
                     param_count)
 
@@ -151,6 +151,13 @@ def save_model(path: str | Path, cfg: ModelConfig, p: ParamSet) -> None:
     with open(path, "wb") as f:
         f.write(MAGIC + struct.pack("<I", VERSION_FLOAT64) + _config_block(cfg))
         f.write(np.ascontiguousarray(p.theta, dtype="<f8"))
+
+
+def _check_symmetric(where: str, quantized: list[tuple[str, QuantizedTensor]]) -> None:
+    """Refuse the first tensor that holds -128: quantization never writes it, and v2 files may not."""
+    for name, qt in quantized:
+        if qt.values.min() < -127:
+            raise ValueError(f"{where}: tensor {name}: QuantizedTensor: -128 is outside the symmetric range")
 
 
 def save_quantized_model(

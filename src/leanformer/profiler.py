@@ -94,15 +94,10 @@ class ResourceReport:
         }
 
     def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "param_count": self.param_count,
-            "param_bytes": self.param_bytes,
-            "activation_bytes": self.activation_bytes,
-            "train_step_bytes": self.train_step_bytes,
-            "forward_flops": self.forward_flops,
-            "timing": self.timing.to_json(),
-        }
+        """`metrics()` by name, with the median time widened to the whole timing record."""
+        closed_forms = self.metrics()
+        closed_forms.pop("time_median_s")
+        return {"label": self.label, **closed_forms, "timing": self.timing.to_json()}
 
 
 @dataclass(frozen=True)
@@ -312,20 +307,18 @@ def compare(baseline: ResourceReport, variant: ResourceReport) -> ComparisonRepo
 
 def render_comparison(cr: ComparisonReport) -> str:
     """Three-row text table: memory, execution time, parameter count."""
-    b, v = cr.baseline, cr.variant
-    reductions = cr.reductions_pct
+    b, v, reductions = cr.baseline.metrics(), cr.variant.metrics(), cr.reductions_pct
 
     def pct(name: str) -> str:
         red = reductions[name]
         return "undefined" if red is None else f"{red:.2f}%"
 
-    rows = [
-        ("Memory Usage (Bytes)", f"{b.param_bytes:,}", f"{v.param_bytes:,}", pct("param_bytes")),
-        ("Execution Time (Seconds)", f"{b.timing.median:.6f}", f"{v.timing.median:.6f}",
-         pct("time_median_s")),
-        ("Parameter Count", f"{b.param_count:,}", f"{v.param_count:,}", pct("param_count")),
-    ]
-    headers = ("Metric", b.label, v.label, "Reduction")
+    rows = [(title, fmt.format(b[name]), fmt.format(v[name]), pct(name)) for title, name, fmt in (
+        ("Memory Usage (Bytes)", "param_bytes", "{:,}"),
+        ("Execution Time (Seconds)", "time_median_s", "{:.6f}"),
+        ("Parameter Count", "param_count", "{:,}"),
+    )]
+    headers = ("Metric", cr.baseline.label, cr.variant.label, "Reduction")
     widths = [max(len(r[i]) for r in rows + [headers]) for i in range(4)]
     lines = [
         "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),

@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leanformer.compression import (
+    _SMALL_SCALES,
+    _TINY,
     CompressionReport,
     QuantizedTensor,
     dequantize,
@@ -387,6 +391,100 @@ class TestQuantize:
         assert np.max(np.abs(dequantize(qt) - m)) <= qt.scale / 2
         again = quantize_tensor(dequantize(qt))
         assert again.scale == qt.scale and np.array_equal(again.values, qt.values)
+
+
+def _requantize_scale(s):
+    """g(s): the scale that quantizing a dequantized peak of 127 * s gives."""
+    return (127.0 * s) / 127.0
+
+
+class TestScaleFixedPoint:
+    """g(g(s)) == g(s), so quantize_tensor's one step of g lands on g's fixed point."""
+
+    EXPONENTS = np.arange(-1022, 1024)
+
+    def assert_fixed(self, s):
+        with np.errstate(over="ignore"):
+            s = s[np.isfinite(127.0 * s)]  # a larger scale is stepped down before g
+            g = _requantize_scale(s)
+            assert np.isfinite(g).all()
+            bad = s[_requantize_scale(g) != g]
+        assert bad.size == 0, bad[:5]
+
+    def test_binade_edge_significands_of_every_normal_exponent(self):
+        sig = np.array([2.0 ** 52, 2.0 ** 52 + 1, 2.0 ** 53 - 2, 2.0 ** 53 - 1])
+        self.assert_fixed(np.ldexp(sig, self.EXPONENTS[:, None] - 52).ravel())
+
+    def test_scales_whose_product_is_exceptional(self):
+        # quantize_tensor's direct checks: t = fl(127 s) a power of two, or of significand
+        # 2**53 - 1, for s = t / 127 and its neighbours. At the top, no finite 127 s
+        # rounds to the largest float, so assert_fixed drops that t's scales.
+        t = np.ldexp(np.array([2.0 ** 52, 2.0 ** 53 - 1]), self.EXPONENTS[:, None] - 52).ravel()
+        s = t / 127.0
+        self.assert_fixed(np.concatenate([np.nextafter(s, 0.0), s, np.nextafter(s, np.inf)]))
+
+    def test_subnormal_table_scales_are_exact(self):
+        for _, n in _SMALL_SCALES:
+            s = n * _TINY
+            assert 127.0 * s == 127 * n * _TINY and _requantize_scale(s) == s
+
+    def test_seeded_random_significands_of_every_binade(self):
+        sig = np.random.default_rng(32).integers(2 ** 52, 2 ** 53, (self.EXPONENTS.size, 8))
+        self.assert_fixed(np.ldexp(sig.astype(np.float64), self.EXPONENTS[:, None] - 52).ravel())
+
+    def test_largest_floats_get_finite_scales_that_requantize_to_themselves(self):
+        top = np.float64(np.finfo(np.float64).max).view(np.int64)
+        for x in np.arange(top - 19_999, top + 1, dtype=np.int64).view(np.float64).reshape(-1, 1):
+            qt = quantize_tensor(x)
+            assert 0.0 < qt.scale < np.inf
+            assert quantize_tensor(dequantize(qt)).scale == qt.scale, x
+
+
+class TestHalfPointBound:
+    """In exact arithmetic, |x - d| <= scale/2 + 2**-52 * |d| (quantize_tensor's docstring)."""
+
+    @staticmethod
+    def excess(x, qt):
+        """max over the elements of |x - d| - (scale/2 + 2**-52 * |d|), in exact rationals."""
+        d = dequantize(qt)
+        return max(abs(Fraction(a) - Fraction(b)) - Fraction(qt.scale) / 2 - Fraction(abs(b)) / 2 ** 52
+                   for a, b in zip(x.tolist(), d.tolist()))
+
+    def test_half_point_breaks_scale_over_two_but_not_the_bound(self):
+        x = np.array([0.127, 0.0635])
+        qt = quantize_tensor(x)
+        assert qt.scale == 0.001 and qt.values.tolist() == [127, 64]
+        err = abs(Fraction(0.0635) - Fraction(float(dequantize(qt)[1])))
+        assert err > Fraction(qt.scale) / 2
+        assert self.excess(x, qt) <= 0
+
+    def test_half_point_exceeds_scale_over_two_by_more_than_an_ulp(self):
+        # 6.949... / scale rounds to 4.5, which rounds away to 5: one ulp of d would not cover it
+        x = np.array([196.11662760113737, 6.949014363819828])
+        qt = quantize_tensor(x)
+        d = float(dequantize(qt)[1])
+        over = abs(Fraction(x[1]) - Fraction(d)) - Fraction(qt.scale) / 2
+        assert qt.values[1] == 5 and over > Fraction(math.ulp(d))
+        assert self.excess(x, qt) <= 0
+
+    def test_bound_holds_exactly_on_20000_half_point_tensors(self):
+        rng = np.random.default_rng(6)
+        s = np.ldexp(1.0 + rng.random(20_000), rng.integers(-60, 61, 20_000))
+        x = s[:, None] * np.array([127.0, 63.5, -0.5, 10.5])
+        qts = [quantize_tensor(row) for row in x]
+        scale = np.array([qt.scale for qt in qts])
+        d = np.array([dequantize(qt) for qt in qts])
+        # In units of u = ulp(scale)/2, x (|x| >= scale/2), d (0 or >= scale) and scale/2 are
+        # whole numbers below 2**61, so these int64 sums are exact. 2**-52 * |d| is
+        # |D| / 2**52 units, and a whole excess e is at most that iff e <= |D| >> 52.
+        k = (np.frexp(scale)[1] - 54)[:, None]
+        X, D = (np.ldexp(a, -k).astype(np.int64) for a in (x, d))
+        assert np.array_equal(np.ldexp(X.astype(np.float64), k), x)
+        assert np.array_equal(np.ldexp(D.astype(np.float64), k), d)
+        half = np.ldexp(scale[:, None], -k - 1).astype(np.int64)
+        excess = np.abs(X - D) - half
+        assert (excess > 0).sum() > 10_000  # scale/2 alone fails on most of them
+        assert (excess <= np.abs(D) >> 52).all()
 
 
 class TestQuantizedParams:

@@ -764,3 +764,10 @@ class TestSynthCopyBatch:
     def test_degenerate_vocab_rejected(self):
         with pytest.raises(ValueError, match="vocab_size"):
             synth_copy_batch(0, 2, 2, 1)
+
+    def test_largest_draw_floors_below_every_vocab(self):
+        # the generator's largest u is 1 - 2**-53, so floor(u * V) <= V - 1 needs no clip
+        u = 1.0 - 2.0 ** -53
+        edges = [2 ** k + j for k in range(1, 63) for j in (-1, 0, 1)]
+        for vocab in [*np.array_split(np.arange(2, 2 ** 22), 4), np.array(edges[1:])]:
+            assert (np.floor(u * vocab).astype(np.int64) <= vocab - 1).all()
