@@ -1,7 +1,7 @@
 """leanformer: a slim transformer encoder plus a resource-profiling benchkit."""
 
 from .model import ModelConfig, ParamSet, PRESETS, init_params, model_forward, param_count
-from .profiler import compare, config_search, memory_bytes, profile_model
+from .profiler import ComparisonReport, config_search, memory_bytes, profile_model
 
 __all__ = [
     "ModelConfig",
@@ -10,7 +10,7 @@ __all__ = [
     "init_params",
     "model_forward",
     "param_count",
-    "compare",
+    "ComparisonReport",
     "config_search",
     "memory_bytes",
     "profile_model",

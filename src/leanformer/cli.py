@@ -103,7 +103,7 @@ def cmd_compare(args) -> int:
                 batch_size=args.batch, seq_len=args.seq,
                 reps=args.reps, warmup=args.warmup,
             ))
-    result = profiler.compare(reports[0], reports[1])
+    result = profiler.ComparisonReport(*reports)
     print(profiler.render_comparison(result))
     if args.json:
         doc = {**result.to_json(), "host": profiler.host_block()}

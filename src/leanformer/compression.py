@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (LayerParams, ModelConfig, ParamSet, _check_config, _freeze, iter_params,
-                    param_count, param_sizes, param_tensor_count)
+from .model import (LayerParams, ModelConfig, ParamSet, _check_config, _freeze, _layer,
+                    iter_params, param_count, param_sizes, param_tensor_count)
 from .numerics import Matrix
 
 
@@ -122,12 +122,9 @@ def head_importance(p: ParamSet, cfg: ModelConfig, layer: int) -> list[float]:
     the layer output, so its score approaches zero.
     """
     _check_config("head_importance", cfg, p)
-    if not 0 <= layer < len(p.layers):
-        raise ValueError(f"head_importance: layer {layer} out of range [0, {len(p.layers)})")
-    heads = cfg.heads_in_layer(layer)
-    wo = p.layers[layer].wo
-    dh = wo.shape[0] // heads
-    return [float(np.linalg.norm(wo[h * dh:(h + 1) * dh, :])) for h in range(heads)]
+    lay, heads = _layer("head_importance", p, layer)
+    dh = lay.wo.shape[0] // heads
+    return [float(np.linalg.norm(lay.wo[h * dh:(h + 1) * dh, :])) for h in range(heads)]
 
 
 def _with_heads(cfg: ModelConfig, counts: list[int]) -> ModelConfig:
@@ -155,7 +152,7 @@ def prune_heads(
     removes exactly 4 * d_model * head_width weight elements.
     """
     _check_config("prune_heads", cfg, p)
-    heads = cfg.heads_in_layer(layer)
+    lay, heads = _layer("prune_heads", p, layer)
     kept = sorted(set(keep))
     if not kept:
         raise ValueError("prune_heads: keep set must be non-empty")
@@ -163,7 +160,6 @@ def prune_heads(
         raise ValueError(f"prune_heads: head indices {kept} outside [0, {heads})")
 
     cols = np.repeat([h in kept for h in range(heads)], cfg.head_width)
-    lay = p.layers[layer]
     qkv = {name: getattr(lay, name)[..., cols] for name in ("wq", "bq", "wk", "bk", "wv", "bv")
            if getattr(lay, name) is not None}
     layers = [*p.layers]
@@ -206,9 +202,10 @@ _SMALL_SCALES = ((127, 1), (382, 3), (1147, 9), (3442, 27), (5143, 81), (16065, 
 def quantize_tensor(m: Matrix) -> QuantizedTensor:
     """Symmetric per-tensor int8 quantization; the values keep `m`'s shape.
 
-    scale = max|m| / 127 (1.0 for an all-zero tensor, one of `_SMALL_SCALES`
-    for a peak of at most 16065 subnormal steps); values are rounded half away
-    from zero and clamped to [-127, 127]. In exact arithmetic each element x
+    scale = max|m| / 127, one of `_SMALL_SCALES` for a peak of at most 16065
+    subnormal steps, or the next float down where 127 * scale would overflow;
+    an all-zero tensor gets 1.0, and one holding inf or NaN is refused. Values are
+    rounded half away from zero and clamped to [-127, 127]. In exact arithmetic each element x
     and its dequantized d = fl(v * scale) satisfy |x - d| <= scale/2 + 2**-52 * |d|.
     Let r = x / scale and q = fl(r), which v rounds. Each k + 1/2 is a float, so
     |r - v| <= 1/2 (the clamp cuts only q >= 127.5, where r <= 127.5) unless
@@ -222,6 +219,8 @@ def quantize_tensor(m: Matrix) -> QuantizedTensor:
     a = np.asarray(m, dtype=np.float64)
     # max|a| without an |a| temporary; NaN still propagates
     peak = float(np.maximum(a.max(), -a.min())) if a.size else 0.0
+    if not math.isfinite(peak):  # before any division or cast, which would warn
+        raise ValueError(f"quantize_tensor: tensor holds a non-finite value (max |m| = {peak})")
     if peak == 0.0:
         return QuantizedTensor(np.zeros(a.shape, np.int8), 1.0)
 
@@ -230,14 +229,6 @@ def quantize_tensor(m: Matrix) -> QuantizedTensor:
         scale = _TINY * next(n for top, n in _SMALL_SCALES if peak / _TINY <= top)
     elif 127.0 * scale == math.inf:  # 127 * scale must dequantize the peak to a finite value
         scale = math.nextafter(scale, 0.0)
-    # Requantizing dequantizes the peak to 127*scale, so its scale is g(scale) =
-    # (127*scale)/127, and one step lands on g's fixed point. With t = fl(127*s),
-    # h = g(s) and t' = fl(127*h), |127*h - t| <= 127*ulp(h)/2. If ulp(h) = ulp(t)/128
-    # that is below ulp(t)/2, so t' = t; else ulp(t) <= 64*ulp(h), and t'/127 is within
-    # ulp(t')/254 < ulp(h)/2 of h (exact for a power-of-two h). So g(h) = h, but for t
-    # of significand 2**52 (the gap below t is half as wide) or 2**53 - 1 (t' may
-    # cross into the next binade), checked directly. n * _TINY scales are exact.
-    scale = (127.0 * scale) / 127.0
 
     # round half away from zero: add half a step, clamp, and the int8 cast truncates toward zero
     q = a / scale

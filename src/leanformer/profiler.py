@@ -300,11 +300,6 @@ def profile_model(
     )
 
 
-def compare(baseline: ResourceReport, variant: ResourceReport) -> ComparisonReport:
-    """Pair two reports; the pair derives its ratios and reductions."""
-    return ComparisonReport(baseline, variant)
-
-
 def render_comparison(cr: ComparisonReport) -> str:
     """Three-row text table: memory, execution time, parameter count."""
     b, v, reductions = cr.baseline.metrics(), cr.variant.metrics(), cr.reductions_pct

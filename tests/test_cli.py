@@ -178,6 +178,12 @@ class TestTrain:
             main(["train", "--config", "tiny", "--iters", "many"])
         assert exc.value.code == 2
 
+    def test_zero_iters_exit_2(self, capsys):
+        code = main(["train", "--config", "tiny", "--iters", "0"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == "error: --iters must be >= 1, got 0\n" and out == ""
+
     @pytest.mark.parametrize("lr", ["0.05", "0"])
     def test_jsonl_has_one_record_per_step_and_stdout_is_unchanged(self, lr, tmp_path, capsys):
         command = ["train", "--config", "small", "--iters", "4", "--lr", lr]
@@ -522,15 +528,32 @@ class TestConfigFuzz:
             assert not out.exists()
 
 
+def run_cli(*argv):
+    """`python -m leanformer.cli argv` in its own interpreter, which exits through entry()."""
+    env = dict(os.environ, PYTHONPATH=str(Path(leanformer.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "leanformer.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_process_exits_2_without_traceback(tmp_path):
     # an exception that escapes main() exits 1 with a traceback, which only
     # a separate interpreter shows
-    env = dict(os.environ, PYTHONPATH=str(Path(leanformer.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "leanformer.cli", "compress", "quantize",
-         "--model", str(tmp_path), "--out", str(tmp_path / "q.retf")],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_cli("compress", "quantize", "--model", str(tmp_path), "--out", str(tmp_path / "q.retf"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and str(tmp_path) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["gradcheck", "--config", "tiny"], 0, None),
+    (["gradcheck", "--config", "tiny", "--bogus"], 2, "leanformer: error: unrecognized arguments: --bogus"),
+    (["gradcheck", "--config", "tiny", "--eps", "0"], 2,
+     "error: grad_check: eps must be finite and > 0, got 0.0"),
+], ids=["passes", "unknown-flag", "bad-flag-value"])
+def test_process_exit_code_is_mains(argv, code, error):
+    proc = run_cli(*argv)
+    assert proc.returncode == code
+    if error is None:
+        assert proc.stderr == "" and "max relative error" in proc.stdout
+    else:
+        assert proc.stderr.splitlines()[-1] == error and proc.stdout == ""

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leanformer.compression import (
-    _SMALL_SCALES,
-    _TINY,
     CompressionReport,
     QuantizedTensor,
     dequantize,
@@ -52,6 +50,13 @@ class TestReduceConfig:
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError, match="not divisible"):
             reduce_config(ModelConfig(100, 10, 30, 3, 60, 1))
+
+    @pytest.mark.parametrize("pruned", [dict(head_dim=8), dict(head_dim=8, n_layers=2, layer_heads=(4, 2))],
+                             ids=["head_dim", "layer_heads"])
+    def test_structurally_pruned_config_rejected(self, pruned):
+        cfg = replace(PRESETS["paper-baseline"], **pruned)
+        with pytest.raises(ValueError, match="^reduce_config: cannot reduce a structurally pruned config$"):
+            reduce_config(cfg)
 
     def test_vocab_seq_layers_unchanged(self):
         cfg = ModelConfig(123, 7, 16, 4, 32, 3)
@@ -142,10 +147,11 @@ class TestHeadImportance:
         p.layers[0].wo[...] = wo
         assert head_importance(p, cfg, 0) == [1.0, 2.0, 3.0, 4.0]
 
-    def test_bad_layer_rejected(self):
+    @pytest.mark.parametrize("layer", [-1, 5], ids=["negative", "past-the-end"])
+    def test_bad_layer_rejected(self, layer):
         p = init_params(PRESETS["tiny"], 0)
-        with pytest.raises(ValueError, match="layer"):
-            head_importance(p, PRESETS["tiny"], 5)
+        with pytest.raises(ValueError, match=rf"^head_importance: layer index {layer} out of range \[0, 1\)"):
+            head_importance(p, PRESETS["tiny"], layer)
 
     def test_config_other_than_the_params_rejected(self):
         # 8 heads of width 2 would fit the reduced model's 16-wide Wo
@@ -213,6 +219,12 @@ class TestPruneHeads:
         p = init_params(cfg, 0)
         with pytest.raises(ValueError, match="outside"):
             prune_heads(p, cfg, 0, {0, 9})
+
+    @pytest.mark.parametrize("layer", [-1, 5], ids=["negative", "past-the-end"])
+    def test_bad_layer_rejected(self, layer):
+        cfg = PRESETS["tiny"]
+        with pytest.raises(ValueError, match=rf"^prune_heads: layer index {layer} out of range \[0, 1\)$"):
+            prune_heads(init_params(cfg, 0), cfg, layer, {0})
 
     def test_config_other_than_the_params_rejected(self):
         cfg = PRESETS["paper-reduced"]
@@ -368,6 +380,11 @@ class TestQuantize:
             assert deq.shape == orig.shape
             assert np.max(np.abs(deq - orig)) <= qt.scale / 2
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float64])
+    def test_values_other_than_int8_rejected(self, dtype):
+        with pytest.raises(ValueError, match=r"^QuantizedTensor: dtype must be int8, got"):
+            QuantizedTensor(np.zeros(3, dtype), 1.0)
+
     def test_bias_keeps_its_shape(self):
         qt = quantize_tensor(np.array([0.5, -1.0, 0.25]))
         assert qt.values.shape == (3,) and dequantize(qt).shape == (3,)
@@ -393,51 +410,40 @@ class TestQuantize:
         assert again.scale == qt.scale and np.array_equal(again.values, qt.values)
 
 
-def _requantize_scale(s):
-    """g(s): the scale that quantizing a dequantized peak of 127 * s gives."""
-    return (127.0 * s) / 127.0
-
-
 class TestScaleFixedPoint:
-    """g(g(s)) == g(s), so quantize_tensor's one step of g lands on g's fixed point."""
+    """quantize -> dequantize -> quantize keeps the scale, for peaks over the whole float range."""
 
-    EXPONENTS = np.arange(-1022, 1024)
+    EXPONENTS = np.arange(-1074, 1024)
 
-    def assert_fixed(self, s):
-        with np.errstate(over="ignore"):
-            s = s[np.isfinite(127.0 * s)]  # a larger scale is stepped down before g
-            g = _requantize_scale(s)
-            assert np.isfinite(g).all()
-            bad = s[_requantize_scale(g) != g]
-        assert bad.size == 0, bad[:5]
-
-    def test_binade_edge_significands_of_every_normal_exponent(self):
-        sig = np.array([2.0 ** 52, 2.0 ** 52 + 1, 2.0 ** 53 - 2, 2.0 ** 53 - 1])
-        self.assert_fixed(np.ldexp(sig, self.EXPONENTS[:, None] - 52).ravel())
-
-    def test_scales_whose_product_is_exceptional(self):
-        # quantize_tensor's direct checks: t = fl(127 s) a power of two, or of significand
-        # 2**53 - 1, for s = t / 127 and its neighbours. At the top, no finite 127 s
-        # rounds to the largest float, so assert_fixed drops that t's scales.
-        t = np.ldexp(np.array([2.0 ** 52, 2.0 ** 53 - 1]), self.EXPONENTS[:, None] - 52).ravel()
-        s = t / 127.0
-        self.assert_fixed(np.concatenate([np.nextafter(s, 0.0), s, np.nextafter(s, np.inf)]))
-
-    def test_subnormal_table_scales_are_exact(self):
-        for _, n in _SMALL_SCALES:
-            s = n * _TINY
-            assert 127.0 * s == 127 * n * _TINY and _requantize_scale(s) == s
-
-    def test_seeded_random_significands_of_every_binade(self):
-        sig = np.random.default_rng(32).integers(2 ** 52, 2 ** 53, (self.EXPONENTS.size, 8))
-        self.assert_fixed(np.ldexp(sig.astype(np.float64), self.EXPONENTS[:, None] - 52).ravel())
-
-    def test_largest_floats_get_finite_scales_that_requantize_to_themselves(self):
-        top = np.float64(np.finfo(np.float64).max).view(np.int64)
-        for x in np.arange(top - 19_999, top + 1, dtype=np.int64).view(np.float64).reshape(-1, 1):
+    @staticmethod
+    def assert_scale_kept(peaks):
+        bad = []
+        for x in peaks.reshape(-1, 1):
             qt = quantize_tensor(x)
-            assert 0.0 < qt.scale < np.inf
-            assert quantize_tensor(dequantize(qt)).scale == qt.scale, x
+            if not (0.0 < qt.scale < np.inf and quantize_tensor(dequantize(qt)).scale == qt.scale):
+                bad.append(float(x[0]))
+        assert not bad, bad[:5]
+
+    def test_binade_edge_significands_of_every_exponent(self):
+        # a power of two, the two floats above it and the float below the next one;
+        # below 2**-1022 they round to the subnormals nearby
+        sig = np.array([2.0 ** 52, 2.0 ** 52 + 1, 2.0 ** 53 - 2, 2.0 ** 53 - 1])
+        self.assert_scale_kept(np.ldexp(sig, self.EXPONENTS[:, None] - 52))
+
+    def test_seeded_random_significands_of_every_exponent(self):
+        sig = np.random.default_rng(33).integers(2 ** 52, 2 ** 53, (self.EXPONENTS.size, 4))
+        self.assert_scale_kept(np.ldexp(sig.astype(np.float64), self.EXPONENTS[:, None] - 52))
+
+    def test_largest_floats(self):
+        # 127 * (top / 127) overflows for the largest float, whose scale is stepped down
+        top = np.float64(np.finfo(np.float64).max).view(np.int64)
+        self.assert_scale_kept(np.arange(top - 19_999, top + 1, dtype=np.int64).view(np.float64))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_tensor_refused_without_a_warning(self, value):
+        with pytest.raises(ValueError, match="quantize_tensor: tensor holds a non-finite value"):
+            quantize_tensor(np.array([[0.5, value], [-1.0, 0.0]]))
 
 
 class TestHalfPointBound:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,10 @@ class TestConfig:
         cfg = ModelConfig(10, 4, 4, 2, 8, 0)
         assert cfg.n_layers == 0
 
+    def test_layer_heads_one_per_layer(self):
+        with pytest.raises(ValueError, match=r"^ModelConfig: layer_heads has 1 entries for 2 layers$"):
+            ModelConfig(10, 4, 4, 2, 8, 2, head_dim=2, layer_heads=(2,))
+
 
 class TestInit:
     def test_deterministic(self):
@@ -133,6 +138,12 @@ class TestEmbed:
         p = init_params(TINY, 0)
         with pytest.raises(ValueError, match="max_seq_len"):
             embed(p, [0] * (TINY.max_seq_len + 1))
+
+    @pytest.mark.parametrize("tokens", [[], [[]], np.zeros((1, 2, 2), np.int64)],
+                             ids=["empty", "empty-row", "3-d"])
+    def test_empty_or_3d_ids_rejected(self, tokens):
+        with pytest.raises(ValueError, match=r"^embed: need a non-empty sequence or \(sequences, n\) array"):
+            embed(init_params(TINY, 0), tokens)
 
 
 class TestAttention:
@@ -238,6 +249,12 @@ class TestFfn:
         cfg = ModelConfig(9, 4, 4, 2, 8, 2)
         with pytest.raises(ValueError, match=rf"ffn_forward: layer index {layer} out of range \[0, 2\)"):
             ffn_forward(init_params(cfg, 0), layer, np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("shape", [(3, 5), (4,)], ids=["width", "1-d"])
+    def test_input_other_than_d_model_wide_rejected(self, shape):
+        message = f"ffn_forward: input shape {shape} does not match d_model 4"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ffn_forward(init_params(TINY, 0), 0, np.zeros(shape))
 
 
 class TestForward:

@@ -192,6 +192,11 @@ class TestRng:
         with pytest.raises(ValueError):
             rng_uniform_array(0, (1,), 2.0, -1.0)
 
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_empty_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=rf"^rng_uniform_array: empty shape {re.escape(str(shape))}$"):
+            rng_uniform_array(0, shape, 0.0, 1.0)
+
     def test_vectorized_matches_scalar_stream(self):
         n = 257
         arr = rng_uniform_array(99, (n,), -0.05, 0.05)

@@ -22,10 +22,10 @@ from leanformer.model import (
     train_step,
 )
 from leanformer.profiler import (
+    ComparisonReport,
     ResourceReport,
     TimingStats,
     activation_bytes,
-    compare,
     config_search,
     forward_flops,
     host_block,
@@ -341,6 +341,11 @@ class TestTimeForward:
         with pytest.raises(ValueError, match="reps"):
             time_forward(p, cfg, 2, 3, reps=0, warmup=0)
 
+    def test_negative_warmup_rejected(self):
+        cfg = PRESETS["tiny"]
+        with pytest.raises(ValueError, match=r"^time_forward: warmup must be >= 0, got -1$"):
+            time_forward(init_params(cfg, 0), cfg, 2, 3, reps=1, warmup=-1)
+
     def test_median_order_statistics(self):
         even = TimingStats((4.0, 1.0, 3.0, 2.0), warmup=0)
         assert even.median == 2.5
@@ -360,14 +365,14 @@ class TestCompare:
     def test_paper_counts_reduction(self):
         a = _mk_report("base", 140_288)
         b = _mk_report("small", 67_072)
-        cr = compare(a, b)
+        cr = ComparisonReport(a, b)
         assert cr.ratios["param_count"] == 67_072 / 140_288
         assert cr.reductions_pct["param_count"] == pytest.approx(52.19, abs=0.01)
         assert cr.reductions_pct["param_bytes"] == pytest.approx(52.19, abs=0.01)
 
     def test_identical_reports_zero_reduction(self):
         a = _mk_report("x", 1000)
-        cr = compare(a, a)
+        cr = ComparisonReport(a, a)
         for name, ratio in cr.ratios.items():
             assert ratio == 1.0
             assert cr.reductions_pct[name] == 0.0
@@ -375,27 +380,27 @@ class TestCompare:
     def test_zero_baseline_metric_marked_undefined(self):
         a = _mk_report("x", 1000, median=0.0)
         b = _mk_report("y", 500, median=0.1)
-        cr = compare(a, b)
+        cr = ComparisonReport(a, b)
         assert cr.ratios["time_median_s"] is None
         assert cr.reductions_pct["time_median_s"] is None
 
     def test_ratio_antisymmetry(self):
         a = _mk_report("x", 1400, act=2000, median=0.25)
         b = _mk_report("y", 700, act=1500, median=0.125)
-        fwd = compare(a, b).ratios
-        rev = compare(b, a).ratios
+        fwd = ComparisonReport(a, b).ratios
+        rev = ComparisonReport(b, a).ratios
         for name in fwd:
             assert fwd[name] * rev[name] == pytest.approx(1.0, abs=1e-12)
 
     def test_render_mirrors_three_rows(self):
-        text = render_comparison(compare(_mk_report("base", 140_288), _mk_report("small", 67_072)))
+        text = render_comparison(ComparisonReport(_mk_report("base", 140_288), _mk_report("small", 67_072)))
         assert "Memory Usage (Bytes)" in text
         assert "Execution Time (Seconds)" in text
         assert "Parameter Count" in text
         assert "1,122,304" in text and "536,576" in text
 
     def test_json_schema_fields(self):
-        doc = compare(_mk_report("base", 10), _mk_report("v", 5)).to_json()
+        doc = ComparisonReport(_mk_report("base", 10), _mk_report("v", 5)).to_json()
         assert set(doc) == {"baseline", "variant", "ratios", "reductions_pct"}
         for side in ("baseline", "variant"):
             assert set(doc[side]) == {"label", "param_count", "param_bytes", "activation_bytes",
@@ -535,7 +540,7 @@ class TestPinnedOutputs:
             for name, durations in (("paper-baseline", [0.012, 0.0135, 0.0128, 0.0131]),
                                     ("paper-reduced", [0.0081, 0.0092, 0.0087, 0.0089]))
         ]
-        cr = compare(*reports)
+        cr = ComparisonReport(*reports)
         assert json.dumps(cr.to_json(), indent=2) == json.dumps(PAPER_COMPARISON_JSON, indent=2)
         assert render_comparison(cr) == PAPER_COMPARISON_TABLE
 
