@@ -78,6 +78,7 @@ def _check_output(path: str) -> None:
 
 
 def cmd_init(args) -> int:
+    _check_output(args.out)
     cfg = _load_config(args.config)
     with _sized_by(args.config):
         params = init_params(cfg, args.seed)

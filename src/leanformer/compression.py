@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (LayerParams, ModelConfig, ParamSet, _check_config, _freeze, _layer,
-                    iter_params, param_count, param_sizes, param_tensor_count)
+                    iter_params, param_count, param_shapes, param_tensor_count)
 from .numerics import Matrix
 
 
@@ -249,10 +249,11 @@ def quantize_params(p: ParamSet) -> list[tuple[str, QuantizedTensor]]:
 def _check_layout(who: str, cfg: ModelConfig, quantized: list[tuple[str, QuantizedTensor]]) -> None:
     """Refuse `quantized` unless it holds cfg's tensors: each name and size, in canonical order.
 
-    The count goes first, so no longer config is laid out; the layout comes from the config's
-    closed forms (`param_sizes`) and builds no arrays."""
-    if len(quantized) != param_tensor_count(cfg) or [
-            (name, qt.values.size) for name, qt in quantized] != list(param_sizes(cfg)):
+    The count goes first, so no longer config is laid out; the layout comes from the config
+    alone (`param_shapes`) and builds no arrays."""
+    if len(quantized) != param_tensor_count(cfg) or any(
+            name != want or qt.values.size != math.prod(shape)
+            for (name, qt), (want, shape) in zip(quantized, param_shapes(cfg))):
         raise ValueError(f"{who}: tensors do not match the canonical layout")
 
 

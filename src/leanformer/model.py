@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -133,18 +134,39 @@ class LayerParams:
     b2: np.ndarray | None
 
 
-def _weight_shapes(cfg: ModelConfig, layer: int) -> tuple[tuple[int, int], ...]:
-    """(rows, cols) of `layer`'s six weights in `LayerParams` order; each bias is `cols` long."""
-    d, f, w = cfg.d_model, cfg.d_ff, cfg.attn_width(layer)
-    return (d, w), (d, w), (d, w), (w, d), (d, f), (f, d)
+def param_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Yield (name, shape) of each of `cfg`'s tensors in canonical order, from `cfg` alone.
+
+    The one place that derives tensor names and shapes from a config: tok_emb, pos_emb, then
+    each layer's weights in `LayerParams` field order, each followed by its bias if enabled.
+    """
+    d, ff = cfg.d_model, cfg.d_ff
+    yield "tok_emb", (cfg.vocab_size, d)
+    yield "pos_emb", (cfg.max_seq_len, d)
+    names = LayerParams.__match_args__  # the field names, in order
+    for i in range(cfg.n_layers):
+        w, layer = cfg.attn_width(i), f"layers.{i}."
+        shapes = (d, w), (d, w), (d, w), (w, d), (d, ff), (ff, d)
+        for shape, weight, bias in zip(shapes, names[::2], names[1::2]):
+            yield layer + weight, shape
+            if cfg.use_bias:
+                yield layer + bias, shape[1:]
+
+
+def _tensor_views(flat: np.ndarray, cfg: ModelConfig) -> Iterator[tuple[str, np.ndarray]]:
+    """Yield (name, view) of each of `cfg`'s tensors over `flat`, back to back, in its shape."""
+    end = 0
+    for name, shape in param_shapes(cfg):
+        start, end = end, end + math.prod(shape)
+        yield name, flat[start:end].reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
 class ParamSet:
     """Every parameter of one model instance in one flat vector `theta`.
 
-    `cfg`'s tensors lie in theta back to back, row-major, in canonical order:
-    tok_emb, pos_emb, then each layer's in `LayerParams` field order. Embedding
+    `cfg`'s tensors lie in theta back to back, row-major, in canonical order
+    (`param_shapes`): tok_emb, pos_emb, then each layer's. Embedding
     views are made on construction, layer views on the first read of `layers`,
     so code that touches only theta builds none. Views share theta's writeability:
     gradients are written through them; every theta the package hands out is frozen.
@@ -161,28 +183,18 @@ class ParamSet:
         size = param_count(cfg)
         if theta.shape != (size,):
             raise ValueError(f"ParamSet: theta has shape {theta.shape}, layout needs ({size},)")
-        d = cfg.d_model
-        emb = cfg.vocab_size * d
-        pos = emb + cfg.max_seq_len * d
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "tok_emb", theta[:emb].reshape(cfg.vocab_size, d))
-        object.__setattr__(self, "pos_emb", theta[emb:pos].reshape(cfg.max_seq_len, d))
+        for name, view in islice(_tensor_views(theta, cfg), 2):  # tok_emb, pos_emb
+            object.__setattr__(self, name, view)
 
     @cached_property
     def layers(self) -> list[LayerParams]:
-        theta, cfg = self.theta, self.cfg
-        bias = cfg.use_bias
-        pos = self.tok_emb.size + self.pos_emb.size
-        layers = []
-        for i in range(cfg.n_layers):
-            views = []
-            # each weight, then the bias that adds to its output columns
-            for rows, cols in _weight_shapes(cfg, i):
-                end = pos + rows * cols
-                views += theta[pos:end].reshape(rows, cols), theta[end:end + cols] if bias else None
-                pos = end + cols * bias
-            layers.append(LayerParams(*views))
-        return layers
+        views = (view for _, view in _tensor_views(self.theta, self.cfg))
+        next(views), next(views)  # tok_emb, pos_emb
+        # LayerParams' fields alternate weight and bias; a model without biases stores none
+        stored = (True, self.cfg.use_bias) * (len(LayerParams.__match_args__) // 2)
+        return [LayerParams(*[next(views) if s else None for s in stored])
+                for _ in range(self.cfg.n_layers)]
 
     def with_theta(self, theta: np.ndarray) -> ParamSet:
         """The same config over another vector."""
@@ -197,18 +209,6 @@ def iter_params(p: ParamSet) -> Iterator[tuple[str, np.ndarray]]:
         for name, arr in vars(lay).items():
             if arr is not None:
                 yield f"layers.{i}.{name}", arr
-
-
-def param_sizes(cfg: ModelConfig) -> Iterator[tuple[str, int]]:
-    """Yield (name, element count) of each tensor `iter_params` yields, from `cfg` alone: no arrays."""
-    yield "tok_emb", cfg.vocab_size * cfg.d_model
-    yield "pos_emb", cfg.max_seq_len * cfg.d_model
-    names = [f.name for f in fields(LayerParams)]
-    for i in range(cfg.n_layers):
-        for (rows, cols), weight, bias in zip(_weight_shapes(cfg, i), names[::2], names[1::2]):
-            yield f"layers.{i}.{weight}", rows * cols
-            if cfg.use_bias:
-                yield f"layers.{i}.{bias}", cols
 
 
 def param_count_enumerated(p: ParamSet) -> int:
@@ -254,14 +254,11 @@ def _freeze(theta: np.ndarray) -> np.ndarray:
 
 
 def _init_uniform(cfg: ModelConfig, seed: int, lo: float, hi: float) -> ParamSet:
-    theta = np.zeros(param_count(cfg))
-    # views of a read-only alias stay read-only; the weights are written through theta itself
-    p = ParamSet(_freeze(theta.view()), cfg)
-    tensors = [arr for _, arr in iter_params(p)]
-    is_weight = np.repeat([arr.ndim == 2 for arr in tensors], [arr.size for arr in tensors])
+    shapes = [shape for _, shape in param_shapes(cfg)]
+    is_weight = np.repeat([len(shape) == 2 for shape in shapes], [math.prod(shape) for shape in shapes])
+    theta = np.zeros(is_weight.size)
     theta[is_weight] = rng_uniform_array(seed, (int(is_weight.sum()),), lo, hi)
-    _freeze(theta)
-    return p
+    return ParamSet(_freeze(theta), cfg)
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ParamSet:

@@ -17,8 +17,8 @@ theta's (or each int8 tensor's) own buffer, and a load reads the header
 fields with reads bounded by the file's length, then reads the payload
 straight into the arrays it returns (`readinto`), so neither side holds a
 second copy of the parameters. Shapes come from the config: a v2 payload
-loads into one int8 ParamSet of it, so each int8 tensor is a view in its
-parameter's shape. Both loaders open files through `_open`.
+loads into one flat int8 vector, each tensor a view of it in its parameter's
+shape (`model.param_shapes`). Both loaders open files through `_open`.
 
 A save checks its inputs before it opens its path, so it writes no file its
 loader refuses. Round-trips are bit-exact. Loaders reject trailing or missing
@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .compression import QuantizedTensor, _check_layout, quantized_memory_bytes
-from .model import (ModelConfig, ParamSet, _check_config, _check_finite, _freeze, iter_params,
+from .model import (ModelConfig, ParamSet, _check_config, _check_finite, _freeze, _tensor_views,
                     param_count)
 
 MAGIC = b"RETF"
@@ -216,14 +216,14 @@ def load_quantized_model(
     with _open(path, VERSION_INT8) as (cfg, r):
         # checked before anything is built, since a header can name any number of layers
         r.expect(quantized_memory_bytes(cfg))
-        ints = ParamSet(np.empty(param_count(cfg), np.int8), cfg)
+        ints = np.empty(param_count(cfg), np.int8)
         tensors = []
-        for name, values in iter_params(ints):
+        for name, values in _tensor_views(ints, cfg):
             scale = struct.unpack("<d", r.take(8))[0]
             try:
                 tensors.append((name, QuantizedTensor(r.into(values), scale)))
             except ValueError as exc:
                 raise ValueError(f"{path}: tensor {name}: {exc}") from exc
-    if ints.theta.min() < -127:  # one pass over the payload; the names only on failure
+    if ints.min() < -127:  # one pass over the payload; the names only on failure
         _check_symmetric(str(path), tensors)
     return cfg, tensors

@@ -83,6 +83,17 @@ class TestInit:
         code = main(["init", "--config", str(tmp_path), "--out", str(tmp_path / "m.retf")])
         assert_input_error(capsys, code, tmp_path)
 
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_bad_init_out_refused_before_building(self, tmp_path, capsys, monkeypatch, where):
+        built = []
+        monkeypatch.setattr(leanformer.cli, "init_params", lambda *a: built.append(a))
+        out = tmp_path if where == "directory" else tmp_path / "nodir" / "m.retf"
+        code = main(["init", "--config", "tiny", "--out", str(out)])
+        reason = "is a directory" if where == "directory" else f"directory {out.parent} does not exist"
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {out}: {reason}\n")
+        assert built == []
+
 
 class TestCompare:
     def test_paper_presets_table_and_json(self, tmp_path, capsys):

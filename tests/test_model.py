@@ -21,7 +21,7 @@ from leanformer.model import (
     model_forward,
     param_count,
     param_count_enumerated,
-    param_sizes,
+    param_shapes,
     param_tensor_count,
     synth_copy_batch,
     train_step,
@@ -612,15 +612,15 @@ class TestParamCount:
     @given(small_configs)
     @settings(max_examples=60, deadline=None)
     def test_tensor_count_equals_layout_length(self, cfg):
-        layout = [(name, a.size) for name, a in iter_params(init_params(cfg, 0))]
+        layout = [(name, a.shape) for name, a in iter_params(init_params(cfg, 0))]
         assert param_tensor_count(cfg) == len(layout)
-        assert list(param_sizes(cfg)) == layout
+        assert list(param_shapes(cfg)) == layout
 
     def test_tensor_count_of_pruned_biased_config(self):
         cfg = ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True, head_dim=3, layer_heads=(2, 1))
-        layout = [(name, a.size) for name, a in iter_params(init_params(cfg, 0))]
+        layout = [(name, a.shape) for name, a in iter_params(init_params(cfg, 0))]
         assert param_tensor_count(cfg) == len(layout) == 26
-        assert list(param_sizes(cfg)) == layout
+        assert list(param_shapes(cfg)) == layout
 
     @pytest.mark.parametrize("heads", [1, 2, 4, 8])
     def test_head_count_does_not_change_count(self, heads):

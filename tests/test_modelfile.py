@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import struct
 from dataclasses import replace
@@ -27,6 +28,7 @@ from leanformer.modelfile import (
     MAGIC,
     VERSION_FLOAT64,
     VERSION_INT8,
+    _open,
     config_from_json_dict,
     config_to_json_dict,
     load_model,
@@ -204,6 +206,19 @@ class TestFloatModelFile:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(ValueError, match="truncated"):
             load_model(path)
+
+    def test_file_cut_after_its_size_check_rejected(self, tmp_path):
+        # the payload read itself comes up short; a tiny file's payload would already sit
+        # in the reader's 8 KiB buffer, so this takes paper-baseline's 1.1 MB
+        cfg = PRESETS["paper-baseline"]
+        path = tmp_path / "m.retf"
+        save_model(path, cfg, init_params(cfg, 0))
+        with _open(path, VERSION_FLOAT64) as (found, r):
+            n = param_count(found)
+            r.expect(8 * n)
+            os.truncate(path, path.stat().st_size - 8)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated model file$"):
+                r.into(np.empty(n, "<f8"))
 
     def test_trailing_bytes_rejected(self, tmp_path):
         cfg = PRESETS["tiny"]

@@ -419,13 +419,28 @@ class TestCompare:
         assert timing["p90_s"] == pytest.approx(p90, abs=1e-12)
 
 
-def test_host_block_is_the_benchmarks_schema():
-    # one schema for every record: perfbench/run.py's host block, with no allocator pins
+def _perfbench_run():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
     spec = importlib.util.spec_from_file_location("perfbench_run", path)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    assert host_block() == {**run.host_block(None), "malloc": None}
+    return run
+
+
+def test_host_block_is_the_benchmarks_schema():
+    # one schema for every record: perfbench/run.py's host block, with no allocator pins
+    assert host_block() == {**_perfbench_run().host_block(None), "malloc": None}
+
+
+def test_host_block_on_numpy_without_config_dicts(monkeypatch):
+    # numpy before 1.26 (pyproject allows 1.24) has no show_config(mode=...)
+    def show_config():
+        pass
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    block = host_block()
+    assert block["blas"] == {"name": "unknown"}
+    assert block.keys() == _perfbench_run().host_block(None).keys()
 
 
 def _mk_report(label, count, act=1000, median=0.5):
