@@ -247,13 +247,12 @@ def quantize_params(p: ParamSet) -> list[tuple[str, QuantizedTensor]]:
 
 
 def _check_layout(who: str, cfg: ModelConfig, quantized: list[tuple[str, QuantizedTensor]]) -> None:
-    """Refuse `quantized` unless it holds cfg's tensors: each name and size, in canonical order.
+    """Refuse `quantized` unless it holds cfg's tensors: each name and shape, in canonical order.
 
     The count goes first, so no longer config is laid out; the layout comes from the config
     alone (`param_shapes`) and builds no arrays."""
     if len(quantized) != param_tensor_count(cfg) or any(
-            name != want or qt.values.size != math.prod(shape)
-            for (name, qt), (want, shape) in zip(quantized, param_shapes(cfg))):
+            (name, qt.values.shape) != layout for (name, qt), layout in zip(quantized, param_shapes(cfg))):
         raise ValueError(f"{who}: tensors do not match the canonical layout")
 
 

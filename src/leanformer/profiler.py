@@ -259,8 +259,9 @@ def time_forward(
 ) -> TimingStats:
     """Time repeated forward passes over one fixed seeded batch.
 
-    Runs `warmup` unrecorded passes, then `reps` recorded ones, single
-    threaded, identical input every rep. The clock only has to be
+    Runs `warmup` unrecorded passes, then `reps` recorded ones, identical
+    input every rep, with whatever BLAS thread count the environment sets
+    (`host_block` records its thread variables). The clock only has to be
     monotonic; tests inject a fake one.
     """
     if reps < 1:

@@ -2,6 +2,8 @@
 
 `pytest perfbench` covers the benchmark itself; this runs the same calls
 inside the package's own suite, so a change that breaks one fails here too.
+Beside the workloads BENCHMARK.json lists, it runs perfbench's gradcheck-tiny,
+which the benchmark runner leaves out.
 """
 
 import importlib
@@ -14,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
 
 
-@pytest.mark.parametrize("name", [w["name"] for w in BENCHMARK["workloads"]])
+@pytest.mark.parametrize("name", [w["name"] for w in BENCHMARK["workloads"]] + ["gradcheck-tiny"])
 def test_workload_runs_and_checks_one_op(name, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")

@@ -47,6 +47,17 @@ def with_zeroed(p: ParamSet, names: set[str]) -> ParamSet:
     return q
 
 
+def layout_of_layers(p: ParamSet) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each tensor, named from the `LayerParams` fields of `p.layers`.
+
+    The forward and backward read these fields, and this builds their names apart from
+    `param_shapes`, the walk `iter_params` follows.
+    """
+    return [("tok_emb", p.tok_emb.shape), ("pos_emb", p.pos_emb.shape)] + [
+        (f"layers.{i}.{name}", arr.shape)
+        for i, lay in enumerate(p.layers) for name, arr in vars(lay).items() if arr is not None]
+
+
 # Strategy over small valid configs for property tests.
 small_configs = st.builds(
     ModelConfig,
@@ -612,13 +623,13 @@ class TestParamCount:
     @given(small_configs)
     @settings(max_examples=60, deadline=None)
     def test_tensor_count_equals_layout_length(self, cfg):
-        layout = [(name, a.shape) for name, a in iter_params(init_params(cfg, 0))]
+        layout = layout_of_layers(init_params(cfg, 0))
         assert param_tensor_count(cfg) == len(layout)
         assert list(param_shapes(cfg)) == layout
 
     def test_tensor_count_of_pruned_biased_config(self):
         cfg = ModelConfig(13, 6, 8, 4, 16, 2, use_bias=True, head_dim=3, layer_heads=(2, 1))
-        layout = [(name, a.shape) for name, a in iter_params(init_params(cfg, 0))]
+        layout = layout_of_layers(init_params(cfg, 0))
         assert param_tensor_count(cfg) == len(layout) == 26
         assert list(param_shapes(cfg)) == layout
 

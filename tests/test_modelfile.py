@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from leanformer.compression import (
     QuantizedTensor,
     dequantize,
+    dequantize_params,
     prune_heads,
     prune_layers,
     quantize_params,
@@ -284,6 +285,21 @@ class TestQuantizedModelFile:
             quantized[2], quantized[3] = quantized[3], quantized[2]
         path = tmp_path / "q.retf"
         with pytest.raises(ValueError, match="save_quantized_model: tensors do not match"):
+            save_quantized_model(path, cfg, quantized)
+        assert not path.exists()
+
+    def test_tensor_of_the_right_size_but_not_the_shape_rejected_before_writing(self, tmp_path):
+        # tiny's layers.0.w1 is (4, 8); its (8, 4) transpose has every value but would load scrambled
+        cfg = PRESETS["tiny"]
+        p = init_params(cfg, 0)
+        quantized = quantize_params(p)
+        i = [name for name, _ in quantized].index("layers.0.w1")
+        qt = quantized[i][1]
+        quantized[i] = ("layers.0.w1", QuantizedTensor(qt.values.T, qt.scale))
+        with pytest.raises(ValueError, match="^dequantize_params: tensors do not match the canonical layout$"):
+            dequantize_params(p, quantized)
+        path = tmp_path / "q.retf"
+        with pytest.raises(ValueError, match="^save_quantized_model: tensors do not match the canonical layout$"):
             save_quantized_model(path, cfg, quantized)
         assert not path.exists()
 
