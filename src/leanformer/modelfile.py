@@ -46,7 +46,7 @@ from .model import (ModelConfig, ParamSet, _check_config, _check_finite, _freeze
 MAGIC = b"RETF"
 VERSION_FLOAT64 = 1
 VERSION_INT8 = 2
-_INT8_TAG = "int8"
+_INT8_TAG = b"int8"
 # per version: what its payload holds, and how an error names a file of it
 _HOLDS = {VERSION_FLOAT64: ("float64", "a float64"), VERSION_INT8: ("int8", "an int8")}
 
@@ -118,12 +118,12 @@ class _Reader:
     def __exit__(self, *exc) -> None:
         self.file.close()
 
-    def into(self, a: np.ndarray) -> np.ndarray:
-        """Fill the C-contiguous array `a` with the next `a.nbytes` bytes and return it."""
-        if a.nbytes > self.left or self.file.readinto(a) != a.nbytes:
+    def into(self, buf: np.ndarray | memoryview) -> np.ndarray | memoryview:
+        """Fill the writable C-contiguous buffer `buf` with the next `buf.nbytes` bytes and return it."""
+        if buf.nbytes > self.left or self.file.readinto(buf) != buf.nbytes:
             raise ValueError(f"{self.path}: truncated model file")
-        self.left -= a.nbytes
-        return a
+        self.left -= buf.nbytes
+        return buf
 
     def take(self, n: int) -> bytes:
         """The next n bytes; nothing larger than the rest of the file is read."""
@@ -166,9 +166,8 @@ def save_quantized_model(
     """Write a version-2 (int8 + scales) model file of `quantized`, cfg's tensors in canonical order."""
     _check_layout("save_quantized_model", cfg, quantized)
     _check_symmetric("save_quantized_model", quantized)
-    tag = _INT8_TAG.encode("utf-8")
     with open(path, "wb") as f:
-        f.write(MAGIC + struct.pack("<I", VERSION_INT8) + struct.pack("<I", len(tag)) + tag
+        f.write(MAGIC + struct.pack("<I", VERSION_INT8) + struct.pack("<I", len(_INT8_TAG)) + _INT8_TAG
                 + _config_block(cfg))
         for _, qt in quantized:
             f.write(struct.pack("<d", qt.scale))
@@ -188,9 +187,9 @@ def _open(path: str | Path, version: int) -> Iterator[tuple[ModelConfig, _Reader
         if found not in _HOLDS:
             raise ValueError(f"{path}: unsupported format version {found}")
         if found == VERSION_INT8:
-            tag = r.take(r.u32()).decode("utf-8")
+            tag = r.take(r.u32())
             if tag != _INT8_TAG:
-                raise ValueError(f"{path}: unsupported element type '{tag}'")
+                raise ValueError(f"{path}: unsupported element type '{tag.decode('utf-8', 'replace')}'")
         cfg = parse_config(r.take(r.u32()), path)
         if found != version:
             raise ValueError(f"{path}: version {found} holds {_HOLDS[found][0]} data; "
@@ -217,11 +216,16 @@ def load_quantized_model(
         # checked before anything is built, since a header can name any number of layers
         r.expect(quantized_memory_bytes(cfg))
         ints = np.empty(param_count(cfg), np.int8)
+        # each tensor is read through a slice of one view of the vector: a read
+        # into the tensor's own array would leave numpy a buffer-export record on it
+        buf, end = memoryview(ints), 0
         tensors = []
         for name, values in _tensor_views(ints, cfg):
             scale = struct.unpack("<d", r.take(8))[0]
+            start, end = end, end + values.size
+            r.into(buf[start:end])
             try:
-                tensors.append((name, QuantizedTensor(r.into(values), scale)))
+                tensors.append((name, QuantizedTensor(values, scale)))
             except ValueError as exc:
                 raise ValueError(f"{path}: tensor {name}: {exc}") from exc
     if ints.min() < -127:  # one pass over the payload; the names only on failure

@@ -327,32 +327,36 @@ def render_comparison(cr: ComparisonReport) -> str:
 
 # the configuration search's fixed choices; FFN width is a multiple of d_model.
 # Every d and head count is even, so each candidate's d, heads and d_ff
-# halve exactly, as reduce_config(cfg) needs.
+# halve exactly, as reduce_config(cfg) needs. The last two bound the output,
+# not the work: each combination of the choices solves to at most one pair.
 D_CHOICES = (2, 4, 8, 16, 32, 64, 128, 256, 512)
 HEAD_CHOICES = (2, 4, 8, 16)
 FF_MULTIPLIERS = (1, 2, 4)
 BIAS_OPTIONS = (False, True)
+MAX_LAYERS = 4
+MAX_VOCAB_PLUS_SEQ = 1_000_000
 
 
 def config_search(
-    target_base: int, target_variant: int, *,
-    seq_len: int = 10, max_layers: int = 4, max_vocab_plus_seq: int = 1_000_000,
+    target_base: int, target_variant: int, *, seq_len: int = 10,
 ) -> list[tuple[ModelConfig, ModelConfig]]:
     """Find every (config, half-sized config) pair hitting both parameter targets.
 
     Enumerates d, head count, FFN multiplier and bias over the module's
     choice sets. A model and its half-sized pair share V+S, so the two
-    targets fix each combination's layer count (at most `max_layers`); the
+    targets fix each combination's layer count (at most `MAX_LAYERS`); the
     embedding total V+S then follows from the closed-form count, and
-    V = (V+S) - seq_len must be >= 1 with V+S <= `max_vocab_plus_seq`.
+    V = (V+S) - seq_len must be >= 1 with V+S <= `MAX_VOCAB_PLUS_SEQ`.
     Every candidate is re-verified against param_count exactly.
+
+    A head count never changes a parameter count, so each solution is listed
+    once per head count that divides d: the paper's 140,288 / 67,072 targets
+    give 24 pairs, 6 solutions at 4 head counts each.
     """
     if target_base < 1 or target_variant < 1:
         raise ValueError("config_search: targets must be positive")
-    for name, value, least in (("seq_len", seq_len, 1), ("max_layers", max_layers, 0),
-                               ("max_vocab_plus_seq", max_vocab_plus_seq, 2)):
-        if value < least:
-            raise ValueError(f"config_search: {name} must be >= {least}, got {value}")
+    if seq_len < 1:
+        raise ValueError(f"config_search: seq_len must be >= 1, got {seq_len}")
     found = []
     for d, heads, mult, use_bias in product(D_CHOICES, HEAD_CHOICES, FF_MULTIPLIERS, BIAS_OPTIONS):
         if d % heads != 0:
@@ -366,8 +370,8 @@ def config_search(
         n_layers, rest = divmod(target_base - 2 * target_variant, per_layer - 2 * per_half)
         total_vs, rest_vs = divmod(target_base - n_layers * per_layer, d)
         vocab = total_vs - seq_len
-        if (rest or rest_vs or not 0 <= n_layers <= max_layers
-                or vocab < 1 or total_vs > max_vocab_plus_seq):
+        if (rest or rest_vs or not 0 <= n_layers <= MAX_LAYERS
+                or vocab < 1 or total_vs > MAX_VOCAB_PLUS_SEQ):
             continue
         cfg = ModelConfig(
             vocab_size=vocab, max_seq_len=seq_len, d_model=d, n_heads=heads,

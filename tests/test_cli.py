@@ -145,7 +145,7 @@ class TestCompare:
         for name in ("a.json", "b.json"):
             path = tmp_path / name
             assert main(["compare", "--baseline", "paper-baseline",
-                         "--variant", "paper-reduced", "--seed", "9",
+                         "--variant", "paper-reduced",
                          "--reps", "2", "--warmup", "0", "--json", str(path)]) == 0
             doc = json.loads(path.read_text("utf-8"))
             for side in ("baseline", "variant"):
@@ -403,16 +403,11 @@ class TestSearch:
             main(["search", "--target-base", "lots", "--target-variant", "67072"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag, value, bound", [
-        ("--max-layers", "-1", "max_layers must be >= 0, got -1"),
-        ("--seq-len", "0", "seq_len must be >= 1, got 0"),
-        ("--max-vs-total", "1", "max_vocab_plus_seq must be >= 2, got 1"),
-    ], ids=["max-layers", "seq-len", "max-vs-total"])
-    def test_degenerate_bound_named_exit_2(self, capsys, flag, value, bound):
-        code = main(["search", "--target-base", "140288", "--target-variant", "67072", flag, value])
+    def test_degenerate_bound_named_exit_2(self, capsys):
+        code = main(["search", "--target-base", "140288", "--target-variant", "67072", "--seq-len", "0"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == f"error: config_search: {bound}\n"
+        assert err == "error: config_search: seq_len must be >= 1, got 0\n"
 
     def test_zero_target_exit_2(self, capsys):
         assert main(["search", "--target-base", "0", "--target-variant", "67072"]) == 2
@@ -568,3 +563,11 @@ def test_process_exit_code_is_mains(argv, code, error):
         assert proc.stderr == "" and "max relative error" in proc.stdout
     else:
         assert proc.stderr.splitlines()[-1] == error and proc.stdout == ""
+
+
+def test_process_exits_1_on_a_failed_check_and_2_on_an_input_error(tmp_path):
+    proc = run_cli("search", "--target-base", "1", "--target-variant", "1")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    proc = run_cli("init", "--config", "nope", "--out", str(tmp_path / "x"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: config 'nope'") and proc.stderr.count("\n") == 1

@@ -1,17 +1,19 @@
 """The model-file loaders on bytes from outside the program: size arithmetic and mutations."""
 
 import json
+import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leanformer.compression import quantize_params
-from leanformer.model import PRESETS, ModelConfig, init_params, param_count
+from leanformer.model import PRESETS, ModelConfig, init_params, param_count, param_shapes
 from leanformer.modelfile import (
-    MAGIC, VERSION_FLOAT64, VERSION_INT8, load_model, load_quantized_model, save_model,
-    save_quantized_model,
+    MAGIC, VERSION_FLOAT64, VERSION_INT8, config_to_json_dict, load_model, load_quantized_model,
+    save_model, save_quantized_model,
 )
 
 from reference import traced_peak
@@ -27,12 +29,12 @@ def header(version, doc):
 
 
 def load_peak(load, path):
-    """tracemalloc peak of one load, which may raise only ValueError."""
+    """tracemalloc peak of one load, which may raise only a ValueError that names the file."""
     def load_or_refuse():
         try:
             load(path)
-        except ValueError:
-            pass
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
     return traced_peak(load_or_refuse)
 
 
@@ -95,6 +97,8 @@ ERRORS = [  # (case, the file a loader of version v is given, the exact error af
      "unsupported format version 3"),
     ("unknown-tag", lambda files, v: files[VERSION_INT8].replace(b"int8", b"int4", 1),
      "unsupported element type 'int4'"),
+    ("tag-not-utf8", lambda files, v: files[VERSION_INT8].replace(b"int8", b"\xffnt8", 1),
+     "unsupported element type '\ufffdnt8'"),
     ("version-mismatch", lambda files, v: files[OTHER[v]],
      {VERSION_FLOAT64: "version 2 holds int8 data; expected a float64 (version 1) file",
       VERSION_INT8: "version 1 holds float64 data; expected an int8 (version 2) file"}),
@@ -180,3 +184,27 @@ def test_deep_file_loads_without_per_tensor_names(tmp_path):
     path = tmp_path / "deep.retf"
     save_model(path, cfg, init_params(cfg, 0))
     assert traced_peak(load_model, path) <= 8 * param_count(cfg) + SLACK
+
+
+def test_deep_v2_file_loads_without_per_view_buffer_records(tmp_path):
+    # 60,002 one-element tensors, written directly. Beside the int8 values a load
+    # holds about 365 B per tensor; a read into each tensor's own array would add
+    # numpy's buffer-export record on it, about 437 B per tensor in all
+    cfg = ModelConfig(2, 1, 1, 1, 1, 10_000)
+    shapes = list(param_shapes(cfg))
+    ints = (np.arange(param_count(cfg)) % 255 - 127).astype(np.int8)
+    scales = [0.5 + i for i in range(len(shapes))]
+    payload, end = [], 0
+    for (_, shape), scale in zip(shapes, scales):
+        start, end = end, end + math.prod(shape)
+        payload += [struct.pack("<d", scale), ints[start:end].tobytes()]
+    path = tmp_path / "deep.retf"
+    path.write_bytes(header(VERSION_INT8, config_to_json_dict(cfg)) + b"".join(payload))
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(load_quantized_model(path)))
+    assert peak <= param_count(cfg) + 400 * len(shapes)
+    got_cfg, tensors = loaded[0]
+    assert got_cfg == cfg
+    assert [(name, qt.values.shape) for name, qt in tensors] == shapes
+    assert [qt.scale for _, qt in tensors] == scales
+    assert np.array_equal(np.concatenate([qt.values.ravel() for _, qt in tensors]), ints)

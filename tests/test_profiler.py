@@ -1,6 +1,5 @@
 import importlib.util
 import json
-import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import leanformer.model as model
+from leanformer.compression import reduce_config
 from leanformer.model import (
     ModelConfig,
     PRESETS,
@@ -22,6 +22,8 @@ from leanformer.model import (
     train_step,
 )
 from leanformer.profiler import (
+    MAX_LAYERS,
+    MAX_VOCAB_PLUS_SEQ,
     ComparisonReport,
     ResourceReport,
     TimingStats,
@@ -476,18 +478,22 @@ class TestConfigSearch:
     def test_impossible_targets_empty_not_error(self):
         assert config_search(3, 5) == []
 
-    def test_search_respects_vs_cap(self):
-        assert all(
-            cfg.vocab_size + cfg.max_seq_len <= 100
-            for cfg, _ in config_search(140_288, 67_072, max_vocab_plus_seq=100)
-        )
+    def test_default_output_obeys_the_bounds(self):
+        pairs = config_search(140_288, 67_072)
+        assert len(pairs) == 24
+        for cfg, _ in pairs:
+            assert cfg.n_layers <= MAX_LAYERS
+            assert cfg.vocab_size + cfg.max_seq_len <= MAX_VOCAB_PLUS_SEQ
 
-    def test_layer_bound_beyond_the_target_costs_nothing(self):
-        # no model of more than 140,288 layers fits 140,288 parameters
-        start = time.perf_counter()
-        deep = config_search(140_288, 67_072, max_layers=10**6)
-        assert time.perf_counter() - start < 1.0
-        assert deep == config_search(140_288, 67_072, max_layers=140_288)
+    @pytest.mark.parametrize("cfg, listed", [
+        (ModelConfig(90, 10, 32, 8, 128, MAX_LAYERS), True),
+        (ModelConfig(90, 10, 32, 8, 128, MAX_LAYERS + 1), False),
+        (ModelConfig(MAX_VOCAB_PLUS_SEQ - 10, 10, 2, 2, 2, 0), True),
+        (ModelConfig(MAX_VOCAB_PLUS_SEQ - 9, 10, 2, 2, 2, 0), False),
+    ], ids=["max-layers", "past-max-layers", "max-vs", "past-max-vs"])
+    def test_bounds_are_inclusive(self, cfg, listed):
+        pairs = config_search(param_count(cfg), param_count(reduce_config(cfg)))
+        assert ((cfg, reduce_config(cfg)) in pairs) == listed
 
 
 class TestProfileModel:
